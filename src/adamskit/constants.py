@@ -10,6 +10,7 @@ exponentiated once, so the formulas stay finite well past n = 64.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,8 +61,15 @@ def log_unit_sphere_area(n: int) -> float:
 
 
 def unit_sphere_area(n: int) -> float:
-    """Area of S^{n-1}: 2 pi^{n/2} / Gamma(n/2)."""
-    return math.exp(log_unit_sphere_area(n))
+    """Area of S^{n-1}: 2 pi^{n/2} / Gamma(n/2); DomainError once it underflows (n >= 439)."""
+    log_area = log_unit_sphere_area(n)
+    area = math.exp(log_area)
+    if area < sys.float_info.min:
+        raise DomainError(
+            f"unit sphere area for n = {n} underflows double precision"
+            f" (ln area = {log_area:.17g}); use log_unit_sphere_area"
+        )
+    return area
 
 
 def unit_ball_volume(n: int) -> float:
@@ -132,15 +140,18 @@ def beta0_product_form(params: AdamsParams) -> float:
     return math.exp((n / (n - m)) * log_base)
 
 
+def unit_concentration_level(p: float) -> float:
+    """1 + e^{psi(p) + gamma}: the level per unit measure at p = n/m (1 + e at p = 2)."""
+    return 1.0 + math.exp(digamma(p) + EULER_GAMMA)
+
+
 def concentration_level(params: AdamsParams, domain_measure: float) -> float:
     """Upper bound |Omega| (1 + e^{psi(n/m) + gamma}) for the functional
     along sequences whose m-th gradient energy concentrates at a point."""
     domain_measure = float(domain_measure)
     if not domain_measure > 0.0:
         raise DomainError(f"domain measure must be positive, got {domain_measure}")
-    return domain_measure * (
-        1.0 + math.exp(digamma(params.subcritical_exponent) + EULER_GAMMA)
-    )
+    return domain_measure * unit_concentration_level(params.subcritical_exponent)
 
 
 def eta_exponent(grad_norm_p: float, p: float) -> float:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .constants import SIGMA, unit_concentration_level
 from .errors import DomainError
 from .moser1d import cc_functional
 from .profiles import ExpApproachPiece, FuncPiece, LinearPiece, PiecewiseProfile, PowerPiece
@@ -41,7 +42,6 @@ class TestFnParams:
     b: float
     s: float
     lam: float
-    sigma: float
     admissible: bool
     slack_term: float  # (4/3) ((n+1)/n)^{n/2} / (n-2)
     shrink_term: float  # (1 - 4/(n(n-2)))^{n/2}
@@ -74,13 +74,11 @@ def make_params(n: int, *, extended: bool = False) -> TestFnParams:
     s = ratio ** (n / 2.0) * (1.0 + slack - shrink)
     lam = 1.0 + (n - 2.0) / 2.0 * math.exp(b - s)
     admissible = 0.0 < s < b and lam > n / 2.0
-    sigma = 1.0 + 2.0 / math.sqrt(3.0)
     return TestFnParams(
         n=n,
         b=b,
         s=s,
         lam=lam,
-        sigma=sigma,
         admissible=admissible,
         slack_term=slack,
         shrink_term=shrink,
@@ -213,9 +211,7 @@ def norm_quadrature(params: TestFnParams, spec: QuadratureSpec = DEFAULT_SPEC) -
         arc_antiderivative(u_hi) - arc_antiderivative(u_lo)
     )
 
-    tail = (2.0 / 3.0) * ((n + 1.0) / n) ** m_half / (lam - 1.0)
-
-    return (ramp + arc + tail) ** (2.0 / n)
+    return (ramp + arc + tail_norm_contribution(params)) ** (2.0 / n)
 
 
 def tail_norm_contribution(params: TestFnParams) -> float:
@@ -251,12 +247,11 @@ def eta_function(t: float) -> float:
     t = float(t)
     if not t >= 2.0:
         raise DomainError(f"eta is defined on [2, inf), got {t}")
-    sigma = 1.0 + 2.0 / math.sqrt(3.0)
     ratio = t / (t - 1.0)
     return (
         digamma(t)
         + EULER_GAMMA
-        + ratio**t * (sigma / (t - 1.0) - 1.0)
+        + ratio**t * (SIGMA / (t - 1.0) - 1.0)
         + ratio
         + 1.0
         - math.log(t - 1.0)
@@ -265,7 +260,7 @@ def eta_function(t: float) -> float:
 
 def concentration_level_unit_ball(n: int) -> float:
     """1 + e^{psi(n/2) + gamma}, the level per unit ball measure."""
-    return 1.0 + math.exp(digamma(n / 2.0) + EULER_GAMMA)
+    return unit_concentration_level(n / 2.0)
 
 
 class VerdictRow(NamedTuple):

@@ -18,14 +18,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .constants import AdamsParams
 from .errors import DegenerateTrialError, DomainError, InfeasibleError
 from .profiles import FuncPiece, LinearPiece, Piece, PiecewiseProfile, PowerPiece
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_gauss
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_gauss, power_integral
 
 _BOUNDARY_RTOL = 1e-12
 
@@ -189,15 +189,7 @@ def _weighted_abs_pow_integral(
         return 0.0
     if isinstance(piece, PowerPiece) and piece.offset == 0.0 and piece.shift == 0.0:
         w1 = piece.exponent * power + weight_pow + 1.0
-        c = abs(piece.coeff) ** power
-        if lo == 0.0:
-            if w1 <= 0.0:
-                return math.inf
-            return c * hi**w1 / w1
-        if w1 == 0.0:
-            return c * math.log(hi / lo)
-        # expm1 form stays exact when w1 is a tiny rounding residue.
-        return c * (math.expm1(w1 * math.log(hi)) - math.expm1(w1 * math.log(lo))) / w1
+        return power_integral(abs(piece.coeff) ** power, w1, lo, hi)
     if isinstance(piece, LinearPiece):
         # Split at a sign change so the integrand stays smooth.
         if piece.slope != 0.0:
@@ -208,20 +200,31 @@ def _weighted_abs_pow_integral(
                 ) + _weighted_abs_pow_integral(piece, power, weight_pow, root, hi, spec)
         elif piece.intercept == 0.0:
             return 0.0
+    return _weighted_quadrature(piece.value, power, weight_pow, lo, hi, spec)
 
-    def integrand(r):
-        return np.abs(piece.value(r)) ** power * r**weight_pow
 
+def _weighted_quadrature(
+    fn: Callable[[np.ndarray], np.ndarray],
+    power: float,
+    weight_pow: float,
+    lo: float,
+    hi: float,
+    spec: QuadratureSpec,
+) -> float:
+    """integral_lo^hi |fn(r)|^power r^weight_pow dr by adaptive quadrature."""
     if lo == 0.0 and -1.0 < weight_pow < 0.0:
         # Substitute r = hi * s^{1/(weight_pow+1)} to absorb the endpoint
         # singularity of the weight.
         wp1 = weight_pow + 1.0
 
         def smooth(s):
-            r = hi * s ** (1.0 / wp1)
-            return np.abs(piece.value(r)) ** power
+            return np.abs(fn(hi * s ** (1.0 / wp1))) ** power
 
         return hi**wp1 / wp1 * adaptive_gauss(smooth, 0.0, 1.0, spec)
+
+    def integrand(r):
+        return np.abs(fn(r)) ** power * r**weight_pow
+
     return adaptive_gauss(integrand, lo, hi, spec)
 
 
@@ -389,21 +392,8 @@ def _abs_pow_poly_integral(
     cuts = [0.0] + sorted(roots) + [R]
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi <= lo:
-            continue
-
-        def integrand(r):
-            return np.abs(poly(r)) ** power * r**weight_pow
-
-        if lo == 0.0 and -1.0 < weight_pow < 0.0:
-            wp1 = weight_pow + 1.0
-
-            def smooth(s, hi=hi):
-                return np.abs(poly(hi * s ** (1.0 / wp1))) ** power
-
-            total += hi**wp1 / wp1 * adaptive_gauss(smooth, 0.0, 1.0, spec)
-        else:
-            total += adaptive_gauss(integrand, lo, hi, spec)
+        if hi > lo:
+            total += _weighted_quadrature(poly, power, weight_pow, lo, hi, spec)
     return total
 
 
@@ -459,9 +449,10 @@ def second_order_probe(
             best = max(best, ratio)
     if best == -math.inf:
         raise DegenerateTrialError("every polynomial trial degenerated")
-    assert best <= constant * (1.0 + 1e-6), (
-        f"probe ratio {best} exceeds the closed-form constant {constant}"
-    )
+    if not best <= constant * (1.0 + 1e-6):
+        raise AssertionError(
+            f"probe ratio {best} exceeds the closed-form constant {constant}"
+        )
     return best
 
 

@@ -25,7 +25,7 @@ from .profiles import (
     constant_piece,
     piecewise_linear,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_gauss
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_gauss, power_integral
 from .specfun import EULER_GAMMA, digamma
 
 
@@ -48,25 +48,7 @@ def _energy_piece(piece: Piece, p: float, lo: float, hi: float, spec: Quadrature
         if c == 0.0:
             return 0.0
         w1 = (piece.exponent - 1.0) * p + 1.0
-        a = lo - piece.shift
-        b = hi - piece.shift
-        if math.isinf(b):
-            if w1 >= 0.0:
-                return math.inf
-            return -c * a**w1 / w1
-        if a == 0.0:
-            if w1 <= 0.0:
-                return math.inf
-            return c * b**w1 / w1
-        if w1 == 0.0:
-            return c * math.log(b / a)
-        # (b^w1 - a^w1)/w1 via expm1: exact even when w1 is a rounding
-        # residue of an exponent that should be -1 (e.g. ((n-2)/n - 1) n/2).
-        return (
-            c
-            * (math.expm1(w1 * math.log(b)) - math.expm1(w1 * math.log(a)))
-            / w1
-        )
+        return power_integral(c, w1, lo - piece.shift, hi - piece.shift)
     if isinstance(piece, ExpApproachPiece):
         rate = piece.rate * p
         c = abs(piece.amplitude * piece.rate) ** p

@@ -154,73 +154,6 @@ class FuncPiece(Piece):
 
 
 @dataclass(frozen=True)
-class SplinePiece(Piece):
-    """C^1 cubic Hermite interpolant of samples (Catmull-Rom tangents)."""
-
-    ts: tuple[float, ...]
-    ys: tuple[float, ...]
-    kind = "spline"
-
-    def __post_init__(self):
-        if len(self.ts) != len(self.ys) or len(self.ts) < 2:
-            raise DomainError("spline piece needs matching sample arrays, length >= 2")
-        if np.any(np.diff(self.ts) <= 0):
-            raise DomainError("spline sample abscissae must increase")
-
-    def _tangents(self) -> np.ndarray:
-        t = np.asarray(self.ts)
-        y = np.asarray(self.ys)
-        m = np.empty_like(y)
-        m[1:-1] = (y[2:] - y[:-2]) / (t[2:] - t[:-2])
-        m[0] = (y[1] - y[0]) / (t[1] - t[0])
-        m[-1] = (y[-1] - y[-2]) / (t[-1] - t[-2])
-        return m
-
-    def _locate(self, x: np.ndarray):
-        t = np.asarray(self.ts)
-        idx = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
-        h = t[idx + 1] - t[idx]
-        s = (x - t[idx]) / h
-        return idx, h, s
-
-    def value(self, t):
-        x = np.asarray(t, dtype=float)
-        y = np.asarray(self.ys)
-        m = self._tangents()
-        idx, h, s = self._locate(x)
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s**2 * (3 - 2 * s)
-        h11 = s**2 * (s - 1)
-        return h00 * y[idx] + h10 * h * m[idx] + h01 * y[idx + 1] + h11 * h * m[idx + 1]
-
-    def derivative(self, t):
-        x = np.asarray(t, dtype=float)
-        y = np.asarray(self.ys)
-        m = self._tangents()
-        idx, h, s = self._locate(x)
-        d00 = 6 * s * (s - 1) / h
-        d10 = (1 - s) * (1 - 3 * s)
-        d01 = -6 * s * (s - 1) / h
-        d11 = s * (3 * s - 2)
-        return d00 * y[idx] + d10 * m[idx] + d01 * y[idx + 1] + d11 * m[idx + 1]
-
-    def second_derivative(self, t):
-        x = np.asarray(t, dtype=float)
-        y = np.asarray(self.ys)
-        m = self._tangents()
-        idx, h, s = self._locate(x)
-        s00 = (12 * s - 6) / h**2
-        s10 = (6 * s - 4) / h
-        s01 = (6 - 12 * s) / h**2
-        s11 = (6 * s - 2) / h
-        return s00 * y[idx] + s10 * m[idx] + s01 * y[idx + 1] + s11 * m[idx + 1]
-
-    def params(self) -> dict:
-        return {"ts": list(self.ts), "ys": list(self.ys)}
-
-
-@dataclass(frozen=True)
 class LogRadialPiece(Piece):
     """Radial piece seen through r = R e^{-t/n}, scaled by a constant.
 
@@ -269,6 +202,7 @@ class PiecewiseProfile:
     strict_interior: bool = False
     check_continuity: bool = True
     _knots_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    _segments: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = tuple(float(k) for k in self.knots)
@@ -276,6 +210,8 @@ class PiecewiseProfile:
         object.__setattr__(self, "pieces", tuple(self.pieces))
         arr = np.asarray(knots, dtype=float)
         object.__setattr__(self, "_knots_arr", arr)
+        tail = () if self.tail is None else (self.tail,)
+        object.__setattr__(self, "_segments", self.pieces + tail)
         if len(knots) != len(self.pieces) + 1:
             raise DomainError(
                 f"need len(knots) == len(pieces) + 1, got {len(knots)} and {len(self.pieces)}"
@@ -286,13 +222,10 @@ class PiecewiseProfile:
             self._check_continuity()
 
     def _check_continuity(self) -> None:
-        segments = list(self.pieces)
-        if self.tail is not None:
-            segments.append(self.tail)
-        for i in range(1, len(segments)):
+        for i in range(1, len(self._segments)):
             k = self.knots[i]
-            left = float(np.asarray(segments[i - 1].value(k)))
-            right = float(np.asarray(segments[i].value(k)))
+            left = float(np.asarray(self._segments[i - 1].value(k)))
+            right = float(np.asarray(self._segments[i].value(k)))
             scale = max(1.0, abs(left), abs(right))
             if abs(left - right) > _CONTINUITY_TOL * scale:
                 raise DomainError(
@@ -321,8 +254,7 @@ class PiecewiseProfile:
 
     def _piece_index(self, t: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._knots_arr, t, side="right") - 1
-        top = len(self.pieces) if self.tail is not None else len(self.pieces) - 1
-        return np.clip(idx, 0, top)
+        return np.clip(idx, 0, len(self._segments) - 1)
 
     def _apply(self, t, method: str):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -338,10 +270,9 @@ class PiecewiseProfile:
                 )
         out = np.empty_like(t_arr)
         idx = self._piece_index(t_arr)
-        segments = list(self.pieces) + ([self.tail] if self.tail is not None else [])
         for i in np.unique(idx):
             mask = idx == i
-            out[mask] = getattr(segments[i], method)(t_arr[mask])
+            out[mask] = getattr(self._segments[i], method)(t_arr[mask])
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return float(out[0])
         return out

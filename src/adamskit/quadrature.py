@@ -101,3 +101,20 @@ def adaptive_gauss(
             heapq.heappush(heap, (-err_i, lo_i, hi_i, value_i))
         splits += 1
     return float(total)
+
+
+def power_integral(c: float, w1: float, a: float, b: float) -> float:
+    """c * integral_a^b x^{w1-1} dx for 0 <= a < b <= inf; inf if an end diverges."""
+    if math.isinf(b):
+        if w1 >= 0.0 or a == 0.0:
+            return math.inf
+        return -c * a**w1 / w1
+    if a == 0.0:
+        if w1 <= 0.0:
+            return math.inf
+        return c * b**w1 / w1
+    if w1 == 0.0:
+        return c * math.log(b / a)
+    # (b^w1 - a^w1)/w1 via expm1: exact even when w1 is a rounding residue
+    # of 0 (e.g. the arc energy's ((n-2)/n - 1) n/2 + 1).
+    return c * (math.expm1(w1 * math.log(b)) - math.expm1(w1 * math.log(a))) / w1

@@ -79,14 +79,7 @@ def log_gamma(x: float) -> float:
     while x < 10.0:
         shift_product *= x
         x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = 0.0
-    power = inv
-    for coeff in _LOG_GAMMA_TAIL:
-        tail += coeff * power
-        power *= inv2
-    value = (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + tail
+    value = (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + _stirling_tail(x)
     if shift_product != 1.0:
         value -= math.log(shift_product)
     return value

@@ -52,6 +52,28 @@ class TestParsing:
         assert result.returncode == 0
         assert b"constants" in result.stdout
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hardy", "--p", "2", "--q", "3", "--alpha", "0", "--theta", "-0.5",
+             "--R", "inf", "--trials", "2"],
+            ["hardy", "--second-order", "--n-dim", "8", "--q", "2", "--R", "inf",
+             "--trials", "2"],
+            ["cc", "--p", "2", "--maximize", "--A", "inf"],
+            ["cc", "--family", "moser", "--p", "2", "--a", "inf"],
+            ["cc", "--p", "inf", "--family", "moser", "--a", "10"],
+            ["level", "--m", "1", "--n", "2", "--measure", "nan"],
+        ],
+    )
+    def test_non_finite_float_exits_64(self, argv, capsys):
+        bad = next(arg for arg in argv if arg in ("inf", "nan"))
+        option = argv[argv.index(bad) - 1]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be finite, got '{bad}'" in err
+
     def test_env_rtol_override(self, monkeypatch):
         monkeypatch.setenv("ADAMS_QUAD_RTOL", "1e-8")
         assert parse_args(["t0"]).rtol == 1e-8
@@ -78,6 +100,22 @@ class TestCommands:
         payload = json.loads(out)
         assert status == 0
         assert payload["level"] == pytest.approx(1 + math.e, abs=1e-12)
+
+    def test_constants_underflow_is_domain_error(self, capsys):
+        status, out, err = run_cli(["constants", "--m", "2", "--n", "100000"], capsys)
+        assert status == 2
+        assert out == ""
+        assert "log_unit_sphere_area" in err
+
+    def test_cc_and_level_report_the_same_level(self, capsys):
+        _status, out_cc, _ = run_cli(
+            ["cc", "--p", "2", "--family", "moser", "--a", "1000"], capsys
+        )
+        _status, out_level, _ = run_cli(["level", "--m", "1", "--n", "2"], capsys)
+        level = json.loads(out_level)["level"]
+        assert json.loads(out_cc)["concentration_level"] == level
+        # digamma's stated absolute error is 1e-12.
+        assert level == pytest.approx(1 + math.e, rel=1e-12)
 
     def test_hardy_probe_ok(self, capsys):
         status, out, _ = run_cli(

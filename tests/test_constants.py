@@ -1,6 +1,7 @@
 """Closed-form constants: parity formulas, product identities, level, threshold."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from adamskit.constants import (
     beta0_product_form,
     concentration_level,
     eta_exponent,
+    log_unit_sphere_area,
     t_zero,
     unit_ball_volume,
     unit_sphere_area,
@@ -50,6 +52,14 @@ class TestSphereConstants:
                 math.log(2.0) + (n / 2) * math.log(math.pi) - float(sps.gammaln(n / 2))
             )
             assert unit_sphere_area(n) == pytest.approx(ref, rel=1e-13)
+
+    def test_underflow_refers_to_log_area(self):
+        # Subnormal from n = 439, exactly 0 from n = 456.
+        assert unit_sphere_area(438) >= sys.float_info.min
+        for n in (439, 456, 100000):
+            with pytest.raises(DomainError, match="log_unit_sphere_area"):
+                unit_sphere_area(n)
+        assert math.isfinite(log_unit_sphere_area(100000))
 
 
 class TestBeta0:

@@ -1,11 +1,15 @@
 """Hardy sandwiches, probes, and the iterated-laplacian constants."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from adamskit.constants import AdamsParams, beta0_product_form, unit_sphere_area
+import adamskit.hardy as hardy_module
 from adamskit.errors import DegenerateTrialError, DomainError, InfeasibleError
 from adamskit.hardy import (
     HardySetup,
@@ -254,6 +258,25 @@ class TestSecondOrder:
         c = second_order_constant(8, 2.0)
         for seed in range(5):
             assert second_order_probe(8, 2.0, 2.0, 1.0, 15, seed) <= c * (1 + 1e-6)
+
+    def test_probe_check_survives_optimize_flag(self):
+        # With the constant patched to a tiny value the probe must still
+        # refuse its result when asserts are stripped (python -O).
+        script = (
+            "import adamskit.hardy as hardy\n"
+            "hardy.second_order_constant = lambda n, q: 1e-30\n"
+            "try:\n"
+            "    hardy.second_order_probe(8, 2.0, 2.0, 1.0, 3, 0)\n"
+            "except AssertionError as exc:\n"
+            "    print('debug' if __debug__ else 'optimized', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hardy_module.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("optimized probe ratio")
 
 
 class TestIteratedConstant:

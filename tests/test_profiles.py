@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,11 +12,10 @@ from adamskit.profiles import (
     LinearPiece,
     PiecewiseProfile,
     PowerPiece,
-    SplinePiece,
     constant_piece,
     piecewise_linear,
 )
-from adamskit.quadrature import QuadratureSpec, adaptive_gauss
+from adamskit.quadrature import QuadratureSpec, adaptive_gauss, power_integral
 
 
 class TestPieces:
@@ -38,19 +38,6 @@ class TestPieces:
         h = 1e-6
         fd = (piece.value(3.0 + h) - piece.value(3.0 - h)) / (2 * h)
         assert piece.derivative(3.0) == pytest.approx(fd, rel=1e-8)
-
-    def test_spline_interpolates_and_differs(self):
-        ts = (0.0, 1.0, 2.0, 3.0)
-        ys = (0.0, 1.0, 0.5, 2.0)
-        piece = SplinePiece(ts=ts, ys=ys)
-        for t, y in zip(ts, ys):
-            assert piece.value(t) == pytest.approx(y, abs=1e-12)
-        h = 1e-6
-        fd = (piece.value(1.4 + h) - piece.value(1.4 - h)) / (2 * h)
-        assert piece.derivative(1.4) == pytest.approx(fd, rel=1e-6)
-        fd2 = (piece.value(1.4 + h) - 2 * piece.value(1.4) + piece.value(1.4 - h)) / h**2
-        assert piece.second_derivative(1.4) == pytest.approx(fd2, rel=1e-3)
-
 
 class TestPiecewiseProfile:
     def test_continuity_enforced(self):
@@ -114,3 +101,30 @@ class TestAdaptiveGauss:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_subdivisions=4)
+
+
+class TestPowerIntegral:
+    @pytest.mark.parametrize(
+        "c, w1, a, b",
+        [
+            (1.5, -0.5, 2.0, math.inf),  # b = inf
+            (2.0, 0.75, 0.0, 3.0),  # a = 0
+            (0.5, 0.0, 0.25, 4.0),  # w1 = 0: logarithm
+            (3.0, -1.3, 0.2, 5.0),  # generic expm1 form
+            # Rounding residue of w1 = 0: the naive (b^w1 - a^w1)/w1 gives
+            # 3.33 here, against ln 14 = 2.64.
+            (1.0, 1e-16, 0.5, 7.0),
+        ],
+    )
+    def test_against_mpmath(self, c, w1, a, b):
+        with mpmath.workdps(40):
+            ref = c * mpmath.quad(lambda x: x ** (mpmath.mpf(w1) - 1), [a, b])
+        assert power_integral(c, w1, a, b) == pytest.approx(float(ref), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "w1, a, b",
+        [(-0.5, 0.0, 2.0), (0.0, 0.0, 2.0), (0.0, 1.0, math.inf), (0.5, 1.0, math.inf),
+         (-0.5, 0.0, math.inf)],
+    )
+    def test_divergent_end_is_inf(self, w1, a, b):
+        assert power_integral(2.0, w1, a, b) == math.inf
