@@ -3,7 +3,7 @@ higher-order exponential Sobolev inequalities, verified at desk scale.
 
 Submodules
 ----------
-specfun    gamma / digamma / trigamma / harmonic numbers
+specfun    log-gamma, digamma, the Euler-Mascheroni constant
 constants  critical exponents, sphere constants, concentration level, threshold
 hardy      power-weight Hardy sandwiches, probes, iterated constants
 rearrange  decreasing rearrangement, symmetrization, radial comparison solution
@@ -44,7 +44,7 @@ from .rearrange import (
     symmetrize,
     talenti_radial_solution,
 )
-from .specfun import EULER_GAMMA, digamma, euler_gamma, gamma, harmonic, log_gamma, trigamma
+from .specfun import EULER_GAMMA, digamma, log_gamma
 
 __version__ = "0.1.0"
 
@@ -91,10 +91,6 @@ __all__ = [
     "talenti_radial_solution",
     "EULER_GAMMA",
     "digamma",
-    "euler_gamma",
-    "gamma",
-    "harmonic",
     "log_gamma",
-    "trigamma",
     "__version__",
 ]

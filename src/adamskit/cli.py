@@ -146,7 +146,7 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--rtol",
         type=finite_float,
-        default=float(os.environ.get("ADAMS_QUAD_RTOL", "1e-10")),
+        default=os.environ.get("ADAMS_QUAD_RTOL", "1e-10"),
         help="quadrature relative tolerance (env ADAMS_QUAD_RTOL overrides the default)",
     )
     parser.add_argument(
@@ -217,11 +217,7 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 
 def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
-    return QuadratureSpec(
-        rel_tol=args.rtol,
-        abs_tol=min(1e-13, args.rtol),
-        truncation_epsilon=args.truncation_eps,
-    )
+    return QuadratureSpec(rel_tol=args.rtol, truncation_epsilon=args.truncation_eps)
 
 
 def _cmd_constants(args) -> int:
@@ -310,20 +306,31 @@ def _cmd_hardy(args) -> int:
     return status
 
 
-def _read_cells(path: str) -> SampledFunction:
+def _read_cells(rows: Sequence[Sequence[str]]) -> SampledFunction:
     cells = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or row[0].strip().lower() in ("measure", ""):
-                continue
-            if len(row) < 2:
-                raise DomainError(f"malformed cell row {row!r}; expected measure,value")
-            cells.append((float(row[0]), float(row[1])))
+    for number, row in enumerate(rows, start=1):
+        if not row or row[0].strip().lower() in ("measure", ""):
+            continue
+        if len(row) < 2:
+            raise DomainError(f"row {number} {row!r}: expected measure,value")
+        try:
+            cell = (float(row[0]), float(row[1]))
+        except ValueError:
+            cell = (math.nan, math.nan)
+        if not (math.isfinite(cell[0]) and math.isfinite(cell[1])):
+            raise DomainError(f"row {number} {row!r}: measure and value must be finite numbers")
+        cells.append(cell)
     return SampledFunction(cells=tuple(cells))
 
 
 def _cmd_rearrange(args) -> int:
-    f = _read_cells(args.input)
+    try:
+        with open(args.input, "r", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"adamskit: cannot read --input {args.input!r}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    f = _read_cells(rows)
     if args.mode == "rearrange":
         sharp = decreasing_rearrangement(f)
         _emit(to_csv(("measure", "value"), [list(c) for c in sharp.cells]), args.output)

@@ -27,7 +27,7 @@ class NonSmoothError(DomainError):
 
 
 class DegenerateTrialError(RuntimeError):
-    """Every probe trial had zero derivative norm."""
+    """Every probe trial was degenerate (zero or infinite derivative norm)."""
 
 
 class QuadratureError(RuntimeError):

@@ -32,10 +32,9 @@ from .specfun import EULER_GAMMA, digamma
 class TestFnParams:
     """Dimension n with the derived junction data (b, s, lambda).
 
-    ``slack_term`` and ``shrink_term`` are the two bracket ingredients of
-    the norm chain, stored separately so the chain can be evaluated
-    without re-deriving them from s (which would reintroduce the rounding
-    the s-choice is constructed to cancel).
+    ``shrink_term`` is the norm chain's bracket, stored so the chain can be
+    evaluated without re-deriving it from s (which would reintroduce the
+    rounding the s-choice is constructed to cancel).
     """
 
     n: int
@@ -43,7 +42,6 @@ class TestFnParams:
     s: float
     lam: float
     admissible: bool
-    slack_term: float  # (4/3) ((n+1)/n)^{n/2} / (n-2)
     shrink_term: float  # (1 - 4/(n(n-2)))^{n/2}
 
     @property
@@ -52,8 +50,8 @@ class TestFnParams:
         return (n - 2.0) / n * ((n - 2.0) / 2.0) ** (-2.0 / n)
 
 
-def make_params(n: int, *, extended: bool = False) -> TestFnParams:
-    """Junction data for dimension n (even; odd only behind ``extended``).
+def make_params(n: int) -> TestFnParams:
+    """Junction data for even dimension n.
 
     b = (n/(n-2))^{n/2} - n/(n-2); s is chosen so the norm chain collapses
     to 1; lambda = 1 + ((n-2)/2) e^{b-s}.  Admissible iff 0 < s < b.
@@ -62,11 +60,8 @@ def make_params(n: int, *, extended: bool = False) -> TestFnParams:
         raise DomainError(f"dimension must be an integer, got {n!r}")
     if n < 4:
         raise DomainError(f"dimension must be >= 4, got {n}")
-    if n % 2 != 0 and not extended:
-        raise DomainError(
-            f"n = {n} is odd; the construction is stated for even n"
-            " (pass extended=True to evaluate the same formulas anyway)"
-        )
+    if n % 2 != 0:
+        raise DomainError(f"n = {n} is odd; the construction is stated for even n")
     ratio = n / (n - 2.0)
     b = ratio ** (n / 2.0) - ratio
     slack = (4.0 / 3.0) * ((n + 1.0) / n) ** (n / 2.0) / (n - 2.0)
@@ -80,7 +75,6 @@ def make_params(n: int, *, extended: bool = False) -> TestFnParams:
         s=s,
         lam=lam,
         admissible=admissible,
-        slack_term=slack,
         shrink_term=shrink,
     )
 
@@ -274,16 +268,16 @@ class VerdictRow(NamedTuple):
     gap_numeric: bool
 
 
-def verdict(n: int, spec: QuadratureSpec = DEFAULT_SPEC, *, extended: bool = False) -> VerdictRow:
+def verdict(n: int, spec: QuadratureSpec = DEFAULT_SPEC) -> VerdictRow:
     """All gap quantities for one dimension.
 
     gap_analytic uses only closed forms; gap_numeric additionally demands
     that the directly integrated norm stays admissible.  Below the proven
     threshold the row is exploratory data, not an assertion.
     """
-    if n < 16 and not extended:
+    if n < 16:
         raise DomainError(f"verdicts start at n = 16, got {n}")
-    params = make_params(n, extended=extended)
+    params = make_params(n)
     chain = norm_chain_bound(params)
     norm = norm_quadrature(params, spec)
     lower = functional_lower_bound(params)

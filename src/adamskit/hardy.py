@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import AdamsParams
 from .errors import DegenerateTrialError, DomainError, InfeasibleError
-from .profiles import FuncPiece, LinearPiece, Piece, PiecewiseProfile, PowerPiece
+from .profiles import FuncPiece, LinearPiece, Piece, PiecewiseProfile, PowerPiece, piecewise_linear
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_gauss, power_integral
 
 _BOUNDARY_RTOL = 1e-12
@@ -249,7 +249,7 @@ def _profile_weighted_norm(
                     continue
                 c = abs(piece.slope) ** power
                 if weight_pow == -1.0:
-                    total += c * math.log(hi / lo)
+                    total += power_integral(c, 0.0, lo, hi)
                 else:
                     wp1 = weight_pow + 1.0
                     lower = lo**wp1 if lo > 0.0 else (0.0 if wp1 > 0.0 else math.inf)
@@ -293,12 +293,7 @@ def _random_trial(setup: HardySetup, rng: np.random.Generator) -> PiecewiseProfi
         knots = np.concatenate(([0.0], interior, [R]))
         values = np.concatenate((rng.uniform(-1.0, 1.0, size=n_knots + 1), [0.0]))
     knots, idx = np.unique(knots, return_index=True)
-    values = values[idx]
-    pieces = []
-    for i in range(len(knots) - 1):
-        slope = (values[i + 1] - values[i]) / (knots[i + 1] - knots[i])
-        pieces.append(LinearPiece(intercept=values[i] - slope * knots[i], slope=slope))
-    return PiecewiseProfile(knots=tuple(knots), pieces=tuple(pieces), tail=None)
+    return piecewise_linear(knots, values[idx], constant_tail=False)
 
 
 def trial_ratio(
@@ -306,12 +301,12 @@ def trial_ratio(
 ) -> float:
     """(int |u|^q r^theta)^{1/q} / (int |u'|^p r^alpha)^{1/p} for one trial.
 
-    Returns NaN for trials with zero derivative norm.
+    Returns NaN for trials with zero or infinite derivative norm.
     """
     denom = _profile_weighted_norm(
         u, setup.p, setup.alpha, setup.R, spec, of_derivative=True
     )
-    if denom == 0.0 or math.isnan(denom):
+    if not 0.0 < denom < math.inf:
         return math.nan
     numer = _profile_weighted_norm(
         u, setup.q, setup.theta, setup.R, spec, of_derivative=False
@@ -347,7 +342,7 @@ def rayleigh_probe(
             best = ratio
             witness = u
     if witness is None:
-        raise DegenerateTrialError("every trial had zero derivative norm")
+        raise DegenerateTrialError("every trial had zero or infinite derivative norm")
     return ProbeResult(max_ratio=best, witness=witness)
 
 

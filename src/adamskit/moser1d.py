@@ -115,10 +115,9 @@ def _cc_tail(
     q: float,
     lo: float,
     spec: QuadratureSpec,
-    scale_hint: float,
 ) -> float:
     """integral_lo^inf exp(piece^q - t) dt for a tail piece."""
-    eps = spec.truncation_epsilon * max(1.0, scale_hint)
+    eps = spec.truncation_epsilon
     if isinstance(piece, LinearPiece):
         if piece.slope == 0.0:
             v = piece.intercept
@@ -169,7 +168,6 @@ def cc_integral(
     lo: float,
     hi: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    scale_hint: float = 1.0,
 ) -> float:
     """integral_lo^hi exp(g^q - t) dt along the profile's pieces."""
     total = 0.0
@@ -178,7 +176,7 @@ def cc_integral(
         if b <= a:
             continue
         if math.isinf(b):
-            total += _cc_tail(g, piece, q, a, spec, scale_hint)
+            total += _cc_tail(g, piece, q, a, spec)
         else:
             total += _cc_finite(piece, q, a, b, spec)
     return total
@@ -196,14 +194,11 @@ def cc_functional(
     g: PiecewiseProfile,
     q: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    *,
-    enforce_energy: bool = True,
 ) -> float:
     """J(g) = integral_0^inf exp(g^q - t) dt for a nonnegative profile.
 
-    With ``enforce_energy`` (the default) the conjugate-exponent energy must
-    satisfy integral |g'|^p <= 1 + 1e-9, p = q/(q-1); pass False to evaluate
-    the functional on profiles outside the unit-energy class.
+    The conjugate-exponent energy must satisfy integral |g'|^p <= 1 + 1e-9,
+    p = q/(q-1); ``cc_integral`` evaluates the same integral unchecked.
     """
     if not q > 1.0:
         raise DomainError(f"cc_functional requires q > 1, got {q}")
@@ -212,14 +207,10 @@ def cc_functional(
     if abs(g.start) > 1e-12:
         raise DomainError(f"profile must start at t = 0, got {g.start}")
     _check_nonnegative(g)
-    if enforce_energy:
-        p = q / (q - 1.0)
-        total_energy = energy(g, p, (0.0, math.inf), spec)
-        if total_energy > 1.0 + 1e-9:
-            raise EnergyBoundError(
-                f"profile energy {total_energy} exceeds 1; "
-                "use enforce_energy=False to evaluate anyway"
-            )
+    p = q / (q - 1.0)
+    total_energy = energy(g, p, (0.0, math.inf), spec)
+    if total_energy > 1.0 + 1e-9:
+        raise EnergyBoundError(f"profile energy {total_energy} exceeds 1")
     return cc_integral(g, q, 0.0, math.inf, spec)
 
 
@@ -303,7 +294,7 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
 
 class _SlopeObjective:
-    """J and its gradient over nonnegative segment slopes (+ base offset).
+    """J and its gradient over nonnegative segment slopes.
 
     Each segment is covered by fixed-width Gauss panels: the integrand
     e^{g^q - t} concentrates in O(1)-wide strips, which a single rule on a
@@ -332,9 +323,9 @@ class _SlopeObjective:
         self.weights = np.concatenate(weights, axis=0)
         self.panel_seg = np.asarray(panel_seg)
 
-    def value_and_grad(self, s: np.ndarray, y0: float = 0.0):
+    def value_and_grad(self, s: np.ndarray):
         q = self.q
-        y = y0 + np.concatenate(([0.0], np.cumsum(s * self.dt)))
+        y = np.concatenate(([0.0], np.cumsum(s * self.dt)))
         seg = self.panel_seg
         offsets = self.nodes - self.knots[seg][:, None]
         g_nodes = y[seg][:, None] + s[seg][:, None] * offsets
@@ -353,8 +344,7 @@ class _SlopeObjective:
         # dg/ds_j = (t - t_j) inside segment j, dt_j on every later segment.
         suffix = np.concatenate((np.cumsum(seg_sens[::-1])[::-1][1:], [0.0]))
         grad = local + self.dt * (suffix + tail_sens)
-        grad_y0 = float(seg_sens.sum() + tail_sens)
-        return j_total, grad, grad_y0
+        return j_total, grad
 
 
 def _project(
@@ -384,19 +374,15 @@ def concentration_maximizer(
     knot_count: int,
     seed: int,
     *,
-    t_max: float | None = None,
     n_starts: int = 6,
     max_iter: int = 400,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    pin_origin: bool = True,
 ) -> MaximizerResult:
     """Projected-gradient search for the largest J over the concentrated class.
 
     Feasible set: piecewise-linear g with g(0) = 0, total energy exactly 1,
-    and energy on (0, big_a) at most epsilon.  ``pin_origin=False`` relaxes
-    g(0) = 0 to a free nonnegative base level (exploratory; the
-    concentration estimate itself assumes a pinned origin).  Deterministic
-    given seed.
+    and energy on (0, big_a) at most epsilon; the knots reach out to
+    t_max = max(600, 60 big_a).  Deterministic given seed.
     """
     if not p >= 2.0:
         raise DomainError(f"maximizer requires p >= 2, got {p}")
@@ -406,8 +392,7 @@ def concentration_maximizer(
         raise DomainError(f"knot_count must be >= 8, got {knot_count}")
     if not big_a > 0.0:
         raise DomainError(f"window endpoint must be positive, got {big_a}")
-    if t_max is None:
-        t_max = max(600.0, 60.0 * big_a)
+    t_max = max(600.0, 60.0 * big_a)
     q = p / (p - 1.0)
 
     n_window = max(3, knot_count // 6)
@@ -436,27 +421,24 @@ def concentration_maximizer(
         # exponent by ~2 g_end^2 delta, so it must stay tiny.
         s0 *= 1.0 + 1e-4 * rng.standard_normal(s0.size)
         s = _project(s0, dt, in_window, p, epsilon)
-        y0 = 0.0 if pin_origin else float(rng.uniform(0.0, 0.5))
-        j_val, grad, grad_y0 = objective.value_and_grad(s, y0)
+        j_val, grad = objective.value_and_grad(s)
         step = 0.1
         for _ in range(max_iter):
             scale_free = step / max(float(np.max(np.abs(grad))), 1e-12)
             trial = _project(s + scale_free * grad, dt, in_window, p, epsilon)
-            trial_y0 = y0 if pin_origin else max(0.0, y0 + scale_free * grad_y0)
-            j_trial, grad_trial, grad_y0_trial = objective.value_and_grad(trial, trial_y0)
+            j_trial, grad_trial = objective.value_and_grad(trial)
             if j_trial > j_val:
-                s, y0, j_val = trial, trial_y0, j_trial
-                grad, grad_y0 = grad_trial, grad_y0_trial
+                s, j_val, grad = trial, j_trial, grad_trial
                 step *= 1.3
             else:
                 step *= 0.4
                 if step < 1e-14:
                     break
         if best is None or j_val > best[0]:
-            best = (j_val, s, y0)
+            best = (j_val, s)
 
-    _, s, y0 = best
-    values = y0 + np.concatenate(([0.0], np.cumsum(s * dt)))
+    _, s = best
+    values = np.concatenate(([0.0], np.cumsum(s * dt)))
     profile = piecewise_linear(knots, values, constant_tail=True)
-    j_final = cc_functional(profile, q, spec, enforce_energy=pin_origin)
+    j_final = cc_functional(profile, q, spec)
     return MaximizerResult(profile=profile, functional_value=j_final)

@@ -157,17 +157,15 @@ class FuncPiece(Piece):
 class LogRadialPiece(Piece):
     """Radial piece seen through r = R e^{-t/n}, scaled by a constant.
 
-    g(t) = scale * w(R e^{-t/n}) on the t-interval mapped from [r_lo, r_hi].
-    Keeps the source piece so integrals can be pulled back to the bounded
-    radial domain (exact treatment of the t -> infinity end).
+    g(t) = scale * w(R e^{-t/n}).  Keeps the source piece so integrals can
+    be pulled back to the bounded radial domain (exact treatment of the
+    t -> infinity end).
     """
 
     source: Piece
     scale: float
     big_r: float
     dim: int
-    r_lo: float
-    r_hi: float
     kind = "radial-log"
 
     def radius(self, t):
@@ -240,10 +238,6 @@ class PiecewiseProfile:
     def end(self) -> float:
         """Last knot; the profile extends beyond it iff it has a tail."""
         return self.knots[-1]
-
-    @property
-    def unbounded(self) -> bool:
-        return self.tail is not None
 
     def segments(self):
         """Yield (lo, hi, piece); the tail has hi = inf."""

@@ -4,6 +4,7 @@ Integrands must accept numpy arrays.  Error is estimated per panel by
 comparing 15- and 31-node rules; the worklist refines the worst panel
 until the summed estimate meets the tolerance or the subdivision budget is
 exhausted, in which case a ``QuadratureError`` carries the achieved error.
+A panel whose rule value is NaN raises at once.
 """
 
 from __future__ import annotations
@@ -18,24 +19,25 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 
 
+#: Panel splits one ``adaptive_gauss`` call may make before it gives up.
+MAX_SUBDIVISIONS = 4096
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and truncation policy for improper integrals."""
+    """Tolerance and truncation policy for improper integrals.
+
+    The absolute error floor is min(1e-13, rel_tol).
+    """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    max_subdivisions: int = 4096
     truncation_epsilon: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "truncation_epsilon"):
+        for name in ("rel_tol", "truncation_epsilon"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise DomainError(f"{name} must lie in (0, 1), got {value}")
-        if self.max_subdivisions < 8:
-            raise DomainError(
-                f"max_subdivisions must be >= 8, got {self.max_subdivisions}"
-            )
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -51,6 +53,8 @@ def _panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
     i31 = half * float(_W31 @ y31)
     y15 = np.asarray(f(mid + half * _X15), dtype=float)
     i15 = half * float(_W15 @ y15)
+    if math.isnan(i31) or math.isnan(i15):
+        raise QuadratureError(f"integrand is NaN on the panel [{lo}, {hi}]")
     return i31, abs(i31 - i15)
 
 
@@ -79,8 +83,9 @@ def adaptive_gauss(
         active_err += err
         heapq.heappush(heap, (-err, a, b, value))
     splits = 0
-    while active_err + frozen_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if splits >= spec.max_subdivisions or not heap or heap[0][0] == 0.0:
+    abs_tol = min(1e-13, spec.rel_tol)
+    while active_err + frozen_err > max(abs_tol, spec.rel_tol * abs(total)):
+        if splits >= MAX_SUBDIVISIONS or not heap or heap[0][0] == 0.0:
             raise QuadratureError(
                 f"adaptive integration stalled on [{lo}, {hi}]"
                 f" (error estimate {active_err + frozen_err:.3e})",

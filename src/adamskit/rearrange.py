@@ -37,6 +37,8 @@ class SampledFunction:
         object.__setattr__(self, "cells", cells)
         if not cells:
             raise DomainError("a sampled function needs at least one cell")
+        if not all(math.isfinite(m) and math.isfinite(v) for m, v in cells):
+            raise DomainError("cell measures and values must be finite")
         if any(m <= 0.0 for m, _v in cells):
             raise DomainError("cell measures must be positive")
 
@@ -284,27 +286,9 @@ def energy_change_of_variables(profile: RadialProfile, m: int) -> PiecewiseProfi
     if abs(source.knots[0]) > 1e-15 or abs(source.knots[-1] - big_r) > 1e-12 * big_r:
         raise DomainError("radial profile must span [0, R]")
 
-    r_knots = list(source.knots)
-    mapped = []
-    for i in range(len(source.pieces) - 1, 0, -1):
-        r_lo, r_hi = r_knots[i], r_knots[i + 1]
-        mapped.append(
-            LogRadialPiece(
-                source=source.pieces[i],
-                scale=scale,
-                big_r=big_r,
-                dim=n,
-                r_lo=r_lo,
-                r_hi=r_hi,
-            )
-        )
-    tail = LogRadialPiece(
-        source=source.pieces[0],
-        scale=scale,
-        big_r=big_r,
-        dim=n,
-        r_lo=0.0,
-        r_hi=r_knots[1],
-    )
-    t_knots = [0.0] + [n * math.log(big_r / r) for r in reversed(r_knots[1:-1])]
-    return PiecewiseProfile(knots=tuple(t_knots), pieces=tuple(mapped), tail=tail)
+    mapped = [
+        LogRadialPiece(source=piece, scale=scale, big_r=big_r, dim=n)
+        for piece in reversed(source.pieces)
+    ]
+    t_knots = [0.0] + [n * math.log(big_r / r) for r in reversed(source.knots[1:-1])]
+    return PiecewiseProfile(knots=tuple(t_knots), pieces=tuple(mapped[:-1]), tail=mapped[-1])

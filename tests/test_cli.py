@@ -78,6 +78,14 @@ class TestParsing:
         monkeypatch.setenv("ADAMS_QUAD_RTOL", "1e-8")
         assert parse_args(["t0"]).rtol == 1e-8
 
+    @pytest.mark.parametrize("value", ["abc", "inf"])
+    def test_malformed_env_rtol_exits_64(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("ADAMS_QUAD_RTOL", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["t0"])
+        assert exc.value.code == 64
+        assert "argument --rtol" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_constants_value(self, capsys):
@@ -155,6 +163,25 @@ class TestCommands:
             "1.0,2.0",
             "2.0,1.0",
         ]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1.0,2.0\n0.5,abc\n", "1.0,2.0\n0.5,nan\n", "1.0,2.0\ninf,1.0\n"],
+        ids=["non-numeric", "nan-value", "inf-measure"],
+    )
+    def test_rearrange_bad_cell_exits_2(self, text, tmp_path, capsys):
+        src = tmp_path / "cells.csv"
+        src.write_text(text, encoding="utf-8")
+        status, out, err = run_cli(["rearrange", "--input", str(src)], capsys)
+        assert status == 2
+        assert out == ""
+        assert "row 2" in err
+
+    def test_rearrange_unreadable_input_exits_64(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        status, _out, err = run_cli(["rearrange", "--input", missing], capsys)
+        assert status == 64
+        assert missing in err
 
     def test_sweep_csv_header_and_gaps(self, capsys):
         status, out, _ = run_cli(

@@ -56,8 +56,6 @@ class TestMakeParams:
             make_params(15)
         with pytest.raises(DomainError):
             make_params(2)
-        extended = make_params(105, extended=True)
-        assert extended.n == 105
 
 
 class TestTestFunction:

@@ -25,7 +25,7 @@ from adamskit.hardy import (
     second_order_trial_ratio,
     trial_ratio,
 )
-from adamskit.profiles import PiecewiseProfile, constant_piece
+from adamskit.profiles import PiecewiseProfile, constant_piece, piecewise_linear
 
 
 def balanced_left(p: float, alpha: float, R: float = 1.0) -> HardySetup:
@@ -219,6 +219,14 @@ class TestRayleighProbe:
         zero = PiecewiseProfile(knots=(0.0, 1.0), pieces=(constant_piece(0.0),), tail=None)
         with pytest.raises(DegenerateTrialError):
             rayleigh_probe(setup, trial_count=0, seed=0, trials=[zero])
+
+    def test_infinite_derivative_norm_degenerates(self):
+        # alpha = -1: int_0^1 |u'|^2 r^{-1} dr diverges for a ramp from r = 0.
+        setup = HardySetup(p=2.0, q=2.0, alpha=-1.0, theta=-3.0, R=1.0, side=Side.LEFT_VANISHING)
+        ramp = piecewise_linear([0.0, 1.0], [0.0, 1.0], constant_tail=False)
+        assert math.isnan(trial_ratio(setup, ramp))
+        with pytest.raises(DegenerateTrialError):
+            rayleigh_probe(setup, trial_count=0, seed=0, trials=[ramp])
 
     def test_deterministic_given_seed(self):
         setup = balanced_left(2.0, -1.0)

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from adamskit.errors import DomainError, NonSmoothError
+from adamskit.errors import DomainError, NonSmoothError, QuadratureError
 from adamskit.profiles import (
     ExpApproachPiece,
     LinearPiece,
@@ -100,7 +100,13 @@ class TestAdaptiveGauss:
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=4)
+            QuadratureSpec(truncation_epsilon=1.0)
+
+    def test_nan_integrand_raises(self):
+        # NaN fails every comparison, so without a check the loop reads it
+        # as converged and returns NaN.
+        with pytest.raises(QuadratureError, match=r"NaN on the panel \[0.0, 1.0\]"):
+            adaptive_gauss(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
 
 class TestPowerIntegral:

@@ -71,6 +71,11 @@ class TestDecreasingRearrangement:
         with pytest.raises(DomainError):
             SampledFunction(cells=())
 
+    @pytest.mark.parametrize("cell", [(1.0, math.nan), (1.0, math.inf), (math.inf, 1.0)])
+    def test_non_finite_rejected(self, cell):
+        with pytest.raises(DomainError, match="finite"):
+            SampledFunction(cells=((0.5, 2.0), cell))
+
     @settings(max_examples=150, deadline=None)
     @given(cells_strategy)
     def test_norm_preservation_exact(self, cells):
