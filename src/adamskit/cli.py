@@ -113,8 +113,12 @@ def _emit(text: str, output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
     else:
-        with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"adamskit: cannot write --output {output_path!r}: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE) from None
 
 
 def _record_output(record: dict, fmt: str, output_path: str | None) -> None:
@@ -130,7 +134,10 @@ def _record_output(record: dict, fmt: str, output_path: str | None) -> None:
 
 def finite_float(text: str) -> float:
     """argparse type of every float option: inf and nan are malformed."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
@@ -394,55 +401,34 @@ def _cmd_cc(args) -> int:
     return EXIT_OK
 
 
+#: Sweep output field -> ``VerdictRow`` attribute, after ``n``.
+_SWEEP_FIELDS = {
+    "norm_chain": "norm_chain_bound",
+    "norm_quad": "norm_quadrature",
+    "J_lower": "functional_lower",
+    "J_quad": "functional_quadrature",
+    "level": "level",
+    "gap_analytic": "gap_analytic",
+    "gap_numeric": "gap_numeric",
+}
+
+
 def _cmd_extremal_sweep(args) -> int:
     spec = _quad_spec(args)
     rows = extremal_sweep(args.n_from, args.n_to, args.step, spec)
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        header = (
-            "n",
-            "norm_chain",
-            "norm_quad",
-            "J_lower",
-            "J_quad",
-            "level",
-            "gap_analytic",
-            "gap_numeric",
-        )
-        table = [
-            [
-                row.n,
-                row.norm_chain_bound,
-                row.norm_quadrature,
-                row.functional_lower,
-                row.functional_quadrature,
-                row.level,
-                row.gap_analytic,
-                row.gap_numeric,
-            ]
-            for row in rows
-        ]
-        _emit(to_csv(header, table), args.output)
-    else:
-        from .extremal import make_params
+    if (args.format or "csv") == "csv":
+        table = [[row.n] + [getattr(row, attr) for attr in _SWEEP_FIELDS.values()] for row in rows]
+        _emit(to_csv(("n", *_SWEEP_FIELDS), table), args.output)
+        return EXIT_OK
+    from .extremal import make_params
 
-        payload = []
-        for row in rows:
-            params = make_params(row.n)
-            payload.append(
-                {
-                    "n": row.n,
-                    "params": {"b": params.b, "s": params.s, "lambda": params.lam},
-                    "norm_chain": row.norm_chain_bound,
-                    "norm_quad": row.norm_quadrature,
-                    "J_lower": row.functional_lower,
-                    "J_quad": row.functional_quadrature,
-                    "level": row.level,
-                    "gap_analytic": row.gap_analytic,
-                    "gap_numeric": row.gap_numeric,
-                }
-            )
-        _emit(to_json(payload), args.output)
+    payload = []
+    for row in rows:
+        params = make_params(row.n)
+        record = {"n": row.n, "params": {"b": params.b, "s": params.s, "lambda": params.lam}}
+        record.update((key, getattr(row, attr)) for key, attr in _SWEEP_FIELDS.items())
+        payload.append(record)
+    _emit(to_json(payload), args.output)
     return EXIT_OK
 
 

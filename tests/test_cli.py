@@ -1,14 +1,21 @@
 """CLI surface: parsing, exit codes, formats, determinism."""
 
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from adamskit.cli import main, parse_args
 from adamskit.constants import AdamsParams, beta0
+
+#: Sweep outputs written by the heap-ordered engine that preceded the
+#: level-synchronous one; the fields must agree to 1e-14 relative.
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args, capsys):
@@ -85,6 +92,17 @@ class TestParsing:
             main(["t0"])
         assert exc.value.code == 64
         assert "argument --rtol" in capsys.readouterr().err
+
+    def test_non_number_message(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--rtol", "abc", "t0"])
+        assert exc.value.code == 64
+        assert "argument --rtol: must be a finite number, got 'abc'" in capsys.readouterr().err
+        monkeypatch.setenv("ADAMS_QUAD_RTOL", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["t0"])
+        assert exc.value.code == 64
+        assert "argument --rtol: must be a finite number, got 'abc'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -243,3 +261,56 @@ class TestOutputContracts:
         )
         assert status == 3
         assert "quadrature" in err
+
+    def test_unwritable_output_exits_64(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", str(target), "t0"])
+        assert exc.value.code == 64
+        assert f"cannot write --output {str(target)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["5000", "10000"])
+    def test_tolerance_below_rounding_exits_3(self, n, capsys):
+        status, out, err = run_cli(
+            ["--rtol", "1e-13", "extremal-sweep", "--n-from", n, "--n-to", n], capsys
+        )
+        assert status == 3
+        assert out == ""
+        assert "rounding error of the integrand" in err
+
+
+def assert_close(got, want, where=""):
+    """Numbers to 1e-14 relative, booleans and everything else exactly."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, bool) or not isinstance(want, (int, float)):
+        assert got == want, where
+    else:
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), where
+
+
+class TestGoldenSweep:
+    def test_csv_104_512(self, capsys):
+        status, out, _ = run_cli(["extremal-sweep", "--n-from", "104", "--n-to", "512"], capsys)
+        assert status == 0
+        got = list(csv.DictReader(io.StringIO(out)))
+        want = list(csv.DictReader((DATA / "sweep_104_512.csv").open(newline="")))
+        assert [list(row) for row in got] == [list(row) for row in want]
+        for g, w in zip(got, want, strict=True):
+            for key in w:
+                if key.startswith("gap_"):
+                    assert g[key] == w[key], (w["n"], key)
+                else:
+                    assert_close(float(g[key]), float(w[key]), f"n={w['n']} {key}")
+
+    def test_json_16_120(self, capsys):
+        argv = ["--format", "json", "extremal-sweep", "--n-from", "16", "--n-to", "120"]
+        status, out, _ = run_cli(argv, capsys)
+        assert status == 0
+        assert_close(json.loads(out), json.loads((DATA / "sweep_16_120.json").read_text()))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from adamskit.errors import DomainError
+from adamskit.errors import DomainError, QuadratureError
 from adamskit.extremal import (
     chain_bound_for_s,
     concentration_level_unit_ball,
@@ -23,7 +23,7 @@ from adamskit.extremal import (
     verdict,
 )
 from adamskit.moser1d import cc_integral
-from adamskit.quadrature import DEFAULT_SPEC
+from adamskit.quadrature import DEFAULT_SPEC, QuadratureSpec
 from adamskit.specfun import EULER_GAMMA, digamma
 
 
@@ -297,3 +297,17 @@ class TestVerdict:
     def test_domain(self):
         with pytest.raises(DomainError):
             verdict(14)
+
+    @pytest.mark.parametrize("n", [5000, 10000])
+    def test_tolerance_below_rounding_raises(self, n):
+        # exp(w^q - t) cancels terms of size ~n, so its rounding (about
+        # 1.7e-12 relative at n = 5000) lies above a 1e-13 request.
+        with pytest.raises(QuadratureError, match="rounding error of the integrand") as exc:
+            verdict(n, QuadratureSpec(rel_tol=1e-13))
+        assert exc.value.achieved > 0.0
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-11, 1e-12])
+    def test_converges_at_tight_tolerances(self, rel_tol):
+        spec = QuadratureSpec(rel_tol=rel_tol)
+        for n in [*range(104, 513, 8), 600, 800, 1000, 1500, 2000, 3000, 5000, 7000, 10000]:
+            assert verdict(n, spec).functional_quadrature > 0.0

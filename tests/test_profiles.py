@@ -1,12 +1,17 @@
 """Piece machinery: evaluation, continuity validation, strict mode, serialization."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adamskit import moser1d
 from adamskit.errors import DomainError, NonSmoothError, QuadratureError
+from adamskit.extremal import verdict
 from adamskit.profiles import (
     ExpApproachPiece,
     LinearPiece,
@@ -15,7 +20,18 @@ from adamskit.profiles import (
     constant_piece,
     piecewise_linear,
 )
-from adamskit.quadrature import QuadratureSpec, adaptive_gauss, power_integral
+from adamskit.quadrature import MAX_SUBDIVISIONS, QuadratureSpec, adaptive_gauss, power_integral
+
+
+def counting(f, sizes):
+    """``f`` that appends the size of each batch it is called on to ``sizes``."""
+
+    def wrapped(x):
+        assert x.ndim == 1 and x.size % 46 == 0  # 15 + 31 nodes per panel
+        sizes.append(x.size)
+        return f(x)
+
+    return wrapped
 
 
 class TestPieces:
@@ -107,6 +123,97 @@ class TestAdaptiveGauss:
         # as converged and returns NaN.
         with pytest.raises(QuadratureError, match=r"NaN on the panel \[0.0, 1.0\]"):
             adaptive_gauss(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+    def test_one_call_per_level(self):
+        sizes = []
+        f = counting(lambda x: np.sin(40.0 * x), sizes)
+        value = adaptive_gauss(f, 0.0, 1.0, QuadratureSpec(rel_tol=1e-12))
+        assert value == pytest.approx((1 - math.cos(40.0)) / 40.0, abs=1e-12)
+        assert len(sizes) <= 4
+
+    def test_verdict_integrand_calls(self, monkeypatch):
+        sizes = []
+
+        def counted_gauss(f, *args, **kwargs):
+            return adaptive_gauss(counting(f, sizes), *args, **kwargs)
+
+        monkeypatch.setattr(moser1d, "adaptive_gauss", counted_gauss)
+        assert verdict(200).gap_numeric
+        assert 0 < len(sizes) <= 12
+
+    def test_nan_panel_named_from_one_batch(self):
+        sizes = []
+        f = counting(lambda x: np.where(x > 0.6, np.nan, x), sizes)
+        with pytest.raises(QuadratureError, match=r"NaN on the panel \[0.5, 0.75\]"):
+            adaptive_gauss(f, 0.0, 1.0, initial_panels=4)
+        assert sizes == [4 * 46]
+
+    def test_budget_exhausted(self):
+        # cos(1e12 x) is noise at the node spacing: no panel ever converges.
+        message = rf"budget of {MAX_SUBDIVISIONS} splits.*panel count \d+.*rounding error"
+        with pytest.raises(QuadratureError, match=message) as exc:
+            adaptive_gauss(lambda x: np.cos(1e12 * x), 0.0, 1.0)
+        assert exc.value.achieved > 1e-13
+
+    def test_machine_resolution_panel_raises(self):
+        # Panels one ulp wide cannot be halved; the noise never converges.
+        with pytest.raises(QuadratureError, match="no panel can be split") as exc:
+            adaptive_gauss(lambda x: 1e6 * np.cos(1e20 * x), 1.0, 1.0 + 4 * 2.0**-52)
+        assert exc.value.achieved > 1e-13
+
+    @pytest.mark.parametrize("jump", [1.0 / 3.0, 0.1, math.pi / 4.0, 2.0 / 7.0])
+    @pytest.mark.parametrize("panels", [1, 3, 7])
+    def test_jump_converges_or_raises(self, jump, panels):
+        sizes = []
+        f = counting(lambda x: np.where(x < jump, 2.0, 1.0), sizes)
+        try:
+            value = adaptive_gauss(f, 0.0, 1.0, initial_panels=panels)
+        except QuadratureError as exc:
+            assert exc.achieved is not None
+            return
+        assert value == pytest.approx(1.0 + jump, rel=1e-10)
+        assert len(sizes) <= 64
+
+    @pytest.mark.xfail(strict=True, reason="a jump between a panel edge and its outermost node is invisible")
+    def test_jump_next_to_panel_edge(self):
+        # The jump sits 3.5e-4 right of the knot 1/3, inside the gap before
+        # the first Gauss node of [1/3, 2/3]; both rules agree on 1, so the
+        # panel converges on a value off by the missed 3.5e-4.
+        jump = 0.3336839521095907
+        value = adaptive_gauss(lambda x: np.where(x < jump, 2.0, 1.0), 0.0, 1.0, initial_panels=3)
+        assert value == pytest.approx(1.0 + jump, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=9),
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(1e-3, 10.0),
+        panels=st.integers(1, 16),
+    )
+    def test_polynomial_closed_form(self, coeffs, lo, width, panels):
+        poly = np.polynomial.Polynomial(coeffs)
+        hi = lo + width
+        a, b = Fraction(lo), Fraction(hi)
+        exact = float(sum(Fraction(c) * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs)))
+        # Rounding of sum |c_k| x^k over the interval bounds the achievable error.
+        scale = width * sum(abs(c) * max(1.0, abs(lo), abs(hi)) ** k for k, c in enumerate(coeffs))
+        value = adaptive_gauss(counting(poly, []), lo, hi, initial_panels=panels)
+        assert abs(value - exact) <= 1e-10 * abs(exact) + 1e-13 + 1e-14 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.floats(-5.0, 5.0).filter(lambda c: abs(c) > 1e-3),
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(1e-3, 10.0),
+        panels=st.integers(1, 16),
+    )
+    def test_exponential_closed_form(self, c, lo, width, panels):
+        hi = lo + width
+        with mpmath.workdps(30):
+            exact = float((mpmath.exp(c * mpmath.mpf(hi)) - mpmath.exp(c * mpmath.mpf(lo))) / c)
+        spec = QuadratureSpec(rel_tol=1e-12)
+        value = adaptive_gauss(counting(lambda x: np.exp(c * x), []), lo, hi, spec, initial_panels=panels)
+        assert value == pytest.approx(exact, rel=1e-11)
 
 
 class TestPowerIntegral:
