@@ -68,7 +68,7 @@ def adaptive_gauss(
         raise DomainError("adaptive_gauss requires a finite interval")
     if hi <= lo:
         return 0.0
-    if initial_panels == 1:
+    if initial_panels == 1:  # np.linspace is slow next to a whole one-panel call
         a, b = np.array([lo]), np.array([hi])
     else:
         edges = np.linspace(lo, hi, initial_panels + 1)
@@ -109,7 +109,9 @@ def adaptive_gauss(
         done_err += float(err[keep].sum())
         a, b, mid = a[split], b[split], mid[split]
         if not a.size or splits + a.size > MAX_SUBDIVISIONS:
-            why = f"the budget of {MAX_SUBDIVISIONS} splits is spent" if a.size else "no panel can be split"
+            why = "no panel can be split"
+            if a.size:
+                why = f"the budget of {MAX_SUBDIVISIONS} splits is spent"
             panels = sum(v.size for v in done) + a.size
             achieved = done_err + float(err[split].sum())
             raise QuadratureError(

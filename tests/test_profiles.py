@@ -194,7 +194,8 @@ class TestAdaptiveGauss:
         poly = np.polynomial.Polynomial(coeffs)
         hi = lo + width
         a, b = Fraction(lo), Fraction(hi)
-        exact = float(sum(Fraction(c) * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs)))
+        exact = float(sum(Fraction(c) * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+                          for k, c in enumerate(coeffs)))
         # Rounding of sum |c_k| x^k over the interval bounds the achievable error.
         scale = width * sum(abs(c) * max(1.0, abs(lo), abs(hi)) ** k for k, c in enumerate(coeffs))
         value = adaptive_gauss(counting(poly, []), lo, hi, initial_panels=panels)
@@ -212,7 +213,8 @@ class TestAdaptiveGauss:
         with mpmath.workdps(30):
             exact = float((mpmath.exp(c * mpmath.mpf(hi)) - mpmath.exp(c * mpmath.mpf(lo))) / c)
         spec = QuadratureSpec(rel_tol=1e-12)
-        value = adaptive_gauss(counting(lambda x: np.exp(c * x), []), lo, hi, spec, initial_panels=panels)
+        f = counting(lambda x: np.exp(c * x), [])
+        value = adaptive_gauss(f, lo, hi, spec, initial_panels=panels)
         assert value == pytest.approx(exact, rel=1e-11)
 
 
