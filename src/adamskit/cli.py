@@ -15,31 +15,13 @@ import io
 import math
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .constants import (
-    AdamsParams,
-    SphereConstants,
-    beta0,
-    beta0_product_form,
-    concentration_level,
-    t_zero,
-    unit_concentration_level,
-)
 from .errors import DegenerateTrialError, DomainError, QuadratureError
-from .extremal import sweep as extremal_sweep
-from .hardy import (
-    HardySetup,
-    Side,
-    rayleigh_probe,
-    sandwich,
-    second_order_constant,
-    second_order_probe,
-)
-from .moser1d import cc_functional, concentration_maximizer, energy, moser_family
-from .quadrature import QuadratureSpec
-from .rearrange import SampledFunction, decreasing_rearrangement, symmetrize, talenti_radial_solution
-from .specfun import EULER_GAMMA, digamma
+
+if TYPE_CHECKING:  # each command imports the library modules it runs
+    from .quadrature import QuadratureSpec
+    from .rearrange import SampledFunction
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -224,10 +206,14 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 
 def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
+    from .quadrature import QuadratureSpec
+
     return QuadratureSpec(rel_tol=args.rtol, truncation_epsilon=args.truncation_eps)
 
 
 def _cmd_constants(args) -> int:
+    from .constants import AdamsParams, SphereConstants, beta0, beta0_product_form
+
     params = AdamsParams(args.m, args.n)
     spheres = SphereConstants.for_dimension(args.n)
     record = {
@@ -243,6 +229,9 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_level(args) -> int:
+    from .constants import AdamsParams, concentration_level
+    from .specfun import EULER_GAMMA, digamma
+
     params = AdamsParams(args.m, args.n)
     record = {
         "m": args.m,
@@ -256,6 +245,8 @@ def _cmd_level(args) -> int:
 
 
 def _cmd_t0(args) -> int:
+    from .constants import t_zero
+
     result = t_zero()
     record = {"raw": result.raw, "T0": result.integer, "n_threshold": 2 * result.integer}
     _record_output(record, args.format or "json", args.output)
@@ -263,6 +254,15 @@ def _cmd_t0(args) -> int:
 
 
 def _cmd_hardy(args) -> int:
+    from .hardy import (
+        HardySetup,
+        Side,
+        rayleigh_probe,
+        sandwich,
+        second_order_constant,
+        second_order_probe,
+    )
+
     spec = _quad_spec(args)
     if args.second_order:
         if args.n_dim is None or args.q is None:
@@ -314,6 +314,8 @@ def _cmd_hardy(args) -> int:
 
 
 def _read_cells(rows: Sequence[Sequence[str]]) -> SampledFunction:
+    from .rearrange import SampledFunction
+
     cells = []
     for number, row in enumerate(rows, start=1):
         if not row or row[0].strip().lower() in ("measure", ""):
@@ -331,6 +333,8 @@ def _read_cells(rows: Sequence[Sequence[str]]) -> SampledFunction:
 
 
 def _cmd_rearrange(args) -> int:
+    from .rearrange import decreasing_rearrangement, symmetrize, talenti_radial_solution
+
     try:
         with open(args.input, "r", encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))
@@ -362,6 +366,9 @@ def _cmd_rearrange(args) -> int:
 
 
 def _cmd_cc(args) -> int:
+    from .constants import unit_concentration_level
+    from .moser1d import cc_functional, concentration_maximizer, energy, moser_family
+
     spec = _quad_spec(args)
     q = args.q if args.q is not None else args.p / (args.p - 1.0)
     bound = unit_concentration_level(args.p)
@@ -414,14 +421,14 @@ _SWEEP_FIELDS = {
 
 
 def _cmd_extremal_sweep(args) -> int:
+    from .extremal import make_params, sweep
+
     spec = _quad_spec(args)
-    rows = extremal_sweep(args.n_from, args.n_to, args.step, spec)
+    rows = sweep(args.n_from, args.n_to, args.step, spec)
     if (args.format or "csv") == "csv":
         table = [[row.n] + [getattr(row, attr) for attr in _SWEEP_FIELDS.values()] for row in rows]
         _emit(to_csv(("n", *_SWEEP_FIELDS), table), args.output)
         return EXIT_OK
-    from .extremal import make_params
-
     payload = []
     for row in rows:
         params = make_params(row.n)

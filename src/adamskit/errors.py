@@ -31,8 +31,21 @@ class DegenerateTrialError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive integration failed to reach the requested tolerance."""
+    """Adaptive integration failed to reach the requested tolerance.
 
-    def __init__(self, message: str, achieved: float | None = None):
+    ``achieved`` is the summed error estimate, ``interval`` the (lo, hi)
+    being integrated and ``panels`` the panel count when it gave up; each
+    is None where the raiser does not know it.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        achieved: float | None = None,
+        interval: tuple[float, float] | None = None,
+        panels: int | None = None,
+    ):
         super().__init__(message)
         self.achieved = achieved
+        self.interval = interval
+        self.panels = panels

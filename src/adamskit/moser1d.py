@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EnergyBoundError
+from .errors import DomainError, EnergyBoundError, QuadratureError
 from .profiles import (
     ExpApproachPiece,
     LinearPiece,
@@ -199,6 +199,12 @@ def cc_functional(
 
     The conjugate-exponent energy must satisfy integral |g'|^p <= 1 + 1e-9,
     p = q/(q-1); ``cc_integral`` evaluates the same integral unchecked.
+
+    Since g >= 0, J >= integral_0^inf e^{-t} dt = 1.  A result below
+    1 - 2 (rel_tol + truncation_epsilon) means the quadrature missed the
+    integrand's mass, and raises ``QuadratureError`` instead of returning.
+    This catches a J near 0, not every miss: a wide ramp can still return
+    a J above 1 that lacks the mass near its ends.
     """
     if not q > 1.0:
         raise DomainError(f"cc_functional requires q > 1, got {q}")
@@ -211,7 +217,14 @@ def cc_functional(
     total_energy = energy(g, p, (0.0, math.inf), spec)
     if total_energy > 1.0 + 1e-9:
         raise EnergyBoundError(f"profile energy {total_energy} exceeds 1")
-    return cc_integral(g, q, 0.0, math.inf, spec)
+    j = cc_integral(g, q, 0.0, math.inf, spec)
+    floor = 1.0 - 2.0 * (spec.rel_tol + spec.truncation_epsilon)
+    if not j >= floor:
+        raise QuadratureError(
+            f"J = {j!r} is below {floor!r}, but J >= 1 for every nonnegative profile:"
+            " the quadrature missed the integrand's mass"
+        )
+    return j
 
 
 # ---------------------------------------------------------------------------

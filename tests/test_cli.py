@@ -262,6 +262,14 @@ class TestOutputContracts:
         assert status == 3
         assert "quadrature" in err
 
+    def test_missed_mass_exits_3(self, capsys):
+        # J >= 1 for a nonnegative profile; at a = 1e300 the quadrature
+        # sees none of the ramp's mass and gets J = 0.
+        status, out, err = run_cli(["cc", "--p", "2", "--family", "moser", "--a", "1e300"], capsys)
+        assert status == 3
+        assert out == ""
+        assert "missed the integrand's mass" in err
+
     def test_unwritable_output_exits_64(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from adamskit.errors import DomainError, EnergyBoundError
+from adamskit.errors import DomainError, EnergyBoundError, QuadratureError
 from adamskit.moser1d import (
     cc_functional,
     cc_integral,
@@ -78,6 +78,17 @@ class TestCcFunctional:
             for p in (2.0, 3.0):
                 q = p / (p - 1.0)
                 assert cc_functional(ramp_profile(a, p), q) >= 1.0
+
+    def test_missed_mass_raises(self):
+        # J >= 1 on every nonnegative profile; the quadrature sees none of
+        # this ramp's mass and gets 0.0.
+        with pytest.raises(QuadratureError, match="missed the integrand's mass"):
+            cc_functional(moser_family(1e20, 3.0), 1.5)
+
+    @pytest.mark.parametrize("a", [1e-9, 1e-300])
+    def test_near_zero_ramp_stays_at_one(self, a):
+        # J = 1 + O(a) for the ramp a^{-1/2} t on [0, a] with plateau a^{1/2}.
+        assert cc_functional(moser_family(a, 2.0), 2.0) == pytest.approx(1.0, rel=1e-8)
 
     def test_energy_violation_raises_and_unchecked_works(self):
         g = piecewise_linear([0.0, 1.0], [0.0, 1.5])  # energy 2.25 at p = 2

@@ -144,9 +144,11 @@ class TestAdaptiveGauss:
     def test_nan_panel_named_from_one_batch(self):
         sizes = []
         f = counting(lambda x: np.where(x > 0.6, np.nan, x), sizes)
-        with pytest.raises(QuadratureError, match=r"NaN on the panel \[0.5, 0.75\]"):
+        with pytest.raises(QuadratureError, match=r"NaN on the panel \[0.5, 0.75\]") as exc:
             adaptive_gauss(f, 0.0, 1.0, initial_panels=4)
         assert sizes == [4 * 46]
+        assert exc.value.interval == (0.0, 1.0)
+        assert exc.value.panels == 4
 
     def test_budget_exhausted(self):
         # cos(1e12 x) is noise at the node spacing: no panel ever converges.
@@ -154,6 +156,10 @@ class TestAdaptiveGauss:
         with pytest.raises(QuadratureError, match=message) as exc:
             adaptive_gauss(lambda x: np.cos(1e12 * x), 0.0, 1.0)
         assert exc.value.achieved > 1e-13
+        assert exc.value.interval == (0.0, 1.0)
+        # Twelve levels of halving reach 2^12 panels; the next would pass the budget.
+        assert exc.value.panels == 2**12
+        assert f"panel count {exc.value.panels}," in str(exc.value)
 
     def test_machine_resolution_panel_raises(self):
         # Panels one ulp wide cannot be halved; the noise never converges.
