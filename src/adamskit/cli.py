@@ -125,13 +125,26 @@ def finite_float(text: str) -> float:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of --seed and --trials: a negative count is malformed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="adamskit",
         description="Sharp constants, concentration levels, Hardy sandwiches,"
         " rearrangements, and the extremal-gap pipeline, at desk scale.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
+    parser.add_argument(
+        "--seed", type=nonnegative_int, default=0, help="seed for randomized probes"
+    )
     parser.add_argument(
         "--rtol",
         type=finite_float,
@@ -165,7 +178,7 @@ def build_parser() -> _Parser:
     p_hardy.add_argument("--theta", type=finite_float)
     p_hardy.add_argument("--R", type=finite_float, default=1.0)
     p_hardy.add_argument("--side", choices=("left", "right"), default="left")
-    p_hardy.add_argument("--trials", type=int, default=0, help="rayleigh probe trials")
+    p_hardy.add_argument("--trials", type=nonnegative_int, default=0, help="rayleigh probe trials")
     p_hardy.add_argument(
         "--second-order", action="store_true", help="probe the iterated radial inequality"
     )

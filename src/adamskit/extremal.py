@@ -171,7 +171,7 @@ def norm_chain_bound(params: TestFnParams) -> float:
     return math.fsum((4.0 / (n * (n - 2.0)), bracket ** (2.0 / n)))
 
 
-def norm_quadrature(params: TestFnParams, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def norm_quadrature(params: TestFnParams) -> float:
     """(integral_0^inf |L|^{n/2} dt)^{2/n}, by exact piece integrals.
 
     Ramp: the constant to the n/2 power times the length.  Arc: substitute
@@ -279,7 +279,7 @@ def verdict(n: int, spec: QuadratureSpec = DEFAULT_SPEC) -> VerdictRow:
         raise DomainError(f"verdicts start at n = 16, got {n}")
     params = make_params(n)
     chain = norm_chain_bound(params)
-    norm = norm_quadrature(params, spec)
+    norm = norm_quadrature(params)
     lower = functional_lower_bound(params)
     j_quad = functional_quadrature(params, spec)
     level = concentration_level_unit_ball(n)

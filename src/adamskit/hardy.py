@@ -6,7 +6,8 @@ Carries the two-sided estimate B <= C <= k(q,p) B for the best constant of
 
 over functions vanishing at 0 (left) or at R (right), the second-order
 radial inequality with its iterated constants, and randomized
-Rayleigh-quotient probes that certify the sandwich numerically.
+Rayleigh-quotient probes that certify the sandwich numerically.  The
+probes' weighted norms are ``profiles.abs_pow_integral`` per piece.
 
 For pure power weights the product defining B is unimodal in the split
 point for every parameter choice (its log-derivative is C - G(x) with G
@@ -18,14 +19,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .constants import AdamsParams
 from .errors import DegenerateTrialError, DomainError, InfeasibleError
-from .profiles import FuncPiece, LinearPiece, Piece, PiecewiseProfile, PowerPiece, piecewise_linear
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_gauss, power_integral
+from .profiles import (
+    PiecewiseProfile,
+    PowerPiece,
+    abs_pow_integral,
+    abs_pow_quadrature,
+    piecewise_linear,
+)
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 _BOUNDARY_RTOL = 1e-12
 
@@ -176,58 +183,6 @@ def sandwich(setup: HardySetup) -> Sandwich:
 # Rayleigh-quotient probe
 # ---------------------------------------------------------------------------
 
-def _weighted_abs_pow_integral(
-    piece: Piece,
-    power: float,
-    weight_pow: float,
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec,
-) -> float:
-    """integral_lo^hi |piece(r)|^power r^weight_pow dr."""
-    if hi <= lo:
-        return 0.0
-    if isinstance(piece, PowerPiece) and piece.offset == 0.0 and piece.shift == 0.0:
-        w1 = piece.exponent * power + weight_pow + 1.0
-        return power_integral(abs(piece.coeff) ** power, w1, lo, hi)
-    if isinstance(piece, LinearPiece):
-        # Split at a sign change so the integrand stays smooth.
-        if piece.slope != 0.0:
-            root = -piece.intercept / piece.slope
-            if lo < root < hi:
-                return _weighted_abs_pow_integral(
-                    piece, power, weight_pow, lo, root, spec
-                ) + _weighted_abs_pow_integral(piece, power, weight_pow, root, hi, spec)
-        elif piece.intercept == 0.0:
-            return 0.0
-    return _weighted_quadrature(piece.value, power, weight_pow, lo, hi, spec)
-
-
-def _weighted_quadrature(
-    fn: Callable[[np.ndarray], np.ndarray],
-    power: float,
-    weight_pow: float,
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec,
-) -> float:
-    """integral_lo^hi |fn(r)|^power r^weight_pow dr by adaptive quadrature."""
-    if lo == 0.0 and -1.0 < weight_pow < 0.0:
-        # Substitute r = hi * s^{1/(weight_pow+1)} to absorb the endpoint
-        # singularity of the weight.
-        wp1 = weight_pow + 1.0
-
-        def smooth(s):
-            return np.abs(fn(hi * s ** (1.0 / wp1))) ** power
-
-        return hi**wp1 / wp1 * adaptive_gauss(smooth, 0.0, 1.0, spec)
-
-    def integrand(r):
-        return np.abs(fn(r)) ** power * r**weight_pow
-
-    return adaptive_gauss(integrand, lo, hi, spec)
-
-
 def _profile_weighted_norm(
     u: PiecewiseProfile,
     power: float,
@@ -240,38 +195,10 @@ def _profile_weighted_norm(
     """(integral_0^R |u or u'|^power r^weight_pow dr)^{1/power}."""
     total = 0.0
     for lo, hi, piece in u.segments():
-        hi = min(hi, R)
-        if hi <= lo:
-            continue
-        if of_derivative:
-            if isinstance(piece, LinearPiece):
-                if piece.slope == 0.0:
-                    continue
-                c = abs(piece.slope) ** power
-                if weight_pow == -1.0:
-                    total += power_integral(c, 0.0, lo, hi)
-                else:
-                    wp1 = weight_pow + 1.0
-                    lower = lo**wp1 if lo > 0.0 else (0.0 if wp1 > 0.0 else math.inf)
-                    total += c * (hi**wp1 - lower) / wp1
-            else:
-                deriv = _derivative_as_piece(piece)
-                total += _weighted_abs_pow_integral(deriv, power, weight_pow, lo, hi, spec)
-        else:
-            total += _weighted_abs_pow_integral(piece, power, weight_pow, lo, hi, spec)
-    return total ** (1.0 / power)
-
-
-def _derivative_as_piece(piece: Piece) -> Piece:
-    if isinstance(piece, PowerPiece) and piece.shift == 0.0:
-        # The derivative of c r^e is again a pure power.
-        return PowerPiece(
-            coeff=piece.coeff * piece.exponent,
-            shift=0.0,
-            exponent=piece.exponent - 1.0,
-            offset=0.0,
+        total += abs_pow_integral(
+            piece, power, weight_pow, lo, min(hi, R), spec, derivative=of_derivative
         )
-    return FuncPiece(fn=piece.derivative)
+    return total ** (1.0 / power)
 
 
 class ProbeResult(NamedTuple):
@@ -388,7 +315,7 @@ def _abs_pow_poly_integral(
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi > lo:
-            total += _weighted_quadrature(poly, power, weight_pow, lo, hi, spec)
+            total += abs_pow_quadrature(poly, power, weight_pow, lo, hi, spec)
     return total
 
 

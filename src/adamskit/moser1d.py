@@ -1,10 +1,11 @@
 """One-dimensional exponential functional machinery.
 
 The central object is J(g) = integral_0^inf exp(g(t)^q - t) dt over
-nonnegative profiles with unit p-energy (p conjugate to q).  Energies use
-closed forms wherever the piece type permits; the improper upper end is
-handled exactly for constant and saturating tails, by pullback for
-log-radial tails, and by the sub-unit-energy majorant otherwise.
+nonnegative profiles with unit p-energy (p conjugate to q).  Energies are
+``profiles.abs_pow_integral`` of each piece's derivative at weight 0.  The
+improper upper end of J is handled exactly for constant and saturating
+tails, by pullback for log-radial tails, and by the sub-unit-energy
+majorant otherwise.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .profiles import (
     LogRadialPiece,
     Piece,
     PiecewiseProfile,
-    PowerPiece,
+    abs_pow_integral,
     constant_piece,
     piecewise_linear,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_gauss, power_integral
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_gauss
 from .specfun import EULER_GAMMA, digamma
 
 
@@ -33,57 +34,14 @@ from .specfun import EULER_GAMMA, digamma
 # energy
 # ---------------------------------------------------------------------------
 
-def _energy_piece(piece: Piece, p: float, lo: float, hi: float, spec: QuadratureSpec) -> float:
-    """integral_lo^hi |piece'(t)|^p dt; hi may be inf."""
-    if hi <= lo:
-        return 0.0
-    if isinstance(piece, LinearPiece):
-        if piece.slope == 0.0:
-            return 0.0
-        if math.isinf(hi):
-            return math.inf
-        return abs(piece.slope) ** p * (hi - lo)
-    if isinstance(piece, PowerPiece):
-        c = abs(piece.coeff * piece.exponent) ** p
-        if c == 0.0:
-            return 0.0
-        w1 = (piece.exponent - 1.0) * p + 1.0
-        return power_integral(c, w1, lo - piece.shift, hi - piece.shift)
-    if isinstance(piece, ExpApproachPiece):
-        rate = piece.rate * p
-        c = abs(piece.amplitude * piece.rate) ** p
-        upper = 0.0 if math.isinf(hi) else math.exp(-rate * (hi - piece.anchor))
-        lower = math.exp(-rate * (lo - piece.anchor))
-        return c * (lower - upper) / rate
-    if isinstance(piece, LogRadialPiece):
-        # Pull back to radii: dt = -n dr / r and |g'(t)|^p = (scale r |w'(r)| / n)^p,
-        # so the t -> inf end becomes the bounded endpoint r -> 0.
-        n = piece.dim
-        r_hi = 0.0 if math.isinf(hi) else piece.big_r * math.exp(-hi / n)
-        r_lo = piece.big_r * math.exp(-lo / n)
-
-        def integrand(r):
-            return np.abs(piece.source.derivative(r)) ** p * r ** (p - 1.0)
-
-        return n * (abs(piece.scale) / n) ** p * adaptive_gauss(integrand, r_hi, r_lo, spec)
-    if math.isinf(hi):
-        raise DomainError(
-            f"cannot integrate a {piece.kind} piece over an unbounded interval"
-        )
-
-    def integrand(t):
-        return np.abs(piece.derivative(t)) ** p
-
-    return adaptive_gauss(integrand, lo, hi, spec)
-
-
 def energy(
     g: PiecewiseProfile,
     p: float,
     interval: tuple[float, float] = (0.0, math.inf),
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """integral over ``interval`` of |g'|^p dt, by closed form where possible."""
+    """integral over ``interval`` of |g'|^p dt, piece by piece through
+    ``profiles.abs_pow_integral`` (closed form where the piece has one)."""
     if not p > 1.0:
         raise DomainError(f"energy requires p > 1, got {p}")
     a, b = float(interval[0]), float(interval[1])
@@ -92,8 +50,7 @@ def energy(
     total = 0.0
     for lo, hi, piece in g.segments():
         lo_c, hi_c = max(lo, a), min(hi, b)
-        if hi_c > lo_c:
-            total += _energy_piece(piece, p, lo_c, hi_c, spec)
+        total += abs_pow_integral(piece, p, 0.0, lo_c, hi_c, spec, derivative=True)
     return total
 
 

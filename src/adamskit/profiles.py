@@ -2,8 +2,10 @@
 
 A profile is a list of increasing knots, one analytic piece per gap, and an
 optional tail piece on [last knot, infinity).  Pieces expose vectorized
-value/derivative/second-derivative; the integral machinery elsewhere
-dispatches on the piece type to use closed forms where they exist.
+value/derivative/second-derivative.  ``abs_pow_integral`` is the one
+integral of |h|^power r^weight over a piece or its derivative: the energies
+of ``moser1d`` and the weighted norms of ``hardy`` both go through it, and
+it uses a closed form wherever the piece type has one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NonSmoothError
+from .quadrature import QuadratureSpec, adaptive_gauss, power_integral
 
 _CONTINUITY_TOL = 1e-10
 
@@ -309,3 +312,90 @@ def piecewise_linear(ts: Sequence[float], ys: Sequence[float], *, constant_tail:
         pieces.append(LinearPiece(intercept=ys[i] - slope * ts[i], slope=slope))
     tail = constant_piece(ys[-1]) if constant_tail else None
     return PiecewiseProfile(knots=tuple(ts), pieces=tuple(pieces), tail=tail)
+
+
+def abs_pow_integral(
+    piece: Piece,
+    power: float,
+    weight_pow: float,
+    lo: float,
+    hi: float,
+    spec: QuadratureSpec,
+    *,
+    derivative: bool = False,
+) -> float:
+    """integral_lo^hi |h(r)|^power r^weight_pow dr, h the piece or its derivative.
+
+    Closed forms: a constant integrand (a linear derivative, a constant
+    value, zero) and a power of (r - shift) at any weight when the shift is
+    0, else at weight 0; at weight 0 also the saturating exponential's
+    derivative and the log-radial derivative, pulled back to radii (so hi
+    may be inf).  A linear value is split at its root.  Everything else is
+    adaptive quadrature, which needs a finite hi.
+    """
+    if hi <= lo:
+        return 0.0
+    if isinstance(piece, LinearPiece):
+        if derivative or piece.slope == 0.0:
+            c = abs(piece.slope if derivative else piece.intercept) ** power
+            return 0.0 if c == 0.0 else power_integral(c, weight_pow + 1.0, lo, hi)
+        root = -piece.intercept / piece.slope
+        if lo < root < hi:  # split at the sign change so each side is smooth
+            left = abs_pow_integral(piece, power, weight_pow, lo, root, spec)
+            return left + abs_pow_integral(piece, power, weight_pow, root, hi, spec)
+    elif isinstance(piece, PowerPiece) and (derivative or piece.offset == 0.0):
+        if piece.shift == 0.0 or weight_pow == 0.0:
+            c = abs(piece.coeff * piece.exponent if derivative else piece.coeff) ** power
+            if c == 0.0:
+                return 0.0
+            e = piece.exponent - 1.0 if derivative else piece.exponent
+            w1 = e * power + weight_pow + 1.0
+            return power_integral(c, w1, lo - piece.shift, hi - piece.shift)
+    elif derivative and weight_pow == 0.0:
+        if isinstance(piece, ExpApproachPiece):
+            rate = piece.rate * power
+            c = abs(piece.amplitude * piece.rate) ** power
+            upper = 0.0 if math.isinf(hi) else math.exp(-rate * (hi - piece.anchor))
+            lower = math.exp(-rate * (lo - piece.anchor))
+            return c * (lower - upper) / rate
+        if isinstance(piece, LogRadialPiece):
+            # dt = -n dr / r and |g'(t)|^p = (scale r |w'(r)| / n)^p, so the
+            # t -> inf end becomes the bounded endpoint r -> 0.
+            n = piece.dim
+            r_hi = 0.0 if math.isinf(hi) else piece.big_r * math.exp(-hi / n)
+            r_lo = piece.big_r * math.exp(-lo / n)
+            dw = piece.source.derivative
+            radial = abs_pow_quadrature(dw, power, power - 1.0, r_hi, r_lo, spec)
+            return n * (abs(piece.scale) / n) ** power * radial
+    if math.isinf(hi):
+        raise DomainError(f"cannot integrate a {piece.kind} piece over an unbounded interval")
+    fn = piece.derivative if derivative else piece.value
+    return abs_pow_quadrature(fn, power, weight_pow, lo, hi, spec)
+
+
+def abs_pow_quadrature(
+    fn: Callable[[np.ndarray], np.ndarray],
+    power: float,
+    weight_pow: float,
+    lo: float,
+    hi: float,
+    spec: QuadratureSpec,
+) -> float:
+    """integral_lo^hi |fn(r)|^power r^weight_pow dr by adaptive quadrature.
+
+    The fallback of ``abs_pow_integral``, for integrands that are no piece.
+    """
+    if lo == 0.0 and -1.0 < weight_pow < 0.0:
+        # Substitute r = hi s^{1/(weight_pow+1)} to absorb the endpoint
+        # singularity of the weight.
+        wp1 = weight_pow + 1.0
+
+        def smooth(s):
+            return np.abs(fn(hi * s ** (1.0 / wp1))) ** power
+
+        return hi**wp1 / wp1 * adaptive_gauss(smooth, 0.0, 1.0, spec)
+
+    def integrand(r):
+        return np.abs(fn(r)) ** power * r**weight_pow
+
+    return adaptive_gauss(integrand, lo, hi, spec)

@@ -140,11 +140,16 @@ def adaptive_gauss(
 
 
 def power_integral(c: float, w1: float, a: float, b: float) -> float:
-    """c * integral_a^b x^{w1-1} dx for 0 <= a < b <= inf; inf if an end diverges."""
+    """c * integral_a^b x^{w1-1} dx for 0 <= a < b <= inf; inf if an end diverges.
+
+    The one closed-form power integral in the package; exact at w1 = 1.
+    """
     if math.isinf(b):
         if w1 >= 0.0 or a == 0.0:
             return math.inf
         return -c * a**w1 / w1
+    if w1 == 1.0:
+        return c * (b - a)
     if a == 0.0:
         if w1 <= 0.0:
             return math.inf

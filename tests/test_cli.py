@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,11 @@ from adamskit.constants import AdamsParams, beta0
 #: Sweep outputs written by the heap-ordered engine that preceded the
 #: level-synchronous one; the fields must agree to 1e-14 relative.
 DATA = Path(__file__).parent / "data"
+#: Invocation -> stdout, stderr and exit code of the CLI before the energy and
+#: Hardy-norm integrals were merged (run from ``DATA``, which holds cells.csv).
+CLI_GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
+#: A number not glued to a word, e.g. "1e-10" and "-0.5" but not "beta0".
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 def run_cli(args, capsys):
@@ -80,6 +87,32 @@ class TestParsing:
         assert exc.value.code == 64
         err = capsys.readouterr().err
         assert f"argument {option}: must be finite, got '{bad}'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "-1", "hardy", "--p", "2", "--q", "2", "--alpha", "-1", "--theta", "-3",
+             "--trials", "3"],
+            ["--seed", "-2", "cc", "--p", "2", "--maximize"],
+            ["hardy", "--p", "2", "--q", "2", "--alpha", "-1", "--theta", "-3", "--trials", "-5"],
+        ],
+        ids=["seed-hardy", "seed-maximize", "trials"],
+    )
+    def test_negative_count_exits_64(self, argv, capsys):
+        option = next(arg for arg in argv if arg in ("--seed", "--trials") and
+                      argv[argv.index(arg) + 1].startswith("-"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: must be a non-negative integer" in captured.err
+
+    def test_zero_trials_skips_the_probe(self, capsys):
+        argv = ["hardy", "--p", "2", "--q", "2", "--alpha", "-1", "--theta", "-3", "--trials", "0"]
+        status, out, _ = run_cli(argv, capsys)
+        assert status == 0
+        assert "max_ratio" not in json.loads(out)
 
     def test_env_rtol_override(self, monkeypatch):
         monkeypatch.setenv("ADAMS_QUAD_RTOL", "1e-8")
@@ -322,3 +355,16 @@ class TestGoldenSweep:
         status, out, _ = run_cli(argv, capsys)
         assert status == 0
         assert_close(json.loads(out), json.loads((DATA / "sweep_16_120.json").read_text()))
+
+
+@pytest.mark.parametrize("invocation", list(CLI_GOLDEN))
+def test_golden_cli_output(invocation, monkeypatch, capsys):
+    """Text with the numbers cut out and stderr byte-identical; numbers to 1e-14."""
+    monkeypatch.delenv("ADAMS_QUAD_RTOL", raising=False)
+    monkeypatch.chdir(DATA)
+    want = CLI_GOLDEN[invocation]
+    status, out, err = run_cli(shlex.split(invocation), capsys)
+    assert (status, err) == (want["exit"], want["stderr"])
+    assert NUMBER.split(out) == NUMBER.split(want["stdout"])
+    numbers = [[float(x) for x in NUMBER.findall(text)] for text in (out, want["stdout"])]
+    assert_close(*numbers)

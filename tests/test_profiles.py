@@ -249,3 +249,8 @@ class TestPowerIntegral:
     )
     def test_divergent_end_is_inf(self, w1, a, b):
         assert power_integral(2.0, w1, a, b) == math.inf
+
+    @pytest.mark.parametrize("c, a, b", [(1.0, 0.1, 0.3), (2.5, 0.0, 7.0), (0.3, 1e-3, 1e5)])
+    def test_unit_exponent_is_exact(self, c, a, b):
+        # The expm1 form gives 0.19999999999999996 for (1, 0.1, 0.3).
+        assert power_integral(c, 1.0, a, b) == c * (b - a)
