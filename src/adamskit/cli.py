@@ -194,7 +194,9 @@ def build_parser() -> _Parser:
 
     p_cc = commands.add_parser("cc", help="exponential functional on 1-D profiles")
     p_cc.add_argument("--p", type=finite_float, required=True)
-    p_cc.add_argument("--q", type=finite_float, default=None, help="defaults to p/(p-1)")
+    p_cc.add_argument(
+        "--q", type=finite_float, default=None, help="defaults to p/(p-1), the only q --maximize takes"
+    )
     p_cc.add_argument("--family", choices=("moser",), default=None)
     p_cc.add_argument("--a", type=finite_float, default=None, help="family scale")
     p_cc.add_argument("--maximize", action="store_true")
@@ -211,7 +213,17 @@ def build_parser() -> _Parser:
 
 
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "cc" and args.maximize and args.q is not None and args.p > 1.0:
+        # The maximizer's class is the unit p-energy one, so q is p's conjugate.
+        conjugate = args.p / (args.p - 1.0)
+        if not math.isclose(args.q, conjugate, rel_tol=1e-12):
+            parser.error(
+                f"--maximize works at q = p/(p-1) = {conjugate!r} for --p {args.p!r},"
+                f" got --q {args.q!r}"
+            )
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +395,14 @@ def _cmd_cc(args) -> int:
     from .moser1d import cc_functional, concentration_maximizer, energy, moser_family
 
     spec = _quad_spec(args)
-    q = args.q if args.q is not None else args.p / (args.p - 1.0)
     bound = unit_concentration_level(args.p)
     if args.maximize:
-        result = concentration_maximizer(
+        result = concentration_maximizer(  # checks p >= 2 before q is formed
             args.p, args.A, args.epsilon, args.knots, args.seed, spec=spec
         )
         record = {
             "p": args.p,
-            "q": q,
+            "q": args.p / (args.p - 1.0),
             "A": args.A,
             "epsilon": args.epsilon,
             "knots": args.knots,
@@ -406,7 +417,8 @@ def _cmd_cc(args) -> int:
         return EXIT_OK
     if args.family != "moser" or args.a is None:
         raise DomainError("cc requires --family moser with --a (or --maximize)")
-    g = moser_family(args.a, args.p)
+    g = moser_family(args.a, args.p)  # checks p > 1 before q is formed
+    q = args.q if args.q is not None else args.p / (args.p - 1.0)
     j = cc_functional(g, q, spec)
     record = {
         "p": args.p,

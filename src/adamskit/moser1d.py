@@ -262,6 +262,20 @@ class MaximizerResult(NamedTuple):
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
+#: Width of the maximizer's fixed Gauss panels.
+_PANEL_WIDTH = 1.5
+
+_PANEL_BUDGET = 32_768
+"""Most Gauss panels the maximizer may lay over [0, t_max].
+
+Checked before any array is built, against the bound (knot_count - 1) +
+ceil(t_max / _PANEL_WIDTH) on the count.  At the budget a default search
+(6 starts) takes 3-6 s on a 2-vCPU VM and about 45 MB above the library's
+own footprint (A = 815 with 48 knots; A = 5 with 30 000 knots).  It admits
+A up to about 800 at 48 knots and up to 32 000 knots at A <= 10; the
+benchmark's (A, knots) = (5, 48) lays 425 panels.
+"""
+
 
 class _SlopeObjective:
     """J and its gradient over nonnegative segment slopes.
@@ -269,12 +283,14 @@ class _SlopeObjective:
     Each segment is covered by fixed-width Gauss panels: the integrand
     e^{g^q - t} concentrates in O(1)-wide strips, which a single rule on a
     wide geometric segment would miss entirely.
+
+    ``value(s)`` evaluates J alone and keeps its node arrays; ``grad()``
+    turns the arrays of the last ``value`` call into dJ/ds.  A search
+    therefore evaluates J alone on trial steps and pays for the gradient
+    only on the steps it accepts.
     """
 
-    _PANEL_WIDTH = 1.5
-
     def __init__(self, knots: np.ndarray, q: float):
-        self.knots = knots
         self.q = q
         self.dt = np.diff(knots)
         self.t_end = knots[-1]
@@ -282,7 +298,7 @@ class _SlopeObjective:
         weights = []
         panel_seg = []
         for i, (lo, hi) in enumerate(zip(knots[:-1], knots[1:])):
-            n_panels = max(1, int(math.ceil((hi - lo) / self._PANEL_WIDTH)))
+            n_panels = max(1, int(math.ceil((hi - lo) / _PANEL_WIDTH)))
             edges = np.linspace(lo, hi, n_panels + 1)
             mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
             half = 0.5 * np.diff(edges)[:, None]
@@ -292,48 +308,54 @@ class _SlopeObjective:
         self.nodes = np.concatenate(nodes, axis=0)
         self.weights = np.concatenate(weights, axis=0)
         self.panel_seg = np.asarray(panel_seg)
+        # t - t_j at every node of segment j: dg/ds_j there.
+        self.offsets = self.nodes - knots[self.panel_seg][:, None]
 
-    def value_and_grad(self, s: np.ndarray):
+    def value(self, s: np.ndarray) -> float:
+        """J of the polyline with slopes ``s``; keeps the arrays ``grad`` needs."""
         q = self.q
         y = np.concatenate(([0.0], np.cumsum(s * self.dt)))
         seg = self.panel_seg
-        offsets = self.nodes - self.knots[seg][:, None]
-        g_nodes = y[seg][:, None] + s[seg][:, None] * offsets
-        core = np.exp(g_nodes**q - self.nodes) * self.weights
+        # In place, in the order of (y + s (t - t_j))^q - t, exp, times weight.
+        g_nodes = s[seg][:, None] * self.offsets
+        g_nodes += y[seg][:, None]
+        core = g_nodes**q
+        core -= self.nodes
+        np.exp(core, out=core)
+        core *= self.weights
         v_end = y[-1]
         j_tail = math.exp(v_end**q - self.t_end)
-        j_total = float(core.sum() + j_tail)
+        self._g_nodes, self._core, self._v_end, self._j_tail = g_nodes, core, v_end, j_tail
+        return float(core.sum() + j_tail)
 
+    def grad(self) -> np.ndarray:
+        """dJ/ds at the slopes of the last ``value`` call."""
+        q, seg = self.q, self.panel_seg
         # dJ/dg at the nodes, weighted; g^{q-1} guarded at g = 0 for q < 2.
-        sens = core * q * np.maximum(g_nodes, 1e-12) ** (q - 1.0)
+        sens = self._core * q * np.maximum(self._g_nodes, 1e-12) ** (q - 1.0)
         seg_sens = np.bincount(seg, weights=sens.sum(axis=1), minlength=self.dt.size)
         local = np.bincount(
-            seg, weights=(sens * offsets).sum(axis=1), minlength=self.dt.size
+            seg, weights=(sens * self.offsets).sum(axis=1), minlength=self.dt.size
         )
-        tail_sens = j_tail * q * max(v_end, 1e-12) ** (q - 1.0)
+        tail_sens = self._j_tail * q * max(self._v_end, 1e-12) ** (q - 1.0)
         # dg/ds_j = (t - t_j) inside segment j, dt_j on every later segment.
         suffix = np.concatenate((np.cumsum(seg_sens[::-1])[::-1][1:], [0.0]))
-        grad = local + self.dt * (suffix + tail_sens)
-        return j_total, grad
+        return local + self.dt * (suffix + tail_sens)
 
 
-def _project(
-    s: np.ndarray, dt: np.ndarray, in_window: np.ndarray, p: float, epsilon: float
-) -> np.ndarray:
-    """Clip to s >= 0, cap the window energy at epsilon, renormalize total to 1."""
-    s = np.maximum(s, 0.0)
-    e_window = float(np.sum(s[in_window] ** p * dt[in_window]))
-    e_rest = float(np.sum(s[~in_window] ** p * dt[~in_window]))
+def _project(s: np.ndarray, dt: np.ndarray, k: int, p: float, epsilon: float) -> np.ndarray:
+    """Clip to s >= 0, cap the energy of the window (the first ``k``
+    segments) at epsilon, renormalize the total to 1."""
+    s = np.maximum(s, 0.0)  # a fresh array: the scalings below act in place
+    e_window = float((s[:k] ** p * dt[:k]).sum())
+    e_rest = float((s[k:] ** p * dt[k:]).sum())
     if e_rest <= 0.0:
-        s = s.copy()
-        s[~in_window] = 0.05
-        e_rest = float(np.sum(s[~in_window] ** p * dt[~in_window]))
+        s[k:] = 0.05
+        e_rest = float((s[k:] ** p * dt[k:]).sum())
     if e_window > epsilon:
-        s = s.copy()
-        s[in_window] *= (epsilon / e_window) ** (1.0 / p) * (1.0 - 1e-12)
-        e_window = float(np.sum(s[in_window] ** p * dt[in_window]))
-    s = s.copy()
-    s[~in_window] *= ((1.0 - e_window) / e_rest) ** (1.0 / p)
+        s[:k] *= (epsilon / e_window) ** (1.0 / p) * (1.0 - 1e-12)
+        e_window = float((s[:k] ** p * dt[:k]).sum())
+    s[k:] *= ((1.0 - e_window) / e_rest) ** (1.0 / p)
     return s
 
 
@@ -353,6 +375,11 @@ def concentration_maximizer(
     Feasible set: piecewise-linear g with g(0) = 0, total energy exactly 1,
     and energy on (0, big_a) at most epsilon; the knots reach out to
     t_max = max(600, 60 big_a).  Deterministic given seed.
+
+    Each trial step evaluates J alone and is kept only when J rises; the
+    gradient for the next step comes from the accepted step's node arrays.
+    Inputs whose Gauss panels would exceed ``_PANEL_BUDGET`` raise
+    ``DomainError`` before any array is built.
     """
     if not p >= 2.0:
         raise DomainError(f"maximizer requires p >= 2, got {p}")
@@ -363,6 +390,14 @@ def concentration_maximizer(
     if not big_a > 0.0:
         raise DomainError(f"window endpoint must be positive, got {big_a}")
     t_max = max(600.0, 60.0 * big_a)
+    # Each segment takes ceil(width / _PANEL_WIDTH) >= 1 panels.
+    panels = knot_count - 1 + math.ceil(t_max / _PANEL_WIDTH)
+    if panels > _PANEL_BUDGET:
+        raise DomainError(
+            f"the maximizer would lay up to {panels} Gauss panels over"
+            f" [0, t_max = {t_max:g}] with knot_count (--knots) {knot_count},"
+            f" above its budget of {_PANEL_BUDGET}: lower A (t_max = max(600, 60 A)) or --knots"
+        )
     q = p / (p - 1.0)
 
     n_window = max(3, knot_count // 6)
@@ -371,7 +406,8 @@ def concentration_maximizer(
     outer = big_a * np.geomspace(1.0, t_max / big_a, n_out + 1)[1:]
     knots = np.concatenate((window, outer))
     dt = np.diff(knots)
-    in_window = knots[:-1] < big_a - 1e-12
+    # The knots increase, so the window's segments are the first k.
+    k = int(np.count_nonzero(knots[:-1] < big_a - 1e-12))
     objective = _SlopeObjective(knots, q)
 
     # Warm starts: ramps that spend the window allowance immediately and
@@ -383,22 +419,24 @@ def concentration_maximizer(
     for scale, child in zip(scales, children):
         rng = np.random.default_rng(child)
         s0 = np.zeros(knots.size - 1)
-        s0[in_window] = (epsilon / big_a) ** (1.0 / p)
-        ramp = (~in_window) & (knots[:-1] < scale)
-        span = max(scale - big_a, dt[~in_window].min())
-        s0[ramp] = ((1.0 - epsilon) / span) ** (1.0 / p)
+        s0[:k] = (epsilon / big_a) ** (1.0 / p)
+        ramp_end = int(np.count_nonzero(knots[:-1] < scale))
+        span = max(scale - big_a, dt[k:].min())
+        s0[k:ramp_end] = ((1.0 - epsilon) / span) ** (1.0 / p)
         # Symmetry-breaking only: slope noise delta shifts the endpoint
         # exponent by ~2 g_end^2 delta, so it must stay tiny.
         s0 *= 1.0 + 1e-4 * rng.standard_normal(s0.size)
-        s = _project(s0, dt, in_window, p, epsilon)
-        j_val, grad = objective.value_and_grad(s)
+        s = _project(s0, dt, k, p, epsilon)
+        j_val = objective.value(s)
+        grad = objective.grad()
         step = 0.1
         for _ in range(max_iter):
             scale_free = step / max(float(np.max(np.abs(grad))), 1e-12)
-            trial = _project(s + scale_free * grad, dt, in_window, p, epsilon)
-            j_trial, grad_trial = objective.value_and_grad(trial)
+            trial = _project(s + scale_free * grad, dt, k, p, epsilon)
+            j_trial = objective.value(trial)
             if j_trial > j_val:
-                s, j_val, grad = trial, j_trial, grad_trial
+                s, j_val = trial, j_trial
+                grad = objective.grad()
                 step *= 1.3
             else:
                 step *= 0.4

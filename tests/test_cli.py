@@ -108,6 +108,30 @@ class TestParsing:
         assert captured.out == ""
         assert f"argument {option}: must be a non-negative integer" in captured.err
 
+    def test_maximize_rejects_a_q_it_does_not_use(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cc", "--p", "2", "--q", "3", "--maximize"])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--maximize works at q = p/(p-1) = 2.0 for --p 2.0, got --q 3.0" in captured.err
+
+    def test_maximize_takes_the_conjugate_q(self, capsys):
+        status, out, _ = run_cli(["cc", "--p", "2", "--q", "2", "--maximize", "--knots", "8"], capsys)
+        assert status == 0
+        assert json.loads(out)["q"] == 2.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cc", "--p", "1", "--maximize"], ["cc", "--p", "1", "--family", "moser", "--a", "10"]],
+        ids=["maximize", "moser"],
+    )
+    def test_p_one_is_a_domain_error(self, argv, capsys):
+        status, out, err = run_cli(argv, capsys)
+        assert status == 2
+        assert out == ""
+        assert "domain error" in err
+
     def test_zero_trials_skips_the_probe(self, capsys):
         argv = ["hardy", "--p", "2", "--q", "2", "--alpha", "-1", "--theta", "-3", "--trials", "0"]
         status, out, _ = run_cli(argv, capsys)
