@@ -58,12 +58,62 @@ def energy(
 # the exponential functional
 # ---------------------------------------------------------------------------
 
+#: Unit roundoff of a double, 2^-53.
+_UNIT_ROUNDOFF = 2.0**-53
+#: 2 u t at t = 2^48, where the float spacing (1/32) is half the narrowest
+#: panel ``_cc_breaks`` lays; ``_cc_finite`` refuses a piece beyond it.
+_MAX_ROUNDING = 2.0**-4
+#: 1/2, 1/4, ...: the graded offsets of ``_cc_breaks`` in uniform panel widths.
+_HALVES = 0.5 ** np.arange(1, 64)
+
+
+def _cc_breaks(lo: float, hi: float) -> np.ndarray:
+    """First-level panel edges inside (lo, hi) for ``_cc_finite``.
+
+    Up to 64 uniform panels of width h about 8 (wider on pieces longer
+    than 512), and in the first and the last of them the points at
+    distance h/2, h/4, ... from the piece's ends, down to a width in
+    (1/16, 1/8].  That is where halving the uniform panels used to end up:
+    e^{g^q - t} puts its mass in O(1)-wide strips at the ends of a piece.
+    The edges are strictly increasing while hi < 2^48.
+    """
+    width = hi - lo
+    count = max(1, min(64, math.ceil(width / 8.0)))
+    h = width / count
+    grades = max(0, math.ceil(math.log2(8.0 * h)))
+    near = _HALVES[:grades][::-1]
+    far = count - near[::-1]
+    if count == 1:  # one panel: both ends grade from its midpoint
+        far = far[1:]
+    return lo + h * np.concatenate((near, np.arange(1.0, count), far))
+
+
 def _cc_finite(piece: Piece, q: float, lo: float, hi: float, spec: QuadratureSpec) -> float:
+    """integral_lo^hi exp(piece^q - t) dt on one smooth piece.
+
+    The first level is laid out by ``_cc_breaks``, so a piece whose mass
+    sits at its ends converges there without halving.  The exponent
+    g^q - t cancels terms as large as t, so the integrand carries a
+    relative rounding of about 2 u t (u = 2^-53).  When that rounding at
+    the piece's far end exceeds 100 rel_tol (or ``_MAX_ROUNDING``, where
+    the graded panels would be as narrow as the float spacing),
+    ``QuadratureError`` is raised before any integrand call.  Below that
+    the engine's own stall check refuses what rounding leaves unresolved.
+    With the default rel_tol = 1e-10 the bound is t = 4.5e7.
+    """
+    far = max(abs(lo), abs(hi))
+    rounding = 2.0 * _UNIT_ROUNDOFF * far
+    if rounding > min(100.0 * spec.rel_tol, _MAX_ROUNDING):
+        raise QuadratureError(
+            f"exp(g^q - t) at t = {far!r} carries a relative rounding of {rounding:.3e},"
+            f" more than the tolerance rel_tol = {spec.rel_tol:.3e} can absorb",
+            interval=(lo, hi),
+        )
+
     def integrand(t):
         return np.exp(piece.value(t) ** q - t)
 
-    panels = max(1, min(64, int(math.ceil((hi - lo) / 8.0))))
-    return adaptive_gauss(integrand, lo, hi, spec, initial_panels=panels)
+    return adaptive_gauss(integrand, lo, hi, spec, breaks=_cc_breaks(lo, hi))
 
 
 def _cc_tail(

@@ -3,8 +3,13 @@
 Refinement is level-synchronous: each level calls the integrand once, on
 the 15 + 31 nodes of every active panel laid out in one 1-D array, so
 ``f`` must be elementwise on a 1-D numpy array (``f(x)[i]`` depends on
-``x[i]`` alone).  The refinement stops when the summed heuristic error
-|G31 - G15| meets the tolerance max(min(1e-13, rel_tol), rel_tol*|I|).
+``x[i]`` alone).  The first level is the one panel [lo, hi], or the panels
+between the caller's ``breaks``: interior points that must be finite,
+strictly increasing and strictly inside (lo, hi), else ``DomainError``.
+A caller that knows where its integrand's mass sits puts breaks there, so
+the engine need not find it by halving.  The refinement stops when the
+summed heuristic error |G31 - G15| meets the tolerance
+max(min(1e-13, rel_tol), rel_tol*|I|).
 Until then a panel [a, b] is accepted when its error is within its length
 share (b - a)/(hi - lo) of the tolerance, and the rest are halved; a panel
 at machine resolution is frozen.  ``QuadratureError`` (with the achieved
@@ -70,18 +75,29 @@ def adaptive_gauss(
     hi: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
     *,
-    initial_panels: int = 1,
+    breaks: np.ndarray | None = None,
 ) -> float:
-    """Integral of ``f`` on the finite interval [lo, hi]."""
+    """Integral of ``f`` on the finite interval [lo, hi], starting from the
+    panels between ``breaks`` (see the module docstring)."""
     if not math.isfinite(lo) or not math.isfinite(hi):
         raise DomainError("adaptive_gauss requires a finite interval")
     if hi <= lo:
         return 0.0
-    if initial_panels == 1:  # np.linspace is slow next to a whole one-panel call
+    if breaks is None:
         a, b = np.array([lo]), np.array([hi])
     else:
-        edges = np.linspace(lo, hi, initial_panels + 1)
+        breaks = np.asarray(breaks, dtype=float)
+        if breaks.ndim != 1:
+            raise DomainError(f"breaks must be a 1-D array, got shape {breaks.shape}")
+        edges = np.concatenate(([lo], breaks, [hi]))
         a, b = edges[:-1], edges[1:]
+        # One comparison covers every rule: NaN and inf fail it as well.
+        if not (a < b).all():
+            i = int((a < b).argmin())
+            raise DomainError(
+                f"breaks must be finite, strictly increasing and strictly inside"
+                f" ({lo}, {hi}); the panel [{a[i]}, {b[i]}] is empty or not finite"
+            )
     abs_tol = min(1e-13, spec.rel_tol)
     done: list[np.ndarray] = []  # G31 values of accepted and frozen panels
     done_sum = done_err = 0.0

@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from adamskit import extremal, moser1d
 from adamskit.errors import DomainError, EnergyBoundError, QuadratureError
 from adamskit.moser1d import (
     cc_functional,
@@ -80,10 +82,19 @@ class TestCcFunctional:
                 assert cc_functional(ramp_profile(a, p), q) >= 1.0
 
     def test_missed_mass_raises(self):
-        # J >= 1 on every nonnegative profile; the quadrature sees none of
-        # this ramp's mass and gets 0.0.
-        with pytest.raises(QuadratureError, match="missed the integrand's mass"):
+        # At t = 1e20 the exponent g^q - t rounds to a multiple of 2^14, so
+        # no quadrature of this ramp can resolve its end strip; it is
+        # refused before the engine runs.
+        with pytest.raises(QuadratureError, match="relative rounding of .* can absorb"):
             cc_functional(moser_family(1e20, 3.0), 1.5)
+
+    def test_j_below_one_raises(self, monkeypatch):
+        # J >= 1 on every nonnegative profile; an engine that misses all the
+        # mass (here: returns 0.0 on every piece) trips the floor.
+        monkeypatch.setattr(moser1d, "adaptive_gauss", lambda *args, **kwargs: 0.0)
+        w = extremal.test_function(extremal.make_params(16))
+        with pytest.raises(QuadratureError, match="missed the integrand's mass"):
+            cc_functional(w, 16.0 / 14.0)
 
     @pytest.mark.parametrize("a", [1e-9, 1e-300])
     def test_near_zero_ramp_stays_at_one(self, a):
@@ -113,6 +124,75 @@ class TestCcFunctional:
         shifted = PiecewiseProfile(knots=(1.0, 2.0), pieces=(constant_piece(0.5),), tail=constant_piece(0.5))
         with pytest.raises(DomainError):
             cc_functional(shifted, 2.0)
+
+
+U = 2.0**-53
+#: log10 a of the wide-ramp cases: the benchmark's end 1e6 up to 1e30, and 1e300.
+WIDE_LOG10_A = [k / 2.0 for k in range(12, 61)] + [300.0]
+
+
+def ramp_reference(g: PiecewiseProfile, q: float) -> mpmath.mpf:
+    """J of the double-precision Moser ramp ``g`` (slope s on [0, a], plateau
+    c beyond) to 30 digits.  The exponent (s t)^q - t is convex, about -t
+    near 0 and -(q - 1)(a - t) near a, so outside [0, L] and [a - R, a]
+    it is below -80 - log a and adds under 1e-25 (asserted); the plateau
+    adds e^{c^q - a}."""
+    a, s, c = g.knots[-1], g.pieces[0].slope, g.tail.intercept
+    with mpmath.workdps(30 + int(math.log10(a))):
+        a, s, c, q = (mpmath.mpf(x) for x in (a, s, c, q))
+
+        def phi(t):
+            return (s * t) ** q - t
+
+        margin = 80 + mpmath.log(a)
+        left, right = margin, a - margin / (q - 1)
+        assert left < right and (right - left) * mpmath.exp(max(phi(left), phi(right))) < 1e-25
+
+        def f(t):
+            return mpmath.exp(phi(t))
+
+        ramp = mpmath.quad(f, [0, 1, left]) + mpmath.quad(f, [right, a - 1, a])
+        return ramp + mpmath.exp(c**q - a)
+
+
+def dawson_reference(g: PiecewiseProfile) -> mpmath.mpf:
+    """J of the p = 2 ramp in closed form: with alpha = s^2, the ramp gives
+    e^{-1/(4 alpha)} sqrt(pi/alpha)/2 [erfi(sqrt(alpha) (a - 1/(2 alpha))) +
+    erfi(1/(2 sqrt(alpha)))], which is 2 sqrt(a) D(sqrt(a)/2) at alpha = 1/a."""
+    a, s, c = g.knots[-1], g.pieces[0].slope, g.tail.intercept
+    with mpmath.workdps(30 + int(math.log10(a))):
+        a, r, c = mpmath.mpf(a), mpmath.mpf(s), mpmath.mpf(c)
+        alpha = r * r
+        shift = 1 / (2 * alpha)
+        ramp = (
+            mpmath.exp(-1 / (4 * alpha)) * mpmath.sqrt(mpmath.pi / alpha) / 2
+            * (mpmath.erfi(r * (a - shift)) + mpmath.erfi(r * shift))
+        )
+        return ramp + mpmath.exp(c**2 - a)
+
+
+class TestWideRamps:
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+    def test_raises_or_within_tolerance(self, p):
+        # The benchmark's rule: 1e-9 relative plus the rounding 8 u a of the
+        # exponent's cancellation.  Before the graded first level the p = 2
+        # ramp returned J = 1.0 for most a from 10^6.5 to 10^14.5.
+        q = p / (p - 1.0)
+        returned = []
+        for log_a in WIDE_LOG10_A:
+            g = moser_family(10.0**log_a, p)
+            try:
+                j = cc_functional(g, q)
+            except QuadratureError:
+                continue
+            want = ramp_reference(g, q)
+            if p == 2.0:
+                closed = dawson_reference(g)
+                assert abs(want - closed) <= 1e-25 * closed, log_a
+            a = g.knots[-1]
+            assert abs(j - want) <= (1e-9 + 8.0 * U * a) * want, (log_a, j, float(want))
+            returned.append(log_a)
+        assert 6.0 in returned  # the benchmark's widest ramp converges
 
 
 class TestSublinearity:

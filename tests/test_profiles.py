@@ -1,6 +1,9 @@
 """Piece machinery: evaluation, continuity validation, strict mode, serialization."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -32,6 +35,17 @@ def counting(f, sizes):
         return f(x)
 
     return wrapped
+
+
+def count_moser1d_batches(monkeypatch) -> list:
+    """Sizes of the batches ``moser1d``'s engine calls evaluate, one per level."""
+    sizes = []
+
+    def counted_gauss(f, *args, **kwargs):
+        return adaptive_gauss(counting(f, sizes), *args, **kwargs)
+
+    monkeypatch.setattr(moser1d, "adaptive_gauss", counted_gauss)
+    return sizes
 
 
 class TestPieces:
@@ -132,20 +146,65 @@ class TestAdaptiveGauss:
         assert len(sizes) <= 4
 
     def test_verdict_integrand_calls(self, monkeypatch):
-        sizes = []
+        sizes = count_moser1d_batches(monkeypatch)
+        for n in (104, 512, 5000):
+            sizes.clear()
+            assert verdict(n).gap_numeric
+            # One level on each of the ramp, the arc and the saturating tail.
+            assert len(sizes) == 3, n
 
-        def counted_gauss(f, *args, **kwargs):
-            return adaptive_gauss(counting(f, sizes), *args, **kwargs)
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_moser_ramp_levels(self, p, monkeypatch):
+        # The graded first level already resolves the strips at both ends of
+        # the ramp; halving toward them from uniform panels took up to 15
+        # levels (p = 3, a = 1e6).
+        sizes = count_moser1d_batches(monkeypatch)
+        for a in (1.0, 1e3, 1e6):
+            sizes.clear()
+            moser1d.cc_functional(moser1d.moser_family(a, p), p / (p - 1.0))
+            assert 0 < len(sizes) <= 3, a
 
-        monkeypatch.setattr(moser1d, "adaptive_gauss", counted_gauss)
-        assert verdict(200).gap_numeric
-        assert 0 < len(sizes) <= 12
+    BAD_BREAKS = {
+        "unsorted": [0.6, 0.3],
+        "repeated": [0.3, 0.3],
+        "at-lo": [0.0, 0.5],
+        "above-hi": [0.5, 1.5],
+        "nan": [0.5, math.nan],
+        "inf": [math.inf],
+        "2-D": [[0.5]],
+    }
+
+    @pytest.mark.parametrize("breaks", list(BAD_BREAKS.values()), ids=list(BAD_BREAKS))
+    def test_bad_breaks_raise(self, breaks):
+        with pytest.raises(DomainError, match="breaks must"):
+            adaptive_gauss(np.exp, 0.0, 1.0, breaks=breaks)
+
+    def test_bad_breaks_raise_under_optimize_flag(self):
+        script = (
+            "from adamskit.errors import DomainError\n"
+            "from adamskit.quadrature import adaptive_gauss\n"
+            "import numpy as np\n"
+            "nan, inf = float('nan'), float('inf')\n"
+            f"for breaks in {list(self.BAD_BREAKS.values())!r}:\n"
+            "    try:\n"
+            "        adaptive_gauss(np.exp, 0.0, 1.0, breaks=breaks)\n"
+            "    except DomainError:\n"
+            "        print('raised')\n"
+            "print('debug' if __debug__ else 'optimized')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(moser1d.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["raised"] * len(self.BAD_BREAKS) + ["optimized"]
 
     def test_nan_panel_named_from_one_batch(self):
         sizes = []
         f = counting(lambda x: np.where(x > 0.6, np.nan, x), sizes)
         with pytest.raises(QuadratureError, match=r"NaN on the panel \[0.5, 0.75\]") as exc:
-            adaptive_gauss(f, 0.0, 1.0, initial_panels=4)
+            adaptive_gauss(f, 0.0, 1.0, breaks=np.linspace(0.0, 1.0, 5)[1:-1])
         assert sizes == [4 * 46]
         assert exc.value.interval == (0.0, 1.0)
         assert exc.value.panels == 4
@@ -173,7 +232,7 @@ class TestAdaptiveGauss:
         sizes = []
         f = counting(lambda x: np.where(x < jump, 2.0, 1.0), sizes)
         try:
-            value = adaptive_gauss(f, 0.0, 1.0, initial_panels=panels)
+            value = adaptive_gauss(f, 0.0, 1.0, breaks=np.linspace(0.0, 1.0, panels + 1)[1:-1])
         except QuadratureError as exc:
             assert exc.achieved is not None
             return
@@ -186,7 +245,8 @@ class TestAdaptiveGauss:
         # the first Gauss node of [1/3, 2/3]; both rules agree on 1, so the
         # panel converges on a value off by the missed 3.5e-4.
         jump = 0.3336839521095907
-        value = adaptive_gauss(lambda x: np.where(x < jump, 2.0, 1.0), 0.0, 1.0, initial_panels=3)
+        breaks = np.linspace(0.0, 1.0, 4)[1:-1]
+        value = adaptive_gauss(lambda x: np.where(x < jump, 2.0, 1.0), 0.0, 1.0, breaks=breaks)
         assert value == pytest.approx(1.0 + jump, rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
@@ -204,7 +264,7 @@ class TestAdaptiveGauss:
                           for k, c in enumerate(coeffs)))
         # Rounding of sum |c_k| x^k over the interval bounds the achievable error.
         scale = width * sum(abs(c) * max(1.0, abs(lo), abs(hi)) ** k for k, c in enumerate(coeffs))
-        value = adaptive_gauss(counting(poly, []), lo, hi, initial_panels=panels)
+        value = adaptive_gauss(counting(poly, []), lo, hi, breaks=np.linspace(lo, hi, panels + 1)[1:-1])
         assert abs(value - exact) <= 1e-10 * abs(exact) + 1e-13 + 1e-14 * scale
 
     @settings(max_examples=60, deadline=None)
@@ -220,7 +280,7 @@ class TestAdaptiveGauss:
             exact = float((mpmath.exp(c * mpmath.mpf(hi)) - mpmath.exp(c * mpmath.mpf(lo))) / c)
         spec = QuadratureSpec(rel_tol=1e-12)
         f = counting(lambda x: np.exp(c * x), [])
-        value = adaptive_gauss(f, lo, hi, spec, initial_panels=panels)
+        value = adaptive_gauss(f, lo, hi, spec, breaks=np.linspace(lo, hi, panels + 1)[1:-1])
         assert value == pytest.approx(exact, rel=1e-11)
 
 
