@@ -7,7 +7,7 @@ Carries the two-sided estimate B <= C <= k(q,p) B for the best constant of
 over functions vanishing at 0 (left) or at R (right), the second-order
 radial inequality with its iterated constants, and randomized
 Rayleigh-quotient probes that certify the sandwich numerically.  The
-probes' weighted norms are ``profiles.abs_pow_integral`` per piece.
+probes' weighted norms break their quadrature at knots and roots.
 
 For pure power weights the product defining B is unimodal in the split
 point for every parameter choice (its log-derivative is C - G(x) with G
@@ -22,14 +22,16 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .constants import AdamsParams
 from .errors import DegenerateTrialError, DomainError, InfeasibleError
 from .profiles import (
     PiecewiseProfile,
     PowerPiece,
-    abs_pow_integral,
+    abs_pow_closed_form,
     abs_pow_quadrature,
+    interior_roots,
     piecewise_linear,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
@@ -192,11 +194,31 @@ def _profile_weighted_norm(
     *,
     of_derivative: bool,
 ) -> float:
-    """(integral_0^R |u or u'|^power r^weight_pow dr)^{1/power}."""
+    """(integral_0^R |u or u'|^power r^weight_pow dr)^{1/power}.
+
+    Closed-form segments are summed; each run of adjacent segments without
+    a closed form is one quadrature call of u (or u'), whose breaks are the
+    run's interior knots and the roots of its linear pieces.
+    """
     total = 0.0
+    runs: list[list[float]] = []  # the edges of each run, ends included
     for lo, hi, piece in u.segments():
-        total += abs_pow_integral(
-            piece, power, weight_pow, lo, min(hi, R), spec, derivative=of_derivative
+        hi = min(hi, R)
+        closed = abs_pow_closed_form(
+            piece, power, weight_pow, lo, hi, spec, derivative=of_derivative
+        )
+        if closed is not None:
+            total += closed
+            continue
+        if not runs or runs[-1][-1] != lo:  # a closed-form segment ended the last run
+            runs.append([lo])
+        if not of_derivative:
+            runs[-1] += interior_roots(piece, lo, hi)
+        runs[-1].append(hi)
+    fn = u.derivative if of_derivative else u.value
+    for edges in runs:
+        total += abs_pow_quadrature(
+            fn, power, weight_pow, edges[0], edges[-1], spec, breaks=edges[1:-1]
         )
     return total ** (1.0 / power)
 
@@ -299,24 +321,17 @@ def second_order_constant(n: int, q: float) -> float:
 
 
 def _abs_pow_poly_integral(
-    poly: np.polynomial.Polynomial,
-    power: float,
-    weight_pow: float,
-    R: float,
-    spec: QuadratureSpec,
+    coef: np.ndarray, power: float, weight_pow: float, R: float, spec: QuadratureSpec
 ) -> float:
-    """integral_0^R |poly(r)|^power r^weight_pow dr, split at real roots."""
-    roots = [
-        float(r.real)
-        for r in poly.roots()
-        if abs(r.imag) < 1e-12 and 1e-12 < r.real < R * (1 - 1e-12)
+    """integral_0^R |poly(r)|^power r^weight_pow dr for the power-basis
+    coefficients ``coef``, with poly's real roots in (0, R) as breaks."""
+    roots = P.polyroots(coef)
+    real = roots.real[
+        (np.abs(roots.imag) < 1e-12) & (1e-12 < roots.real) & (roots.real < R * (1 - 1e-12))
     ]
-    cuts = [0.0] + sorted(roots) + [R]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:
-            total += abs_pow_quadrature(poly, power, weight_pow, lo, hi, spec)
-    return total
+    return abs_pow_quadrature(
+        lambda r: P.polyval(r, coef), power, weight_pow, 0.0, R, spec, breaks=np.unique(real)
+    )
 
 
 def second_order_trial_ratio(
@@ -330,15 +345,19 @@ def second_order_trial_ratio(
     """LHS/RHS of the second-order inequality for u = (R - r)^2 poly(r).
 
     The boundary conditions u(R) = 0 and u'(R) = 0 hold by construction.
+    Raises ``DomainError`` when ``poly`` is not in the power basis (its
+    domain differs from its window) or the coefficients of u overflow.
     """
+    if not (poly.domain == poly.window).all():
+        raise DomainError(f"the trial polynomial must be in the power basis, got {poly!r}")
     q_star = n * q / (n - 2.0 * q)
-    base = np.polynomial.Polynomial([R, -1.0]) ** 2
-    u = base * poly
-    du = u.deriv()
-    d2u = u.deriv(2)
+    u = P.polymul(P.polymul([R, -1.0], [R, -1.0]), poly.coef)
+    if not np.isfinite(u).all():
+        raise DomainError(f"the trial's coefficients overflow at R={R}")
+    du = P.polyder(u)
     # |r u'' + (n-1) u'|^p r^{np/q - 1 - p} keeps the laplacian integrand
     # polynomial-times-power (no 1/r at the origin).
-    lap_times_r = np.polynomial.Polynomial([0.0, 1.0]) * d2u + (n - 1.0) * du
+    lap_times_r = P.polyadd(P.polymulx(P.polyder(u, 2)), (n - 1.0) * du)
     lhs = _abs_pow_poly_integral(u, p, n * p / q_star - 1.0, R, spec) ** (1.0 / p)
     rhs = _abs_pow_poly_integral(lap_times_r, p, n * p / q - 1.0 - p, R, spec) ** (1.0 / p)
     if rhs == 0.0:
@@ -358,6 +377,8 @@ def second_order_probe(
     """Max LHS/RHS over random polynomial trials; must stay below
     second_order_constant(n, q) (up to 1e-6 relative)."""
     constant = second_order_constant(n, q)  # validates n - 2q > 0
+    if not 0.0 < R < math.inf:
+        raise DomainError(f"interval endpoint must be positive and finite, got R={R}")
     if trial_count < 1:
         raise DomainError(f"trial_count must be >= 1, got {trial_count}")
     rng = np.random.default_rng(seed)

@@ -4,8 +4,9 @@ A profile is a list of increasing knots, one analytic piece per gap, and an
 optional tail piece on [last knot, infinity).  Pieces expose vectorized
 value/derivative/second-derivative.  ``abs_pow_integral`` is the one
 integral of |h|^power r^weight over a piece or its derivative: the energies
-of ``moser1d`` and the weighted norms of ``hardy`` both go through it, and
-it uses a closed form wherever the piece type has one.
+of ``moser1d`` go through it, and the weighted norms of ``hardy`` through
+its two halves, ``abs_pow_closed_form`` wherever the piece type has a
+closed form and ``abs_pow_quadrature`` with breaks elsewhere.
 """
 
 from __future__ import annotations
@@ -326,12 +327,36 @@ def abs_pow_integral(
 ) -> float:
     """integral_lo^hi |h(r)|^power r^weight_pow dr, h the piece or its derivative.
 
-    Closed forms: a constant integrand (a linear derivative, a constant
-    value, zero) and a power of (r - shift) at any weight when the shift is
-    0, else at weight 0; at weight 0 also the saturating exponential's
-    derivative and the log-radial derivative, pulled back to radii (so hi
-    may be inf).  A linear value is split at its root.  Everything else is
-    adaptive quadrature, which needs a finite hi.
+    ``abs_pow_closed_form`` where the piece has one, else one quadrature
+    call (which needs a finite hi) with the root of a linear value as break.
+    """
+    value = abs_pow_closed_form(piece, power, weight_pow, lo, hi, spec, derivative=derivative)
+    if value is not None:
+        return value
+    if math.isinf(hi):
+        raise DomainError(f"cannot integrate a {piece.kind} piece over an unbounded interval")
+    fn = piece.derivative if derivative else piece.value
+    breaks = None if derivative else interior_roots(piece, lo, hi)
+    return abs_pow_quadrature(fn, power, weight_pow, lo, hi, spec, breaks=breaks)
+
+
+def abs_pow_closed_form(
+    piece: Piece,
+    power: float,
+    weight_pow: float,
+    lo: float,
+    hi: float,
+    spec: QuadratureSpec,
+    *,
+    derivative: bool = False,
+) -> float | None:
+    """``abs_pow_integral`` in closed form, or None where the piece has none.
+
+    Closed forms: an empty interval, a constant integrand (a linear
+    derivative, a constant value, zero) and a power of (r - shift) at any
+    weight when the shift is 0, else at weight 0; at weight 0 also the
+    saturating exponential's derivative and the log-radial derivative,
+    pulled back to radii (so hi may be inf).
     """
     if hi <= lo:
         return 0.0
@@ -339,10 +364,6 @@ def abs_pow_integral(
         if derivative or piece.slope == 0.0:
             c = abs(piece.slope if derivative else piece.intercept) ** power
             return 0.0 if c == 0.0 else power_integral(c, weight_pow + 1.0, lo, hi)
-        root = -piece.intercept / piece.slope
-        if lo < root < hi:  # split at the sign change so each side is smooth
-            left = abs_pow_integral(piece, power, weight_pow, lo, root, spec)
-            return left + abs_pow_integral(piece, power, weight_pow, root, hi, spec)
     elif isinstance(piece, PowerPiece) and (derivative or piece.offset == 0.0):
         if piece.shift == 0.0 or weight_pow == 0.0:
             c = abs(piece.coeff * piece.exponent if derivative else piece.coeff) ** power
@@ -367,10 +388,17 @@ def abs_pow_integral(
             dw = piece.source.derivative
             radial = abs_pow_quadrature(dw, power, power - 1.0, r_hi, r_lo, spec)
             return n * (abs(piece.scale) / n) ** power * radial
-    if math.isinf(hi):
-        raise DomainError(f"cannot integrate a {piece.kind} piece over an unbounded interval")
-    fn = piece.derivative if derivative else piece.value
-    return abs_pow_quadrature(fn, power, weight_pow, lo, hi, spec)
+    return None
+
+
+def interior_roots(piece: Piece, lo: float, hi: float) -> list[float]:
+    """The root of a linear piece's value strictly inside (lo, hi), where
+    |value|^power stops being smooth; other pieces report none."""
+    if isinstance(piece, LinearPiece) and piece.slope != 0.0:
+        root = -piece.intercept / piece.slope
+        if lo < root < hi:
+            return [root]
+    return []
 
 
 def abs_pow_quadrature(
@@ -380,22 +408,31 @@ def abs_pow_quadrature(
     lo: float,
     hi: float,
     spec: QuadratureSpec,
+    *,
+    breaks: Sequence[float] | np.ndarray | None = None,
 ) -> float:
-    """integral_lo^hi |fn(r)|^power r^weight_pow dr by adaptive quadrature.
+    """integral_lo^hi |fn(r)|^power r^weight_pow dr by one adaptive quadrature call.
 
     The fallback of ``abs_pow_integral``, for integrands that are no piece.
+    ``breaks`` are the points of (lo, hi) where the integrand is not smooth
+    (knots, roots of fn); they become first-level panel edges.  Under the
+    substitution below a break b moves to s = (b/hi)^{weight_pow+1}, and
+    images that round together, or onto 0 or 1, are merged.
     """
     if lo == 0.0 and -1.0 < weight_pow < 0.0:
         # Substitute r = hi s^{1/(weight_pow+1)} to absorb the endpoint
         # singularity of the weight.
         wp1 = weight_pow + 1.0
+        if breaks is not None:
+            s = np.unique((np.asarray(breaks, dtype=float) / hi) ** wp1)
+            breaks = s[(0.0 < s) & (s < 1.0)]
 
         def smooth(s):
             return np.abs(fn(hi * s ** (1.0 / wp1))) ** power
 
-        return hi**wp1 / wp1 * adaptive_gauss(smooth, 0.0, 1.0, spec)
+        return hi**wp1 / wp1 * adaptive_gauss(smooth, 0.0, 1.0, spec, breaks=breaks)
 
     def integrand(r):
         return np.abs(fn(r)) ** power * r**weight_pow
 
-    return adaptive_gauss(integrand, lo, hi, spec)
+    return adaptive_gauss(integrand, lo, hi, spec, breaks=breaks)

@@ -17,11 +17,12 @@ error, the interval and the panel count) is raised on a NaN panel value,
 when the splits would exceed ``MAX_SUBDIVISIONS``, or when only frozen
 panels fail their share.
 
-Each call must integrate within one smooth piece of its integrand: the
-callers split there (``hardy`` at the roots of a trial function,
-``moser1d`` at a profile's knots).  The error estimate is blind to a jump
-that lies between a panel edge and that panel's outermost Gauss node,
-where G15 and G31 see the same side and agree on a wrong value;
+Each first-level panel must lie within one smooth piece of its integrand:
+the callers break there (``hardy`` at the knots and roots of a trial
+function, ``moser1d`` by one call per profile piece).  The error estimate
+is blind to a jump that lies between a panel edge and that panel's
+outermost Gauss node, where G15 and G31 see the same side and agree on a
+wrong value;
 ``tests/test_profiles.py::TestAdaptiveGauss::test_jump_next_to_panel_edge``
 pins such a case as a strict xfail.
 """

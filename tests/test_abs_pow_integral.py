@@ -2,18 +2,29 @@
 
 Every piece type and branch the energies and the Hardy norms use is compared
 with a 30-digit reference: closed forms to 1e-13 relative, the quadrature
-branches to their spec's rel_tol.
+branches to their spec's rel_tol.  The Hardy probes' whole norms, one engine
+call each, are compared to 1e-10 relative.
 """
 
+import bisect
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adamskit import hardy
 from adamskit.constants import unit_ball_volume
-from adamskit.profiles import ExpApproachPiece, LinearPiece, PowerPiece, abs_pow_integral
+from adamskit.hardy import HardySetup, Side
+from adamskit.profiles import (
+    ExpApproachPiece,
+    LinearPiece,
+    PowerPiece,
+    abs_pow_integral,
+    piecewise_linear,
+)
 from adamskit.quadrature import DEFAULT_SPEC
 from adamskit.rearrange import SampledFunction, energy_change_of_variables, talenti_radial_solution
 
@@ -181,3 +192,101 @@ class TestHardyIntegrals:
         c, e = mpmath.mpf(coeff), mpmath.mpf(exp_)
         want = reference(lambda r: abs(c * e * r ** (e - 1)) ** p * r**alpha, [lo, hi])
         assert got == pytest.approx(want, rel=CLOSED)
+
+
+NORM = 1e-10
+LEFT = HardySetup(p=2.0, q=3.0, alpha=0.0, theta=0.4, R=1.5, side=Side.LEFT_VANISHING)
+RIGHT = HardySetup(p=2.0, q=4.0, alpha=1.2, theta=-0.5, R=1.5, side=Side.RIGHT_VANISHING)
+NEAR = HardySetup(p=2.0, q=2.5, alpha=1.2, theta=-0.3, R=1.2, side=Side.RIGHT_VANISHING)
+NORM_CASES = {
+    "left": (LEFT, hardy._random_trial(LEFT, np.random.default_rng(3))),
+    # theta in (-1, 0): the knots and roots go through r = R s^{1/(theta+1)}.
+    "right-substitution": (RIGHT, hardy._random_trial(RIGHT, np.random.default_rng(3))),
+    # u(0.5) = -1e-9: roots 4.3e-10 below and 1e-9 above the knot 0.5.
+    "root-near-knot": (
+        NEAR,
+        piecewise_linear(
+            [0.0, 0.2, 0.5, 0.9, 1.2], [0.6, 0.7, -1e-9, 0.4, 0.0], constant_tail=False
+        ),
+    ),
+}
+
+
+def mp_linear_profile(u):
+    """u's value in mpmath from its pieces' coefficients, and its knots and
+    interior roots in increasing order."""
+    knots = list(u.knots)
+    lines = [(mpmath.mpf(pc.intercept), mpmath.mpf(pc.slope)) for pc in u.pieces]
+    roots = [
+        -c / s for (c, s), lo, hi in zip(lines, knots, knots[1:]) if s and lo < -c / s < hi
+    ]
+
+    def value(r):
+        c, s = lines[min(bisect.bisect_right(knots, r), len(lines)) - 1]
+        return c + s * r
+
+    return value, sorted(knots + roots)
+
+
+def mp_second_order(n, R, coeffs):
+    """Coefficients, lowest first, of u = (R - r)^2 g(r) and r u'' + (n-1) u'."""
+    base = (mpmath.mpf(R) ** 2, -2 * mpmath.mpf(R), 1)
+    u = [mpmath.mpf(0)] * (len(coeffs) + 2)
+    for i, c in enumerate(coeffs):
+        for j, b in enumerate(base):
+            u[i + j] += mpmath.mpf(c) * b
+    du = [k * c for k, c in enumerate(u)][1:]
+    lap = [(n - 1) * c for c in du]
+    for k, c in enumerate([k * c for k, c in enumerate(du)][1:]):
+        lap[k + 1] += c
+    return u, lap
+
+
+class TestWholeNorms:
+    """``hardy``'s weighted norms, each one engine call with the knots and
+    roots as first-level breaks; the references break at the same points."""
+
+    @pytest.mark.parametrize("case", list(NORM_CASES))
+    def test_trial_ratio_numerator(self, case):
+        setup, u = NORM_CASES[case]
+        got = hardy._profile_weighted_norm(
+            u, setup.q, setup.theta, setup.R, DEFAULT_SPEC, of_derivative=False
+        ) ** setup.q
+        with mpmath.workdps(30):
+            value, points = mp_linear_profile(u)
+            q, theta = mpmath.mpf(setup.q), mpmath.mpf(setup.theta)
+            want = reference(lambda r: abs(value(r)) ** q * r**theta, points)
+        assert got == pytest.approx(want, rel=NORM)
+
+    @pytest.mark.parametrize(
+        "n, p, q, R, seed",
+        [(8, 2.0, 3.5, 1.0, 5), (12, 3.0, 2.5, 2.0, 3)],
+        ids=["weight-in-(-1,0)", "p=3"],
+    )
+    def test_second_order_integrals(self, n, p, q, R, seed, monkeypatch):
+        integrals = []
+        integrate = hardy._abs_pow_poly_integral
+
+        def recording(coef, *args):
+            integrals.append(integrate(coef, *args))
+            return integrals[-1]
+
+        monkeypatch.setattr(hardy, "_abs_pow_poly_integral", recording)
+        coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=4)
+        hardy.second_order_trial_ratio(n, p, q, R, np.polynomial.Polynomial(coeffs))
+        with mpmath.workdps(30):
+            u, lap = mp_second_order(n, R, coeffs)
+            p_, q_ = mpmath.mpf(p), mpmath.mpf(q)
+            weights = (p_ * (n - 2 * q_) / q_ - 1, n * p_ / q_ - 1 - p_)
+            # Interior roots of u are those of g; r u'' + (n-1) u' has no double root.
+            polys = ((u, coeffs), (lap, lap))
+            for got, (poly, rooted), weight in zip(integrals, polys, weights, strict=True):
+                roots = mpmath.polyroots([mpmath.mpf(c) for c in rooted[::-1]], extraprec=60)
+                real = [mpmath.re(x) for x in roots if abs(mpmath.im(x)) < 1e-20]
+                inner = sorted(x for x in real if 0 < x < R)
+
+                def f(r, poly=poly, weight=weight):
+                    return abs(mpmath.polyval(poly[::-1], r)) ** p_ * r**weight
+
+                want = reference(f, [0.0] + inner + [R])
+                assert got == pytest.approx(want, rel=NORM)

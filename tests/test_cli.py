@@ -22,7 +22,9 @@ from adamskit.constants import AdamsParams, beta0
 DATA = Path(__file__).parent / "data"
 #: Invocation -> stdout, stderr and exit code of the CLI (run from ``DATA``,
 #: which holds cells.csv); the ``cc`` cases were re-pinned with the graded
-#: first level, after the same mpmath check of each J.
+#: first level, after the same mpmath check of each J, and the ``--seed 2``
+#: Rayleigh probe when each Hardy norm became one engine call, after every
+#: hardy max_ratio was checked against a 30-digit mpmath reference to 1e-12.
 CLI_GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 #: A number not glued to a word, e.g. "1e-10" and "-0.5" but not "beta0".
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
@@ -220,6 +222,22 @@ class TestCommands:
         )
         assert status == 2
         assert "domain error" in err
+
+    @pytest.mark.parametrize(
+        "radius, message",
+        [
+            ("0", "interval endpoint must be positive and finite, got R=0.0"),
+            ("-1", "interval endpoint must be positive and finite, got R=-1.0"),
+            ("1e200", "the trial's coefficients overflow at R=1e+200"),
+        ],
+    )
+    def test_second_order_bad_radius_is_domain_error(self, radius, message, capsys):
+        argv = ["hardy", "--second-order", "--n-dim", "8", "--q", "2", "--trials", "5",
+                "--R", radius]
+        status, out, err = run_cli(argv, capsys)
+        assert status == 2
+        assert out == ""
+        assert err == f"adamskit: domain error: {message}\n"
 
     def test_cc_moser(self, capsys):
         status, out, _ = run_cli(

@@ -10,6 +10,7 @@ import pytest
 
 from adamskit.constants import AdamsParams, beta0_product_form, unit_sphere_area
 import adamskit.hardy as hardy_module
+import adamskit.profiles as profiles_module
 from adamskit.errors import DegenerateTrialError, DomainError, InfeasibleError
 from adamskit.hardy import (
     HardySetup,
@@ -235,6 +236,66 @@ class TestRayleighProbe:
         assert a.max_ratio == b.max_ratio
 
 
+class TestOneEngineCallPerNorm:
+    """Each quadrature norm is one engine call whose first-level edges hold
+    every interior knot and root where its integrand stops being smooth."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        calls = []
+        engine = profiles_module.adaptive_gauss
+
+        def recording(f, lo, hi, spec, *, breaks=None):
+            calls.append((lo, hi, np.asarray([] if breaks is None else breaks, dtype=float)))
+            return engine(f, lo, hi, spec, breaks=breaks)
+
+        monkeypatch.setattr(profiles_module, "adaptive_gauss", recording)
+        return calls
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            HardySetup(p=2.0, q=3.0, alpha=0.0, theta=0.4, R=1.5, side=Side.LEFT_VANISHING),
+            # theta in (-1, 0): the norm goes through r = R s^{1/(theta+1)}.
+            HardySetup(p=2.0, q=4.0, alpha=1.2, theta=-0.5, R=1.5, side=Side.RIGHT_VANISHING),
+        ],
+        ids=["left", "right"],
+    )
+    def test_trial_ratio(self, setup, engine_calls):
+        u = hardy_module._random_trial(setup, np.random.default_rng(7))
+        assert 0.0 < trial_ratio(setup, u) < math.inf
+        # |u'|^p r^alpha is closed form on every linear piece; |u|^q r^theta
+        # is one call from the first nonzero piece to R.
+        assert len(engine_calls) == 1
+        lo, hi, breaks = engine_calls[0]
+        knots = np.array(u.knots)
+        ys = u.value(knots)
+        first = 1 if setup.side is Side.LEFT_VANISHING else 0  # u = 0 on [0, x0]
+        i = np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
+        assert i.size  # the trial has a root
+        roots = knots[i] - ys[i] * (knots[i + 1] - knots[i]) / (ys[i + 1] - ys[i])
+        edges = np.sort(np.concatenate((knots[first + 1 : -1], roots)))
+        if setup.side is Side.LEFT_VANISHING:
+            assert (lo, hi) == (knots[1], setup.R)
+        else:
+            assert (lo, hi) == (0.0, 1.0)
+            edges = (edges / setup.R) ** (setup.theta + 1.0)
+        np.testing.assert_allclose(breaks, edges, rtol=1e-12)
+
+    def test_second_order_trial_ratio(self, engine_calls):
+        n, p, q, R = 8, 2.0, 2.0, 1.0
+        poly = np.polynomial.Polynomial.fromroots([0.3, 0.65, 1.7])
+        assert 0.0 < second_order_trial_ratio(n, p, q, R, poly) < math.inf
+        assert len(engine_calls) == 2
+        u = np.polynomial.Polynomial([R, -1.0]) ** 2 * poly
+        lap_times_r = np.polynomial.Polynomial([0.0, 1.0]) * u.deriv(2) + (n - 1.0) * u.deriv()
+        for (lo, hi, breaks), integrand in zip(engine_calls, (u, lap_times_r)):
+            roots = integrand.roots()
+            roots = np.sort(roots[(roots.imag == 0.0) & (0.0 < roots.real) & (roots.real < R)].real)
+            assert (lo, hi) == (0.0, R) and roots.size > 0
+            np.testing.assert_allclose(breaks, roots, rtol=1e-12)
+
+
 class TestSecondOrder:
     def test_constant_values(self):
         assert second_order_constant(8, 2.0) == pytest.approx(1.0 / 8.0, rel=1e-15)
@@ -249,6 +310,11 @@ class TestSecondOrder:
         # (LHS^2 = B(4,5) = 1/280, RHS^2 = 2/3 by hand integration).
         ratio = second_order_trial_ratio(8, 2.0, 2.0, 1.0, np.polynomial.Polynomial([1.0]))
         assert ratio == pytest.approx(math.sqrt(3.0 / 560.0), rel=1e-11)
+
+    def test_trial_outside_the_power_basis_rejected(self):
+        poly = np.polynomial.Polynomial([1.0, 2.0], domain=[0.0, 1.0])
+        with pytest.raises(DomainError, match="power basis"):
+            second_order_trial_ratio(8, 2.0, 2.0, 1.0, poly)
 
     def test_boundary_conditions_by_construction(self):
         poly = np.polynomial.Polynomial([0.3, -1.2, 0.7])

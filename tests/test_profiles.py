@@ -20,10 +20,17 @@ from adamskit.profiles import (
     LinearPiece,
     PiecewiseProfile,
     PowerPiece,
+    abs_pow_quadrature,
     constant_piece,
     piecewise_linear,
 )
-from adamskit.quadrature import MAX_SUBDIVISIONS, QuadratureSpec, adaptive_gauss, power_integral
+from adamskit.quadrature import (
+    DEFAULT_SPEC,
+    MAX_SUBDIVISIONS,
+    QuadratureSpec,
+    adaptive_gauss,
+    power_integral,
+)
 
 
 def counting(f, sizes):
@@ -282,6 +289,25 @@ class TestAdaptiveGauss:
         f = counting(lambda x: np.exp(c * x), [])
         value = adaptive_gauss(f, lo, hi, spec, breaks=np.linspace(lo, hi, panels + 1)[1:-1])
         assert value == pytest.approx(exact, rel=1e-11)
+
+
+class TestAbsPowQuadrature:
+    def test_breaks_through_the_substitution(self):
+        # At lo = 0 and weight -0.9 the break b moves to s = (b/hi)^0.1:
+        # 1e-300 lands on 0, the two breaks at hi/2 on one s, and the last
+        # double below hi on 1.  They merge and raise no DomainError.
+        hi, weight = 1e30, -0.9
+        half = 0.5 * hi
+        breaks = [1e-300, 0.2 * hi, half, np.nextafter(half, hi), np.nextafter(hi, 0.0)]
+        images = (np.array(breaks) / hi) ** (weight + 1.0)
+        assert images[0] == 0.0 and images[2] == images[3] and images[4] == 1.0
+
+        def fn(r):
+            return np.cos(3.0 * r / hi) + 2.0
+
+        single = abs_pow_quadrature(fn, 1.5, weight, 0.0, hi, DEFAULT_SPEC)
+        got = abs_pow_quadrature(fn, 1.5, weight, 0.0, hi, DEFAULT_SPEC, breaks=breaks)
+        assert got == pytest.approx(single, rel=1e-12)
 
 
 class TestPowerIntegral:
