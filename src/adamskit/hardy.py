@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -37,6 +38,11 @@ from .profiles import (
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 _BOUNDARY_RTOL = 1e-12
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+#: The radii a setup accepts: the probes' norms carry powers of R such as
+#: R^(theta+1) and R^(alpha+1-p), and their first-level breaks are graded
+#: from the smallest knot toward 0, so R stays far from the float range's ends.
+_R_RANGE = (1e-100, 1e100)
 
 
 class Side(enum.Enum):
@@ -62,8 +68,10 @@ class HardySetup:
             raise DomainError(f"need p, q > 1, got p={self.p}, q={self.q}")
         if self.p > self.q:
             raise DomainError(f"the sandwich requires p <= q, got p={self.p} > q={self.q}")
-        if not self.R > 0.0:
-            raise DomainError(f"interval endpoint must be positive, got R={self.R}")
+        if not _R_RANGE[0] <= self.R <= _R_RANGE[1]:
+            raise DomainError(
+                f"interval endpoint must lie in [{_R_RANGE[0]:g}, {_R_RANGE[1]:g}], got R={self.R}"
+            )
         if not isinstance(self.side, Side):
             raise DomainError(f"side must be a Side enum member, got {self.side!r}")
 
@@ -146,20 +154,20 @@ def _b_right(setup: HardySetup) -> float:
     ev2 = (alpha - p + 1.0) / (p - 1.0)
     c_crit = q * (alpha - p + 1.0) / p
     # Feasibility forces theta + 1 >= c_crit > 0.
-
-    def log_f(x: float) -> float:
-        log_w = (theta + 1.0) * math.log(x) - math.log(theta + 1.0)
-        log_v = (
-            -ev2 * math.log(x)
-            + math.log1p(-((x / R) ** ev2))
-            - math.log(ev2)
-        )
-        return log_w / q + (p - 1.0) / p * log_v
-
     if theta + 1.0 <= c_crit * (1.0 + _BOUNDARY_RTOL):
         return (theta + 1.0) ** (-1.0 / q) * ev2 ** (-(p - 1.0) / p)
-    x_star = R * (1.0 - c_crit / (theta + 1.0)) ** (1.0 / ev2)
-    return math.exp(log_f(x_star))
+    # At x* = R (1 - t)^{1/ev2}, 1 - (x*/R)^ev2 is t itself, which stays
+    # exact when x* rounds to R (theta -> inf).
+    t = c_crit / (theta + 1.0)
+    log_x = math.log(R) + math.log1p(-t) / ev2
+    log_w = (theta + 1.0) * log_x - math.log(theta + 1.0)
+    log_v = -ev2 * log_x + math.log(t) - math.log(ev2)
+    log_b = log_w / q + (p - 1.0) / p * log_v
+    if abs(log_b) > _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"B = exp({log_b:.6g}) is outside the float range at theta={theta}, R={R}"
+        )
+    return math.exp(log_b)
 
 
 def b_constant(setup: HardySetup) -> float:

@@ -21,6 +21,7 @@ from .errors import DomainError, NonSmoothError
 from .quadrature import QuadratureSpec, adaptive_gauss, power_integral
 
 _CONTINUITY_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 class Piece:
@@ -417,22 +418,40 @@ def abs_pow_quadrature(
     ``breaks`` are the points of (lo, hi) where the integrand is not smooth
     (knots, roots of fn); they become first-level panel edges.  Under the
     substitution below a break b moves to s = (b/hi)^{weight_pow+1}, and
-    images that round together, or onto 0 or 1, are merged.
+    images that round together, or onto 0 or 1, are merged.  At lo = 0 a
+    non-integer weight leaves a power x^k at 0 (k = weight_pow, or
+    1/(weight_pow+1) in s), and the first level is graded toward 0 with
+    K = ceil(-log2(rel_tol)/(1+k)) halvings of the smallest break, so that
+    end converges without refinement.  Integer weights get no grading.
     """
+    scale, top, kink = 1.0, hi, weight_pow
     if lo == 0.0 and -1.0 < weight_pow < 0.0:
         # Substitute r = hi s^{1/(weight_pow+1)} to absorb the endpoint
-        # singularity of the weight.
+        # singularity of the weight; s^{1/(weight_pow+1)} is left as a kink.
         wp1 = weight_pow + 1.0
         if breaks is not None:
             s = np.unique((np.asarray(breaks, dtype=float) / hi) ** wp1)
             breaks = s[(0.0 < s) & (s < 1.0)]
 
-        def smooth(s):
+        def integrand(s):
             return np.abs(fn(hi * s ** (1.0 / wp1))) ** power
 
-        return hi**wp1 / wp1 * adaptive_gauss(smooth, 0.0, 1.0, spec, breaks=breaks)
+        scale, top, kink = hi**wp1 / wp1, 1.0, 1.0 / wp1
+    else:
 
-    def integrand(r):
-        return np.abs(fn(r)) ** power * r**weight_pow
+        def integrand(r):
+            return np.abs(fn(r)) ** power * r**weight_pow
 
-    return adaptive_gauss(integrand, lo, hi, spec, breaks=breaks)
+    if lo == 0.0 and kink > 0.0 and kink != math.floor(kink):
+        # The integrand behaves like x^kink at 0: put the breaks first 2^-K,
+        # ..., first/4, first/2 in front of the smallest break (or the top).
+        # On each panel [d/2, d] the power is smooth, and K leaves less than
+        # rel_tol of the mass x^kink has on [0, first] in [0, first 2^-K].
+        first = top if breaks is None or not len(breaks) else float(breaks[0])
+        k = math.ceil(-math.log2(spec.rel_tol) / (1.0 + kink))
+        graded = first * 0.5 ** np.arange(k, 0, -1)
+        graded = graded[graded >= _TINY]  # below the normal range: dropped
+        breaks = graded if breaks is None else np.concatenate((graded, breaks))
+    # An overflow of |fn|^power ends in the engine's QuadratureError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scale * adaptive_gauss(integrand, lo, top, spec, breaks=breaks)

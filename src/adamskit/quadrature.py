@@ -13,13 +13,15 @@ max(min(1e-13, rel_tol), rel_tol*|I|).
 Until then a panel [a, b] is accepted when its error is within its length
 share (b - a)/(hi - lo) of the tolerance, and the rest are halved; a panel
 at machine resolution is frozen.  ``QuadratureError`` (with the achieved
-error, the interval and the panel count) is raised on a NaN panel value,
-when the splits would exceed ``MAX_SUBDIVISIONS``, or when only frozen
-panels fail their share.
+error, the interval and the panel count) is raised on a NaN or infinite
+panel value, when the splits would exceed ``MAX_SUBDIVISIONS``, or when
+only frozen panels fail their share.
 
 Each first-level panel must lie within one smooth piece of its integrand:
 the callers break there (``hardy`` at the knots and roots of a trial
-function, ``moser1d`` by one call per profile piece).  The error estimate
+function, graded geometrically toward an algebraic end at r = 0 by
+``profiles.abs_pow_quadrature``; ``moser1d`` by one call per profile
+piece, graded toward both ends of each piece).  The error estimate
 is blind to a jump that lies between a panel edge and that panel's
 outermost Gauss node, where G15 and G31 see the same side and agree on a
 wrong value;
@@ -110,10 +112,11 @@ def adaptive_gauss(
         g15, g31 = half * (y[:, :15] @ _W15), half * (y[:, 15:] @ _W31)
         err = np.abs(g31 - g15)
         active_err = float(err.sum())
-        if math.isnan(active_err) and (nan := np.isnan(g15) | np.isnan(g31)).any():
-            i = nan.argmax()
+        if not math.isfinite(active_err) and (bad := ~(np.isfinite(g15) & np.isfinite(g31))).any():
+            i = bad.argmax()
+            what = "NaN" if np.isnan(g15[i]) or np.isnan(g31[i]) else "infinite"
             raise QuadratureError(
-                f"integrand is NaN on the panel [{a[i]}, {b[i]}]",
+                f"integrand is {what} on the panel [{a[i]}, {b[i]}]",
                 interval=(lo, hi),
                 panels=sum(v.size for v in done) + a.size,
             )

@@ -3,7 +3,8 @@
 Every piece type and branch the energies and the Hardy norms use is compared
 with a 30-digit reference: closed forms to 1e-13 relative, the quadrature
 branches to their spec's rel_tol.  The Hardy probes' whole norms, one engine
-call each, are compared to 1e-10 relative.
+call each, are compared to 1e-10 relative, and those whose first level is
+graded toward r = 0 to 1e-12.
 """
 
 import bisect
@@ -195,6 +196,7 @@ class TestHardyIntegrals:
 
 
 NORM = 1e-10
+GRADED = 1e-12
 LEFT = HardySetup(p=2.0, q=3.0, alpha=0.0, theta=0.4, R=1.5, side=Side.LEFT_VANISHING)
 RIGHT = HardySetup(p=2.0, q=4.0, alpha=1.2, theta=-0.5, R=1.5, side=Side.RIGHT_VANISHING)
 NEAR = HardySetup(p=2.0, q=2.5, alpha=1.2, theta=-0.3, R=1.2, side=Side.RIGHT_VANISHING)
@@ -259,11 +261,17 @@ class TestWholeNorms:
         assert got == pytest.approx(want, rel=NORM)
 
     @pytest.mark.parametrize(
-        "n, p, q, R, seed",
-        [(8, 2.0, 3.5, 1.0, 5), (12, 3.0, 2.5, 2.0, 3)],
-        ids=["weight-in-(-1,0)", "p=3"],
+        "n, p, q, R, seed, rel",
+        [
+            (8, 2.0, 3.5, 1.0, 5, NORM),
+            (12, 3.0, 2.5, 2.0, 3, NORM),
+            # Non-integer weights at lo = 0: the first level is graded toward 0.
+            (8, 2.0, 2.6, 1.0, 4, GRADED),
+            (6, 2.0, 2.6, 1.0, 4, GRADED),
+        ],
+        ids=["weight-in-(-1,0)", "p=3", "graded-weights-1.15-3.15", "graded-weights-(-0.38)-1.62"],
     )
-    def test_second_order_integrals(self, n, p, q, R, seed, monkeypatch):
+    def test_second_order_integrals(self, n, p, q, R, seed, rel, monkeypatch):
         integrals = []
         integrate = hardy._abs_pow_poly_integral
 
@@ -289,4 +297,19 @@ class TestWholeNorms:
                     return abs(mpmath.polyval(poly[::-1], r)) ** p_ * r**weight
 
                 want = reference(f, [0.0] + inner + [R])
-                assert got == pytest.approx(want, rel=NORM)
+                assert got == pytest.approx(want, rel=rel)
+
+    @pytest.mark.parametrize("theta", [0.094, 0.42, 0.73, 1.4, -0.3, -0.8])
+    def test_graded_trial_ratio_numerator(self, theta):
+        # A non-integer theta grades the first level toward r = 0; theta in
+        # (-1, 0) goes through r = R s^{1/(theta+1)} and is graded in s.
+        setup = HardySetup(p=2.0, q=2.5, alpha=1.05, theta=theta, R=1.5, side=Side.RIGHT_VANISHING)
+        u = hardy._random_trial(setup, np.random.default_rng(11))
+        got = hardy._profile_weighted_norm(
+            u, setup.q, setup.theta, setup.R, DEFAULT_SPEC, of_derivative=False
+        ) ** setup.q
+        with mpmath.workdps(30):
+            value, points = mp_linear_profile(u)
+            q, theta_ = mpmath.mpf(setup.q), mpmath.mpf(theta)
+            want = reference(lambda r: abs(value(r)) ** q * r**theta_, points)
+        assert got == pytest.approx(want, rel=GRADED)

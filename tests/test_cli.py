@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,10 @@ DATA = Path(__file__).parent / "data"
 #: Invocation -> stdout, stderr and exit code of the CLI (run from ``DATA``,
 #: which holds cells.csv); the ``cc`` cases were re-pinned with the graded
 #: first level, after the same mpmath check of each J, and the ``--seed 2``
-#: Rayleigh probe when each Hardy norm became one engine call, after every
-#: hardy max_ratio was checked against a 30-digit mpmath reference to 1e-12.
+#: Rayleigh probe when each Hardy norm became one engine call and again when
+#: the first level was graded toward r = 0 (its error went 1.9e-13 -> 1.1e-15),
+#: each time after every hardy max_ratio was checked against a 30-digit
+#: mpmath reference to 1e-12.
 CLI_GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 #: A number not glued to a word, e.g. "1e-10" and "-0.5" but not "beta0".
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
@@ -238,6 +241,45 @@ class TestCommands:
         assert status == 2
         assert out == ""
         assert err == f"adamskit: domain error: {message}\n"
+
+    @pytest.mark.parametrize("radius", ["1e-300", "1e300"])
+    def test_hardy_radius_out_of_range_is_domain_error(self, radius, capsys):
+        argv = ["hardy", "--p", "2", "--q", "2", "--alpha", "-1", "--theta", "-3",
+                "--R", radius, "--trials", "3"]
+        status, out, err = run_cli(argv, capsys)
+        assert status == 2
+        assert out == ""
+        assert err == (
+            "adamskit: domain error: interval endpoint must lie in [1e-100, 1e+100],"
+            f" got R={float(radius)!r}\n"
+        )
+
+    def test_hardy_right_at_huge_theta(self, capsys):
+        argv = ["hardy", "--p", "2", "--q", "2", "--alpha", "2", "--theta", "1e300",
+                "--side", "right"]
+        status, out, err = run_cli(argv, capsys)
+        assert (status, err) == (0, "")
+        # B -> e^{-1/2}/(theta+1) at R = 1.
+        assert json.loads(out)["lower"] == pytest.approx(math.exp(-0.5) * 1e-300, rel=1e-12)
+        status, out, err = run_cli(argv + ["--R", "3"], capsys)
+        assert (status, out) == (2, "")
+        assert err == (
+            "adamskit: domain error: B = exp(5.49306e+299) is outside the float range"
+            " at theta=1e+300, R=3.0\n"
+        )
+
+    def test_second_order_overflow_is_quadrature_failure(self, capsys):
+        # |u|^p overflows on (0, R): the engine names the panel, and numpy
+        # prints no warning.
+        argv = ["hardy", "--second-order", "--n-dim", "8", "--q", "2", "--trials", "5",
+                "--R", "1e50"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = run_cli(argv, capsys)
+        assert (status, out) == (3, "")
+        assert err == (
+            "adamskit: quadrature failure: integrand is infinite on the panel [0.0, 1e+50]\n"
+        )
 
     def test_cc_moser(self, capsys):
         status, out, _ = run_cli(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -151,12 +152,35 @@ class TestBConstant:
             )
 
 
+class TestSetup:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, 1e-300, 1e300, math.inf, math.nan])
+    def test_radius_outside_the_range_rejected(self, radius):
+        with pytest.raises(DomainError, match=r"interval endpoint must lie in \[1e-100, 1e\+100\]"):
+            HardySetup(p=2.0, q=2.0, alpha=-1.0, theta=-3.0, R=radius, side=Side.LEFT_VANISHING)
+
+
 class TestSandwich:
     def test_balanced_pair(self):
         setup = balanced_left(2.0, -1.0)
         sw = sandwich(setup)
         assert sw.lower == pytest.approx(0.5, rel=1e-13)
         assert sw.upper == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("theta", [10.0, 1e8, 1e300])
+    def test_right_at_large_theta(self, theta):
+        # p = q = alpha = 2, R = 1: B^2 = max_x x^{theta+1} (1/x - 1)/(theta+1),
+        # at x* = theta/(theta+1), where x* rounds to 1 for theta > 2^53.
+        setup = HardySetup(p=2.0, q=2.0, alpha=2.0, theta=theta, R=1.0, side=Side.RIGHT_VANISHING)
+        with mpmath.workdps(30):
+            t = mpmath.mpf(theta)
+            want = mpmath.sqrt((t / (t + 1)) ** t) / (t + 1)
+        assert sandwich(setup).lower == pytest.approx(float(want), rel=1e-12)
+
+    def test_right_b_out_of_float_range_rejected(self):
+        # B grows like R^{theta/2}: at R = 3 it overflows.
+        setup = HardySetup(p=2.0, q=2.0, alpha=2.0, theta=1e300, R=3.0, side=Side.RIGHT_VANISHING)
+        with pytest.raises(DomainError, match=r"outside the float range at theta=1e\+300, R=3.0"):
+            sandwich(setup)
 
     def test_ratio_is_k(self):
         for setup in (
@@ -294,6 +318,54 @@ class TestOneEngineCallPerNorm:
             roots = np.sort(roots[(roots.imag == 0.0) & (0.0 < roots.real) & (roots.real < R)].real)
             assert (lo, hi) == (0.0, R) and roots.size > 0
             np.testing.assert_allclose(breaks, roots, rtol=1e-12)
+
+
+class TestGradedFirstLevel:
+    """At lo = 0 the first level is graded toward 0, so a weight r^w with
+    non-integer w converges there without refinement: each norm takes at
+    most two integrand calls (one level, or two)."""
+
+    @pytest.fixture
+    def integrand_calls(self, monkeypatch):
+        counts = []
+        engine = profiles_module.adaptive_gauss
+
+        def counting(f, lo, hi, spec, *, breaks=None):
+            counts.append(0)
+
+            def counted(x):
+                counts[-1] += 1
+                return f(x)
+
+            return engine(counted, lo, hi, spec, breaks=breaks)
+
+        monkeypatch.setattr(profiles_module, "adaptive_gauss", counting)
+        return counts
+
+    @pytest.mark.parametrize("theta", [0.094, 0.42, 0.73, 1.4])
+    def test_trial_ratio(self, theta, integrand_calls):
+        # q = 4 keeps |u|^q smooth at the roots of u and at u(R) = 0, so
+        # r^theta at 0 is the numerator's one singularity; the denominator
+        # is closed form.
+        setup = HardySetup(p=2.0, q=4.0, alpha=1.2, theta=theta, R=1.5, side=Side.RIGHT_VANISHING)
+        for seed in range(3):
+            u = hardy_module._random_trial(setup, np.random.default_rng(seed))
+            assert 0.0 < trial_ratio(setup, u) < math.inf
+        assert len(integrand_calls) == 3
+        assert max(integrand_calls) <= 2
+
+    @pytest.mark.parametrize(
+        "n, q", [(8, 2.6), (6, 2.6)], ids=["weights-1.15-3.15", "weights-(-0.38)-1.62"]
+    )
+    def test_second_order_trial_ratio(self, n, q, integrand_calls):
+        # p = 2 keeps |poly|^p smooth at its roots; a weight in (-1, 0)
+        # goes through the substitution and is graded in s.
+        for seed in range(3):
+            coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=4)
+            poly = np.polynomial.Polynomial(coeffs)
+            assert 0.0 < second_order_trial_ratio(n, 2.0, q, 1.0, poly) < math.inf
+        assert len(integrand_calls) == 6
+        assert max(integrand_calls) <= 2
 
 
 class TestSecondOrder:

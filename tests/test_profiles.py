@@ -145,6 +145,13 @@ class TestAdaptiveGauss:
         with pytest.raises(QuadratureError, match=r"NaN on the panel \[0.0, 1.0\]"):
             adaptive_gauss(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
+    def test_overflowing_integrand_raises(self):
+        # G15 = G31 = inf: the rule values agree, and their difference is
+        # NaN, so without a check the panel reads as converged and gives inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureError, match=r"infinite on the panel \[0.0, 1.0\]"):
+                adaptive_gauss(lambda x: 1e300 * np.exp(1000.0 * x), 0.0, 1.0)
+
     def test_one_call_per_level(self):
         sizes = []
         f = counting(lambda x: np.sin(40.0 * x), sizes)
@@ -308,6 +315,18 @@ class TestAbsPowQuadrature:
         single = abs_pow_quadrature(fn, 1.5, weight, 0.0, hi, DEFAULT_SPEC)
         got = abs_pow_quadrature(fn, 1.5, weight, 0.0, hi, DEFAULT_SPEC, breaks=breaks)
         assert got == pytest.approx(single, rel=1e-12)
+
+    def test_grading_below_the_normal_range_dropped(self):
+        # At lo = 0 and weight 0.3 the first level is graded toward 0 from
+        # the smallest break: from 1e-300 the last of the 26 halvings falls
+        # below the normal range and is dropped, without a DomainError.  The
+        # panel [1e-300, 0.5] then refines toward its left end.
+        def fn(r):
+            return np.cos(3.0 * r) + 2.0
+
+        got = abs_pow_quadrature(fn, 1.5, 0.3, 0.0, 1.0, DEFAULT_SPEC, breaks=[1e-300, 0.5])
+        want = abs_pow_quadrature(fn, 1.5, 0.3, 0.0, 1.0, DEFAULT_SPEC)
+        assert got == pytest.approx(want, rel=DEFAULT_SPEC.rel_tol)
 
 
 class TestPowerIntegral:
