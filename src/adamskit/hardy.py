@@ -120,33 +120,27 @@ def _b_left(setup: HardySetup) -> float:
     p, q, alpha, theta, R = setup.p, setup.q, setup.alpha, setup.theta, setup.R
     ev = (p - 1.0 - alpha) / (p - 1.0)
     c_crit = q * (p - 1.0 - alpha) / p
-
-    def log_f(x: float) -> float:
-        if theta > -1.0:
-            log_w = math.log((R ** (theta + 1.0) - x ** (theta + 1.0)) / (theta + 1.0))
-        elif theta == -1.0:
-            log_w = math.log(math.log(R / x))
-        else:
-            log_w = (
-                (theta + 1.0) * math.log(x)
-                + math.log1p(-((x / R) ** (-theta - 1.0)))
-                - math.log(-theta - 1.0)
-            )
-        log_v = ev * math.log(x) - math.log(ev)
-        return log_w / q + (p - 1.0) / p * log_v
-
+    # log x* and log W(x*), W(x) = integral_x^R r^theta dr, in forms that stay
+    # exact when x* rounds to R (theta -> inf) or to 0.
     if theta > -1.0:
-        x_star = R * (c_crit / (theta + 1.0 + c_crit)) ** (1.0 / (theta + 1.0))
-        return math.exp(log_f(x_star))
-    if theta == -1.0:
-        return math.exp(log_f(R * math.exp(-1.0 / c_crit)))
-    edge = -theta - 1.0
-    if c_crit <= edge * (1.0 + _BOUNDARY_RTOL):
-        # Balance condition holds with equality: the powers of x cancel and
-        # the supremum is the x -> 0 limit.
-        return edge ** (-1.0 / q) * ev ** (-(p - 1.0) / p)
-    x_star = R * (1.0 - edge / c_crit) ** (1.0 / edge)
-    return math.exp(log_f(x_star))
+        # x* = R (c / (theta+1+c))^{1/(theta+1)}: W = R^{theta+1} / (theta+1+c).
+        log_x = math.log(R) - math.log1p((theta + 1.0) / c_crit) / (theta + 1.0)
+        log_w = (theta + 1.0) * math.log(R) - math.log(theta + 1.0 + c_crit)
+    elif theta == -1.0:
+        # x* = R e^{-1/c}: W = log(R / x*) = 1/c.
+        log_x = math.log(R) - 1.0 / c_crit
+        log_w = -math.log(c_crit)
+    else:
+        edge = -theta - 1.0
+        if c_crit <= edge * (1.0 + _BOUNDARY_RTOL):
+            # Balance condition holds with equality: the powers of x cancel and
+            # the supremum is the x -> 0 limit.
+            return edge ** (-1.0 / q) * ev ** (-(p - 1.0) / p)
+        # x* = R (1 - edge/c)^{1/edge}: W = x*^{-edge} / c.
+        log_x = math.log(R) + math.log1p(-edge / c_crit) / edge
+        log_w = -edge * log_x - math.log(c_crit)
+    log_v = ev * log_x - math.log(ev)
+    return _exp_of_log_b(log_w / q + (p - 1.0) / p * log_v, setup)
 
 
 def _b_right(setup: HardySetup) -> float:
@@ -162,10 +156,14 @@ def _b_right(setup: HardySetup) -> float:
     log_x = math.log(R) + math.log1p(-t) / ev2
     log_w = (theta + 1.0) * log_x - math.log(theta + 1.0)
     log_v = -ev2 * log_x + math.log(t) - math.log(ev2)
-    log_b = log_w / q + (p - 1.0) / p * log_v
-    if abs(log_b) > _LOG_FLOAT_MAX:
+    return _exp_of_log_b(log_w / q + (p - 1.0) / p * log_v, setup)
+
+
+def _exp_of_log_b(log_b: float, setup: HardySetup) -> float:
+    if not abs(log_b) <= _LOG_FLOAT_MAX:
         raise DomainError(
-            f"B = exp({log_b:.6g}) is outside the float range at theta={theta}, R={R}"
+            f"B = exp({log_b:.6g}) is outside the float range"
+            f" at theta={setup.theta}, R={setup.R}"
         )
     return math.exp(log_b)
 

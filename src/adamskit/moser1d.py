@@ -26,7 +26,7 @@ from .profiles import (
     constant_piece,
     piecewise_linear,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_gauss
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _W15, _X15, adaptive_gauss
 from .specfun import EULER_GAMMA, digamma
 
 
@@ -190,9 +190,11 @@ def cc_integral(
 
 
 def _check_nonnegative(g: PiecewiseProfile) -> None:
-    # Knot values plus the far value; cheap guard, not a proof of positivity.
+    # Knot values plus the far value, which a tail's knot value already is;
+    # cheap guard, not a proof of positivity.
     values = [float(np.asarray(piece.value(k))) for k, _hi, piece in g.segments()]
-    values.append(float(np.asarray(g.value(g.end))))
+    if g.tail is None:
+        values.append(float(np.asarray(g.value(g.end))))
     if min(values) < -1e-12:
         raise DomainError("profile must be nonnegative")
 
@@ -310,29 +312,32 @@ class MaximizerResult(NamedTuple):
     functional_value: float
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-
-#: Width of the maximizer's fixed Gauss panels.
-_PANEL_WIDTH = 1.5
+#: Width of the maximizer's fixed G15 panels.
+_PANEL_WIDTH = 4.0
 
 _PANEL_BUDGET = 32_768
 """Most Gauss panels the maximizer may lay over [0, t_max].
 
 Checked before any array is built, against the bound (knot_count - 1) +
-ceil(t_max / _PANEL_WIDTH) on the count.  At the budget a default search
-(6 starts) takes 3-6 s on a 2-vCPU VM and about 45 MB above the library's
-own footprint (A = 815 with 48 knots; A = 5 with 30 000 knots).  It admits
-A up to about 800 at 48 knots and up to 32 000 knots at A <= 10; the
-benchmark's (A, knots) = (5, 48) lays 425 panels.
+ceil(t_max / _PANEL_WIDTH) on the count.  It admits A up to about 2 180 at
+48 knots and up to about 32 600 knots at A <= 10.  At the budget a default
+search (6 starts) takes 1.4-3.5 s on a 2-vCPU VM (up to 7.4 s when it ran
+slower) and 40-44 MB above the library's own footprint (A = 2 181 with 48
+knots; A = 5 with 32 600 knots).
+The benchmark's (A, knots) = (5, 48) lays 179 panels, 2 685 nodes.
 """
 
 
 class _SlopeObjective:
     """J and its gradient over nonnegative segment slopes.
 
-    Each segment is covered by fixed-width Gauss panels: the integrand
-    e^{g^q - t} concentrates in O(1)-wide strips, which a single rule on a
-    wide geometric segment would miss entirely.
+    Each segment is covered by fixed panels at most 4 wide, each with the
+    engine's G15 rule: the integrand e^{g^q - t} concentrates in O(1)-wide
+    strips, which a single rule on a wide geometric segment would miss
+    entirely, and a 4-wide G15 panel resolves it to rounding while
+    |d/dt (g^q - t)| stays below about 3.  The layout is fixed so that J(s)
+    is smooth in s for the gradient; ``cc_functional`` certifies the J the
+    search returns.
 
     ``value(s)`` evaluates J alone and keeps its node arrays; ``grad()``
     turns the arrays of the last ``value`` call into dJ/ds.  A search
@@ -352,8 +357,8 @@ class _SlopeObjective:
             edges = np.linspace(lo, hi, n_panels + 1)
             mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
             half = 0.5 * np.diff(edges)[:, None]
-            nodes.append(mid + half * _GAUSS_X[None, :])
-            weights.append(half * np.broadcast_to(_GAUSS_W, (n_panels, _GAUSS_W.size)))
+            nodes.append(mid + half * _X15[None, :])
+            weights.append(half * np.broadcast_to(_W15, (n_panels, _W15.size)))
             panel_seg.extend([i] * n_panels)
         self.nodes = np.concatenate(nodes, axis=0)
         self.weights = np.concatenate(weights, axis=0)

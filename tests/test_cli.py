@@ -268,6 +268,19 @@ class TestCommands:
             " at theta=1e+300, R=3.0\n"
         )
 
+    def test_hardy_left_at_huge_theta(self, capsys):
+        argv = ["hardy", "--p", "2", "--q", "2", "--alpha", "-1", "--theta", "1e300"]
+        status, out, err = run_cli(argv, capsys)
+        assert (status, err) == (0, "")
+        # B -> (2 (theta+3))^{-1/2} at R = 1.
+        assert json.loads(out)["lower"] == pytest.approx(math.sqrt(0.5e-300), rel=1e-12)
+        status, out, err = run_cli(argv + ["--R", "2"], capsys)
+        assert (status, out) == (2, "")
+        assert err == (
+            "adamskit: domain error: B = exp(3.46574e+299) is outside the float range"
+            " at theta=1e+300, R=2.0\n"
+        )
+
     def test_second_order_overflow_is_quadrature_failure(self, capsys):
         # |u|^p overflows on (0, R): the engine names the panel, and numpy
         # prints no warning.

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -175,6 +176,46 @@ class TestSandwich:
             t = mpmath.mpf(theta)
             want = mpmath.sqrt((t / (t + 1)) ** t) / (t + 1)
         assert sandwich(setup).lower == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [10.0, 1e8, 1e300])
+    def test_left_at_large_theta(self, theta):
+        # p = q = 2, alpha = -1, R = 1: B^2 = max_x (1 - x^{theta+1}) x^2 / (2 (theta+1)),
+        # at x* = (2/(theta+3))^{1/(theta+1)}, where x* rounds to 1 for theta > 2^53.
+        setup = HardySetup(p=2.0, q=2.0, alpha=-1.0, theta=theta, R=1.0, side=Side.LEFT_VANISHING)
+        with mpmath.workdps(30):
+            t = mpmath.mpf(theta)
+            x_star = (2 / (t + 3)) ** (1 / (t + 1))
+            want = x_star / mpmath.sqrt(2 * (t + 3))
+        assert sandwich(setup).lower == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [-1.0, -2.0, -2.5])
+    def test_left_at_theta_minus_one_and_below(self, theta):
+        # p = q = 2, alpha = -3, R = 1.7: B^2 = max_x W(x) x^4 / 4 with
+        # W(x) = integral_x^R r^theta dr, maximized by mpmath without x*'s formula.
+        setup = HardySetup(p=2.0, q=2.0, alpha=-3.0, theta=theta, R=1.7, side=Side.LEFT_VANISHING)
+        with mpmath.workdps(30):
+            t, radius = mpmath.mpf(theta), mpmath.mpf("1.7")
+
+            def log_b2(x):
+                if theta == -1.0:
+                    w = mpmath.log(radius / x)
+                else:
+                    w = (x ** (t + 1) - radius ** (t + 1)) / (-t - 1)
+                return mpmath.log(w * x**4 / 4)
+
+            x_star = mpmath.findroot(lambda x: mpmath.diff(log_b2, x), 0.75 * radius)
+            want = mpmath.exp(log_b2(x_star) / 2)
+        assert sandwich(setup).lower == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("radius, log_b", [(2.0, "3.46574e+299"), (0.5, "-3.46574e+299")])
+    def test_left_b_out_of_float_range_rejected(self, radius, log_b):
+        # B grows like R^{theta/2}: above R = 1 it overflows, below it underflows.
+        setup = HardySetup(
+            p=2.0, q=2.0, alpha=-1.0, theta=1e300, R=radius, side=Side.LEFT_VANISHING
+        )
+        message = f"B = exp({log_b}) is outside the float range at theta=1e+300, R={radius}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            sandwich(setup)
 
     def test_right_b_out_of_float_range_rejected(self):
         # B grows like R^{theta/2}: at R = 3 it overflows.
