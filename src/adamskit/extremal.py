@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import SIGMA, unit_concentration_level
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .moser1d import cc_functional
 from .profiles import ExpApproachPiece, FuncPiece, LinearPiece, PiecewiseProfile, PowerPiece
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
@@ -274,6 +274,11 @@ def verdict(n: int, spec: QuadratureSpec = DEFAULT_SPEC) -> VerdictRow:
     gap_analytic uses only closed forms; gap_numeric additionally demands
     that the directly integrated norm stays admissible.  Below the proven
     threshold the row is exploratory data, not an assertion.
+
+    ``functional_lower_bound`` is a proven lower bound on J(w), so a
+    quadrature J below it by more than the tolerance allowance
+    2 (rel_tol + truncation_epsilon) raises ``QuadratureError``.  Over
+    n = 16..1000 and 2000..10000 the quadrature J exceeds it by 6 % or more.
     """
     if n < 16:
         raise DomainError(f"verdicts start at n = 16, got {n}")
@@ -282,6 +287,11 @@ def verdict(n: int, spec: QuadratureSpec = DEFAULT_SPEC) -> VerdictRow:
     norm = norm_quadrature(params)
     lower = functional_lower_bound(params)
     j_quad = functional_quadrature(params, spec)
+    if not j_quad >= lower * (1.0 - 2.0 * (spec.rel_tol + spec.truncation_epsilon)):
+        raise QuadratureError(
+            f"at n = {n} the quadrature J = {j_quad!r} is below the proven lower"
+            f" bound {lower!r}: the quadrature missed the integrand's mass"
+        )
     level = concentration_level_unit_ball(n)
     return VerdictRow(
         n=n,

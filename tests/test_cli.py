@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from adamskit import extremal
 from adamskit.cli import main, parse_args
 from adamskit.constants import AdamsParams, beta0
 
@@ -410,6 +411,17 @@ class TestOutputContracts:
             main(["--output", str(target), "t0"])
         assert exc.value.code == 64
         assert f"cannot write --output {str(target)!r}" in capsys.readouterr().err
+
+    def test_quadrature_below_the_lower_bound_exits_3(self, monkeypatch, capsys):
+        lower = extremal.functional_lower_bound(extremal.make_params(104))
+        monkeypatch.setattr(extremal, "cc_functional", lambda *_args: 1.0)
+        status, out, err = run_cli(["extremal-sweep", "--n-from", "104", "--n-to", "110"], capsys)
+        assert status == 3
+        assert out == ""
+        assert err == (
+            f"adamskit: quadrature failure: at n = 104 the quadrature J = 1.0 is below"
+            f" the proven lower bound {lower!r}: the quadrature missed the integrand's mass\n"
+        )
 
     @pytest.mark.parametrize("n", ["5000", "10000"])
     def test_tolerance_below_rounding_exits_3(self, n, capsys):

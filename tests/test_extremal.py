@@ -1,11 +1,13 @@
 """The extremal-beating test function: junctions, norms, functional, verdicts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from adamskit import extremal
 from adamskit.errors import DomainError, QuadratureError
 from adamskit.extremal import (
     chain_bound_for_s,
@@ -305,6 +307,24 @@ class TestVerdict:
         with pytest.raises(QuadratureError, match="rounding error of the integrand") as exc:
             verdict(n, QuadratureSpec(rel_tol=1e-13))
         assert exc.value.achieved > 0.0
+
+    def test_quadrature_below_the_lower_bound_raises(self, monkeypatch):
+        # J >= functional_lower_bound is proven, so a quadrature J of 1
+        # (every nonnegative profile's floor) can only be a missed mass.
+        lower = functional_lower_bound(make_params(104))
+        monkeypatch.setattr(extremal, "cc_functional", lambda *_args: 1.0)
+        message = (
+            f"at n = 104 the quadrature J = 1.0 is below the proven lower bound {lower!r}:"
+            " the quadrature missed the integrand's mass"
+        )
+        with pytest.raises(QuadratureError, match=re.escape(message)):
+            verdict(104)
+
+    def test_quadrature_within_the_allowance_of_the_bound_passes(self, monkeypatch):
+        lower = functional_lower_bound(make_params(104))
+        j_quad = lower * (1.0 - 1.9 * (DEFAULT_SPEC.rel_tol + DEFAULT_SPEC.truncation_epsilon))
+        monkeypatch.setattr(extremal, "cc_functional", lambda *_args: j_quad)
+        assert verdict(104).functional_quadrature == j_quad
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-11, 1e-12])
     def test_converges_at_tight_tolerances(self, rel_tol):

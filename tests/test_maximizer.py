@@ -4,11 +4,14 @@
 a spread of p, A, epsilon, knot counts and seeds.  The search's arithmetic
 and accept/reject sequence are part of its contract, so the comparison is
 ``==``.  A change that moves nodes or reorders sums must re-pin the file
-(``PYTHONPATH=src python tests/test_maximizer.py``) after checking the new
-J values against an independent reference, and say so.
+with ``PYTHONPATH=src python tests/test_maximizer.py``, and say so.  That
+script checks every J it is about to write against an mpmath J of the
+returned polyline (``bench/oracle.py::linear_profile_functional``) and
+writes nothing when one is off by more than ``REPIN_REL_TOL``.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from adamskit import moser1d
 from adamskit.cli import main
 from adamskit.errors import DomainError
 from adamskit.moser1d import _SlopeObjective, concentration_maximizer
+from adamskit.quadrature import _W15, _X15
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "maximizer_golden.json"
 
@@ -80,6 +84,72 @@ def test_objective_agrees_with_certified_j(case):
     j_search = _SlopeObjective(knots, q).value(np.diff(values) / np.diff(knots))
     bound = 1e-12 if q == 2.0 else 1e-7
     assert abs(j_search - want["J"]) <= bound * want["J"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_step_floor_drops_only_rounding_gains(case, monkeypatch):
+    # Searching each start on down to steps of 1e-14 finds the same J to
+    # well inside the 1e-10 to which cc_functional certifies it.
+    monkeypatch.setattr(moser1d, "_STEP_FLOOR", 1e-14)
+    want = _golden()[case_id(case)]["J"]
+    assert abs(concentration_maximizer(*case).functional_value - want) <= 1e-12 * want
+
+
+def test_search_evaluation_count(monkeypatch):
+    # The benchmark's parameters: 262-267 J evaluations with a 1e-14 floor.
+    calls = []
+    value = _SlopeObjective.value
+
+    def counted(self, s):
+        calls.append(None)
+        return value(self, s)
+
+    monkeypatch.setattr(_SlopeObjective, "value", counted)
+    concentration_maximizer(2.0, 5.0, 0.01, 48, 0)
+    assert len(calls) <= 180
+
+
+def _linspace_layout(knots: np.ndarray):
+    """Nodes, weights, panel_seg and offsets as a per-segment np.linspace
+    loop lays them: the reference for ``_SlopeObjective``'s layout."""
+    nodes, weights, panel_seg = [], [], []
+    for i, (lo, hi) in enumerate(zip(knots[:-1], knots[1:])):
+        n_panels = max(1, int(math.ceil((hi - lo) / moser1d._PANEL_WIDTH)))
+        edges = np.linspace(lo, hi, n_panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * np.diff(edges)[:, None]
+        nodes.append(mid + half * _X15[None, :])
+        weights.append(half * np.broadcast_to(_W15, (n_panels, _W15.size)))
+        panel_seg.extend([i] * n_panels)
+    nodes = np.concatenate(nodes, axis=0)
+    panel_seg = np.asarray(panel_seg)
+    return nodes, np.concatenate(weights, axis=0), panel_seg, nodes - knots[panel_seg][:, None]
+
+
+def _maximizer_knots(case, monkeypatch) -> np.ndarray:
+    """The knots the maximizer lays for ``case``, caught before any search."""
+
+    class Caught(Exception):
+        pass
+
+    def catch(knots, _q):
+        raise Caught(knots)
+
+    monkeypatch.setattr(moser1d, "_SlopeObjective", catch)
+    with pytest.raises(Caught) as caught:
+        concentration_maximizer(*case)
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("case", [*CASES, (2.0, 2181.0, 0.01, 48, 0)], ids=case_id)
+def test_layout_matches_linspace_panels(case, monkeypatch):
+    # The last case lays 32 740 panels, at the budget of 32 768.
+    knots = _maximizer_knots(case, monkeypatch)
+    objective = _SlopeObjective(knots, 2.0)
+    want = _linspace_layout(knots)
+    got = (objective.nodes, objective.weights, objective.panel_seg, objective.offsets)
+    for name, a, b in zip(("nodes", "weights", "panel_seg", "offsets"), got, want):
+        assert np.array_equal(a, b), name
 
 
 def _interior_objective(q: float):
@@ -178,7 +248,26 @@ def test_panel_budget_exits_2(capsys):
     assert "up to 15000007 Gauss panels over [0, t_max = 6e+07]" in captured.err
 
 
+#: Largest relative error against mpmath that a re-pinned J may carry.
+REPIN_REL_TOL = 1e-12
+
+
 if __name__ == "__main__":
-    records = {case_id(case): maximizer_record(case) for case in CASES}
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from oracle import linear_profile_functional
+
+    records, off = {}, []
+    for case in CASES:
+        record = maximizer_record(case)
+        reference = linear_profile_functional(
+            record["knots"], record["values"], case[0] / (case[0] - 1.0)
+        )
+        error = float(abs(record["J"] - reference) / reference)
+        print(f"{case_id(case)}: J = {record['J']!r}, mpmath error {error:.1e}", file=sys.stderr)
+        if not error <= REPIN_REL_TOL:
+            off.append(case_id(case))
+        records[case_id(case)] = record
+    if off:
+        sys.exit(f"not written: {', '.join(off)} off mpmath by more than {REPIN_REL_TOL:g}")
     GOLDEN_PATH.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} cases to {GOLDEN_PATH}", file=sys.stderr)
