@@ -331,7 +331,7 @@ def _cmd_hardy(args) -> int:
     if args.trials > 0:
         result = rayleigh_probe(setup, args.trials, args.seed, spec=spec)
         record["max_ratio"] = result.max_ratio
-        record["probe_ok"] = bool(result.max_ratio <= sw.upper + 1e-9)
+        record["probe_ok"] = bool(result.max_ratio <= sw.upper * (1.0 + 1e-9))
         if not record["probe_ok"]:
             status = EXIT_ASSERTION
     _record_output(record, args.format or "json", args.output)

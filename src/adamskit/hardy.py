@@ -6,8 +6,9 @@ Carries the two-sided estimate B <= C <= k(q,p) B for the best constant of
 
 over functions vanishing at 0 (left) or at R (right), the second-order
 radial inequality with its iterated constants, and randomized
-Rayleigh-quotient probes that certify the sandwich numerically.  The
-probes' weighted norms break their quadrature at knots and roots.
+Rayleigh-quotient probes that certify the sandwich numerically.  A
+probe's weighted norm is one ``profiles.abs_pow_integral`` of the trial
+or its derivative, which breaks its quadrature at knots and roots.
 
 For pure power weights the product defining B is unimodal in the split
 point for every parameter choice (its log-derivative is C - G(x) with G
@@ -30,9 +31,8 @@ from .errors import DegenerateTrialError, DomainError, InfeasibleError
 from .profiles import (
     PiecewiseProfile,
     PowerPiece,
-    abs_pow_closed_form,
+    abs_pow_integral,
     abs_pow_quadrature,
-    interior_roots,
     piecewise_linear,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
@@ -191,44 +191,6 @@ def sandwich(setup: HardySetup) -> Sandwich:
 # Rayleigh-quotient probe
 # ---------------------------------------------------------------------------
 
-def _profile_weighted_norm(
-    u: PiecewiseProfile,
-    power: float,
-    weight_pow: float,
-    R: float,
-    spec: QuadratureSpec,
-    *,
-    of_derivative: bool,
-) -> float:
-    """(integral_0^R |u or u'|^power r^weight_pow dr)^{1/power}.
-
-    Closed-form segments are summed; each run of adjacent segments without
-    a closed form is one quadrature call of u (or u'), whose breaks are the
-    run's interior knots and the roots of its linear pieces.
-    """
-    total = 0.0
-    runs: list[list[float]] = []  # the edges of each run, ends included
-    for lo, hi, piece in u.segments():
-        hi = min(hi, R)
-        closed = abs_pow_closed_form(
-            piece, power, weight_pow, lo, hi, spec, derivative=of_derivative
-        )
-        if closed is not None:
-            total += closed
-            continue
-        if not runs or runs[-1][-1] != lo:  # a closed-form segment ended the last run
-            runs.append([lo])
-        if not of_derivative:
-            runs[-1] += interior_roots(piece, lo, hi)
-        runs[-1].append(hi)
-    fn = u.derivative if of_derivative else u.value
-    for edges in runs:
-        total += abs_pow_quadrature(
-            fn, power, weight_pow, edges[0], edges[-1], spec, breaks=edges[1:-1]
-        )
-    return total ** (1.0 / power)
-
-
 class ProbeResult(NamedTuple):
     max_ratio: float
     witness: PiecewiseProfile
@@ -258,15 +220,11 @@ def trial_ratio(
 
     Returns NaN for trials with zero or infinite derivative norm.
     """
-    denom = _profile_weighted_norm(
-        u, setup.p, setup.alpha, setup.R, spec, of_derivative=True
-    )
+    denom = abs_pow_integral(u, setup.p, setup.alpha, 0.0, setup.R, spec, derivative=True)
     if not 0.0 < denom < math.inf:
         return math.nan
-    numer = _profile_weighted_norm(
-        u, setup.q, setup.theta, setup.R, spec, of_derivative=False
-    )
-    return float(numer / denom)
+    numer = abs_pow_integral(u, setup.q, setup.theta, 0.0, setup.R, spec)
+    return float(numer ** (1.0 / setup.q) / denom ** (1.0 / setup.p))
 
 
 def rayleigh_probe(
@@ -352,7 +310,9 @@ def second_order_trial_ratio(
 
     The boundary conditions u(R) = 0 and u'(R) = 0 hold by construction.
     Raises ``DomainError`` when ``poly`` is not in the power basis (its
-    domain differs from its window) or the coefficients of u overflow.
+    domain differs from its window), the coefficients of u overflow, or
+    either integral of a nonzero ``poly`` falls below the normal float
+    range, where its digits are lost (R near 1e-40 and below).
     """
     if not (poly.domain == poly.window).all():
         raise DomainError(f"the trial polynomial must be in the power basis, got {poly!r}")
@@ -364,11 +324,15 @@ def second_order_trial_ratio(
     # |r u'' + (n-1) u'|^p r^{np/q - 1 - p} keeps the laplacian integrand
     # polynomial-times-power (no 1/r at the origin).
     lap_times_r = P.polyadd(P.polymulx(P.polyder(u, 2)), (n - 1.0) * du)
-    lhs = _abs_pow_poly_integral(u, p, n * p / q_star - 1.0, R, spec) ** (1.0 / p)
-    rhs = _abs_pow_poly_integral(lap_times_r, p, n * p / q - 1.0 - p, R, spec) ** (1.0 / p)
+    lhs = _abs_pow_poly_integral(u, p, n * p / q_star - 1.0, R, spec)
+    rhs = _abs_pow_poly_integral(lap_times_r, p, n * p / q - 1.0 - p, R, spec)
+    if np.any(poly.coef) and not min(lhs, rhs) >= sys.float_info.min:
+        raise DomainError(
+            f"the trial's integrals ({lhs:.3g}, {rhs:.3g}) underflow the float range at R={R}"
+        )
     if rhs == 0.0:
         return math.nan
-    return lhs / rhs
+    return lhs ** (1.0 / p) / rhs ** (1.0 / p)
 
 
 def second_order_probe(

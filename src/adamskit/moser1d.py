@@ -1,9 +1,9 @@
 """One-dimensional exponential functional machinery.
 
 The central object is J(g) = integral_0^inf exp(g(t)^q - t) dt over
-nonnegative profiles with unit p-energy (p conjugate to q).  Energies are
-``profiles.abs_pow_integral`` of each piece's derivative at weight 0.  The
-improper upper end of J is handled exactly for constant and saturating
+nonnegative profiles with unit p-energy (p conjugate to q).  An energy is
+one ``profiles.abs_pow_integral`` of the profile's derivative at weight 0.
+The improper upper end of J is handled exactly for constant and saturating
 tails, by pullback for log-radial tails, and by the sub-unit-energy
 majorant otherwise.
 """
@@ -22,6 +22,7 @@ from .profiles import (
     LogRadialPiece,
     Piece,
     PiecewiseProfile,
+    PowerPiece,
     abs_pow_integral,
     constant_piece,
     piecewise_linear,
@@ -40,18 +41,11 @@ def energy(
     interval: tuple[float, float] = (0.0, math.inf),
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """integral over ``interval`` of |g'|^p dt, piece by piece through
-    ``profiles.abs_pow_integral`` (closed form where the piece has one)."""
+    """integral over ``interval`` of |g'|^p dt by ``profiles.abs_pow_integral``
+    (closed form where the piece has one)."""
     if not p > 1.0:
         raise DomainError(f"energy requires p > 1, got {p}")
-    a, b = float(interval[0]), float(interval[1])
-    if b <= a:
-        return 0.0
-    total = 0.0
-    for lo, hi, piece in g.segments():
-        lo_c, hi_c = max(lo, a), min(hi, b)
-        total += abs_pow_integral(piece, p, 0.0, lo_c, hi_c, spec, derivative=True)
-    return total
+    return abs_pow_integral(g, p, 0.0, *interval, spec, derivative=True)
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +120,9 @@ def _cc_tail(
     """integral_lo^inf exp(piece^q - t) dt for a tail piece."""
     eps = spec.truncation_epsilon
     if isinstance(piece, LinearPiece):
-        if piece.slope == 0.0:
-            v = piece.intercept
-            return math.exp(v**q - lo)
-        if piece.slope > 0.0:
-            raise DomainError("functional diverges on a growing linear tail")
-        cap = float(np.asarray(piece.value(lo)))
-        hi = max(lo + 1.0, cap**q - math.log(eps))
-        return _cc_finite(piece, q, lo, hi, spec)
+        if piece.slope != 0.0:
+            raise DomainError("a linear tail must be constant: J diverges or g turns negative")
+        return math.exp(piece.intercept**q - lo)
     if isinstance(piece, ExpApproachPiece):
         cap = max(float(np.asarray(piece.value(lo))), piece.limit_value)
         hi = max(lo + 1.0, cap**q - math.log(eps))
@@ -189,13 +178,27 @@ def cc_integral(
     return total
 
 
+def _far_value(g: PiecewiseProfile) -> float:
+    """g at its last knot, or its tail's limit as t -> inf where the tail's
+    type fixes one, else inf."""
+    piece = g.tail
+    if piece is None:
+        return float(np.asarray(g.value(g.end)))
+    if isinstance(piece, ExpApproachPiece):
+        return piece.limit_value
+    if isinstance(piece, PowerPiece) and piece.exponent < 0.0:
+        return piece.offset
+    if isinstance(piece, PowerPiece) and piece.exponent > 0.0:
+        return math.copysign(math.inf, piece.coeff)
+    if isinstance(piece, LinearPiece) and piece.slope != 0.0:
+        return math.copysign(math.inf, piece.slope)
+    return math.inf
+
+
 def _check_nonnegative(g: PiecewiseProfile) -> None:
-    # Knot values plus the far value, which a tail's knot value already is;
-    # cheap guard, not a proof of positivity.
+    # Knot values plus the far value; a cheap guard, not a proof of positivity.
     values = [float(np.asarray(piece.value(k))) for k, _hi, piece in g.segments()]
-    if g.tail is None:
-        values.append(float(np.asarray(g.value(g.end))))
-    if min(values) < -1e-12:
+    if min(values + [_far_value(g)]) < -1e-12:
         raise DomainError("profile must be nonnegative")
 
 

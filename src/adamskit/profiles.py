@@ -2,11 +2,12 @@
 
 A profile is a list of increasing knots, one analytic piece per gap, and an
 optional tail piece on [last knot, infinity).  Pieces expose vectorized
-value/derivative/second-derivative.  ``abs_pow_integral`` is the one
-integral of |h|^power r^weight over a piece or its derivative: the energies
-of ``moser1d`` go through it, and the weighted norms of ``hardy`` through
-its two halves, ``abs_pow_closed_form`` wherever the piece type has a
-closed form and ``abs_pow_quadrature`` with breaks elsewhere.
+value and derivative.  ``abs_pow_integral`` is the one integral of
+|h|^power r^weight over a profile or its derivative, for the energies of
+``moser1d`` and the weighted norms of ``hardy`` alike: it walks the
+segments once, sums ``abs_pow_closed_form`` wherever the piece type has a
+closed form and integrates the remaining runs of segments with
+``abs_pow_quadrature``, breaking at their knots and roots.
 """
 
 from __future__ import annotations
@@ -118,10 +119,6 @@ class ExpApproachPiece(Piece):
         u = np.asarray(t, dtype=float) - self.anchor
         return self.amplitude * self.rate * np.exp(-self.rate * u)
 
-    def second_derivative(self, t):
-        u = np.asarray(t, dtype=float) - self.anchor
-        return -self.amplitude * self.rate**2 * np.exp(-self.rate * u)
-
     @property
     def limit_value(self) -> float:
         return self.amplitude + self.offset
@@ -182,13 +179,6 @@ class LogRadialPiece(Piece):
     def derivative(self, t):
         r = self.radius(t)
         return -self.scale * self.source.derivative(r) * r / self.dim
-
-    def second_derivative(self, t):
-        r = self.radius(t)
-        n = self.dim
-        wp = self.source.derivative(r)
-        wpp = self.source.second_derivative(r)
-        return self.scale * (r * wp + r**2 * wpp) / n**2
 
 
 @dataclass(frozen=True)
@@ -282,9 +272,6 @@ class PiecewiseProfile:
     def derivative(self, t):
         return self._apply(t, "derivative")
 
-    def second_derivative(self, t):
-        return self._apply(t, "second_derivative")
-
     def to_json_obj(self) -> list[dict]:
         """Serialization as [{knot, value, piece_kind, params}, ...]."""
         out = []
@@ -317,7 +304,7 @@ def piecewise_linear(ts: Sequence[float], ys: Sequence[float], *, constant_tail:
 
 
 def abs_pow_integral(
-    piece: Piece,
+    g: PiecewiseProfile,
     power: float,
     weight_pow: float,
     lo: float,
@@ -326,19 +313,38 @@ def abs_pow_integral(
     *,
     derivative: bool = False,
 ) -> float:
-    """integral_lo^hi |h(r)|^power r^weight_pow dr, h the piece or its derivative.
+    """integral_lo^hi |h(r)|^power r^weight_pow dr, h the profile g or g'.
 
-    ``abs_pow_closed_form`` where the piece has one, else one quadrature
-    call (which needs a finite hi) with the root of a linear value as break.
+    Each segment is clipped to [lo, hi].  ``abs_pow_closed_form`` gives the
+    segments that have a closed form; each run of adjacent segments without
+    one is one ``abs_pow_quadrature`` call of g (or g'), whose breaks are
+    the run's interior knots and the roots of its linear pieces' values.
+    ``DomainError`` when such a segment reaches infinity.
     """
-    value = abs_pow_closed_form(piece, power, weight_pow, lo, hi, spec, derivative=derivative)
-    if value is not None:
-        return value
-    if math.isinf(hi):
-        raise DomainError(f"cannot integrate a {piece.kind} piece over an unbounded interval")
-    fn = piece.derivative if derivative else piece.value
-    breaks = None if derivative else interior_roots(piece, lo, hi)
-    return abs_pow_quadrature(fn, power, weight_pow, lo, hi, spec, breaks=breaks)
+    total = 0.0
+    runs: list[list[float]] = []  # the edges of each run, ends included
+    for seg_lo, seg_hi, piece in g.segments():
+        a, b = max(seg_lo, lo), min(seg_hi, hi)
+        closed = abs_pow_closed_form(piece, power, weight_pow, a, b, spec, derivative=derivative)
+        if closed is not None:
+            total += closed
+            continue
+        if math.isinf(b):
+            raise DomainError(f"cannot integrate a {piece.kind} piece over an unbounded interval")
+        if not runs or runs[-1][-1] != a:  # a closed-form segment ended the last run
+            runs.append([a])
+        if not derivative and isinstance(piece, LinearPiece) and piece.slope != 0.0:
+            # |value|^power stops being smooth at the root.
+            root = -piece.intercept / piece.slope
+            if a < root < b:
+                runs[-1].append(root)
+        runs[-1].append(b)
+    fn = g.derivative if derivative else g.value
+    for edges in runs:
+        total += abs_pow_quadrature(
+            fn, power, weight_pow, edges[0], edges[-1], spec, breaks=edges[1:-1]
+        )
+    return total
 
 
 def abs_pow_closed_form(
@@ -351,7 +357,8 @@ def abs_pow_closed_form(
     *,
     derivative: bool = False,
 ) -> float | None:
-    """``abs_pow_integral`` in closed form, or None where the piece has none.
+    """``abs_pow_integral`` of one piece on [lo, hi] in closed form, or None
+    where the piece has none.
 
     Closed forms: an empty interval, a constant integrand (a linear
     derivative, a constant value, zero) and a power of (r - shift) at any
@@ -392,16 +399,6 @@ def abs_pow_closed_form(
     return None
 
 
-def interior_roots(piece: Piece, lo: float, hi: float) -> list[float]:
-    """The root of a linear piece's value strictly inside (lo, hi), where
-    |value|^power stops being smooth; other pieces report none."""
-    if isinstance(piece, LinearPiece) and piece.slope != 0.0:
-        root = -piece.intercept / piece.slope
-        if lo < root < hi:
-            return [root]
-    return []
-
-
 def abs_pow_quadrature(
     fn: Callable[[np.ndarray], np.ndarray],
     power: float,
@@ -414,7 +411,8 @@ def abs_pow_quadrature(
 ) -> float:
     """integral_lo^hi |fn(r)|^power r^weight_pow dr by one adaptive quadrature call.
 
-    The fallback of ``abs_pow_integral``, for integrands that are no piece.
+    ``abs_pow_integral``'s integral of a run of segments without a closed
+    form, and the integral of integrands that are no profile.
     ``breaks`` are the points of (lo, hi) where the integrand is not smooth
     (knots, roots of fn); they become first-level panel edges.  Under the
     substitution below a break b moves to s = (b/hi)^{weight_pow+1}, and

@@ -18,10 +18,10 @@ panel value, when the splits would exceed ``MAX_SUBDIVISIONS``, or when
 only frozen panels fail their share.
 
 Each first-level panel must lie within one smooth piece of its integrand:
-the callers break there (``hardy`` at the knots and roots of a trial
-function, graded geometrically toward an algebraic end at r = 0 by
-``profiles.abs_pow_quadrature``; ``moser1d`` by one call per profile
-piece, graded toward both ends of each piece).  The error estimate
+the callers break there (``profiles.abs_pow_integral`` at the knots and
+roots of a profile, such as a Hardy trial, graded geometrically toward an
+algebraic end at r = 0 by ``profiles.abs_pow_quadrature``; ``moser1d`` by
+one call per profile piece, graded toward both ends of each piece).  The error estimate
 is blind to a jump that lies between a panel edge and that panel's
 outermost Gauss node, where G15 and G31 see the same side and agree on a
 wrong value;

@@ -72,9 +72,6 @@ class RadialProfile:
     def value(self, r):
         return self.profile.value(r)
 
-    def derivative(self, r):
-        return self.profile.derivative(r)
-
 
 def decreasing_rearrangement(f: SampledFunction) -> SampledFunction:
     """Cells of |f| sorted by value descending (ties keep input order)."""

@@ -1,10 +1,10 @@
 """Differential oracle for ``profiles.abs_pow_integral`` against mpmath.quad.
 
 Every piece type and branch the energies and the Hardy norms use is compared
-with a 30-digit reference: closed forms to 1e-13 relative, the quadrature
-branches to their spec's rel_tol.  The Hardy probes' whole norms, one engine
-call each, are compared to 1e-10 relative, and those whose first level is
-graded toward r = 0 to 1e-12.
+with a 30-digit reference, on one-segment profiles: closed forms to 1e-13
+relative, the quadrature branches to their spec's rel_tol.  The Hardy
+probes' whole norms, one engine call each, are compared to 1e-10 relative,
+and those whose first level is graded toward r = 0 to 1e-12.
 """
 
 import bisect
@@ -19,9 +19,12 @@ from hypothesis import strategies as st
 from adamskit import hardy
 from adamskit.constants import unit_ball_volume
 from adamskit.hardy import HardySetup, Side
+from adamskit.errors import DomainError
 from adamskit.profiles import (
     ExpApproachPiece,
+    FuncPiece,
     LinearPiece,
+    PiecewiseProfile,
     PowerPiece,
     abs_pow_integral,
     piecewise_linear,
@@ -57,6 +60,13 @@ def reference(f, points):
 exponent = st.floats(1.1, 4.0)
 
 
+def one_segment(piece, lo, hi):
+    """The profile that is ``piece`` on [lo, hi], hi possibly inf."""
+    if math.isinf(hi):
+        return PiecewiseProfile(knots=(lo,), pieces=(), tail=piece)
+    return PiecewiseProfile(knots=(lo, hi), pieces=(piece,))
+
+
 class TestEnergies:
     @oracle
     @given(
@@ -68,15 +78,23 @@ class TestEnergies:
     def test_linear(self, slope, p, lo, width):
         piece = LinearPiece(intercept=0.3, slope=slope)
         hi = lo + width
-        got = abs_pow_integral(piece, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)
+        g = one_segment(piece, lo, hi)
+        got = abs_pow_integral(g, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)
         want = reference(lambda t: abs(mpmath.mpf(slope)) ** p, [lo, hi])
         assert got == pytest.approx(want, rel=CLOSED)
 
     @pytest.mark.parametrize("slope, want", [(0.5, math.inf), (-2.0, math.inf), (0.0, 0.0)])
     def test_linear_to_infinity(self, slope, want):
         piece = LinearPiece(intercept=1.0, slope=slope)
-        got = abs_pow_integral(piece, 2.0, 0.0, 3.0, math.inf, DEFAULT_SPEC, derivative=True)
+        g = one_segment(piece, 3.0, math.inf)
+        got = abs_pow_integral(g, 2.0, 0.0, 3.0, math.inf, DEFAULT_SPEC, derivative=True)
         assert got == want
+
+    def test_no_closed_form_to_infinity_rejected(self):
+        tail = FuncPiece(fn=np.cos, dfn=lambda t: -np.sin(t))
+        g = one_segment(tail, 0.0, math.inf)
+        with pytest.raises(DomainError, match="callable piece over an unbounded interval"):
+            abs_pow_integral(g, 2.0, 0.0, 0.0, math.inf, DEFAULT_SPEC, derivative=True)
 
     @oracle
     @given(
@@ -91,7 +109,8 @@ class TestEnergies:
         piece = PowerPiece(coeff=coeff, shift=shift, exponent=exp_, offset=0.7)
         lo = shift + gap
         hi = lo + width
-        got = abs_pow_integral(piece, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)
+        g = one_segment(piece, lo, hi)
+        got = abs_pow_integral(g, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)
         c, e, s = (mpmath.mpf(x) for x in (coeff, exp_, shift))
         want = reference(lambda t: abs(c * e * (t - s) ** (e - 1)) ** p, [lo, hi])
         assert got == pytest.approx(want, rel=CLOSED)
@@ -108,7 +127,8 @@ class TestEnergies:
         piece = ExpApproachPiece(amplitude=amplitude, rate=rate, anchor=1.0, offset=0.2)
         lo = 1.0 + gap
         hi = lo + width
-        got = abs_pow_integral(piece, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)
+        g = one_segment(piece, lo, hi)
+        got = abs_pow_integral(g, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)
         a, k = mpmath.mpf(amplitude), mpmath.mpf(rate)
         want = reference(lambda t: abs(a * k * mpmath.exp(-k * (t - 1))) ** p, [lo, hi])
         assert got == pytest.approx(want, rel=CLOSED)
@@ -131,7 +151,8 @@ class TestEnergies:
         p = n / m
         g = energy_change_of_variables(radial, m)
         for lo, hi, piece in g.segments():
-            got = abs_pow_integral(piece, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)
+            # The whole profile clipped to one segment: the others add 0.
+            got = abs_pow_integral(g, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)
             src = piece.source
             omega, f, s_lo = (mpmath.mpf(x) for x in (src.omega, src.f_val, src.s_lo))
             a = mpmath.mpf(src.f_accum) - f * s_lo
@@ -168,7 +189,8 @@ class TestHardyIntegrals:
     def test_linear_value_with_interior_root(self, lo, thetas, root, slope, q, data):
         theta = data.draw(thetas)
         piece = LinearPiece(intercept=-slope * root, slope=slope)
-        got = abs_pow_integral(piece, q, theta, lo, 1.0, DEFAULT_SPEC)
+        g = one_segment(piece, lo, 1.0)
+        got = abs_pow_integral(g, q, theta, lo, 1.0, DEFAULT_SPEC)
         s, r0 = mpmath.mpf(slope), mpmath.mpf(root)
         want = reference(lambda r: abs(s * (r - r0)) ** q * r**theta, [lo, root, 1.0])
         assert got == pytest.approx(want, rel=QUAD)
@@ -185,7 +207,8 @@ class TestHardyIntegrals:
     def test_derivative_of_pure_power(self, coeff, exp_, p, alpha, lo, hi):
         piece = PowerPiece(coeff=coeff, shift=0.0, exponent=exp_, offset=0.0)
         w1 = (exp_ - 1.0) * p + alpha + 1.0
-        got = abs_pow_integral(piece, p, alpha, lo, hi, DEFAULT_SPEC, derivative=True)
+        g = one_segment(piece, lo, hi)
+        got = abs_pow_integral(g, p, alpha, lo, hi, DEFAULT_SPEC, derivative=True)
         if lo == 0.0 and w1 <= 0.0:
             assert got == math.inf
             return
@@ -251,9 +274,7 @@ class TestWholeNorms:
     @pytest.mark.parametrize("case", list(NORM_CASES))
     def test_trial_ratio_numerator(self, case):
         setup, u = NORM_CASES[case]
-        got = hardy._profile_weighted_norm(
-            u, setup.q, setup.theta, setup.R, DEFAULT_SPEC, of_derivative=False
-        ) ** setup.q
+        got = abs_pow_integral(u, setup.q, setup.theta, 0.0, setup.R, DEFAULT_SPEC)
         with mpmath.workdps(30):
             value, points = mp_linear_profile(u)
             q, theta = mpmath.mpf(setup.q), mpmath.mpf(setup.theta)
@@ -305,9 +326,7 @@ class TestWholeNorms:
         # (-1, 0) goes through r = R s^{1/(theta+1)} and is graded in s.
         setup = HardySetup(p=2.0, q=2.5, alpha=1.05, theta=theta, R=1.5, side=Side.RIGHT_VANISHING)
         u = hardy._random_trial(setup, np.random.default_rng(11))
-        got = hardy._profile_weighted_norm(
-            u, setup.q, setup.theta, setup.R, DEFAULT_SPEC, of_derivative=False
-        ) ** setup.q
+        got = abs_pow_integral(u, setup.q, setup.theta, 0.0, setup.R, DEFAULT_SPEC)
         with mpmath.workdps(30):
             value, points = mp_linear_profile(u)
             q, theta_ = mpmath.mpf(setup.q), mpmath.mpf(theta)

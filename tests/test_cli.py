@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from adamskit import extremal
+from adamskit import extremal, hardy
 from adamskit.cli import main, parse_args
 from adamskit.constants import AdamsParams, beta0
 
@@ -220,6 +220,21 @@ class TestCommands:
         assert payload["probe_ok"] is True
         assert payload["max_ratio"] <= payload["upper"] + 1e-9
 
+    def test_hardy_probe_check_is_relative(self, monkeypatch, capsys):
+        # upper = 8.84e-76 at R = 1e-50, so twice it is a violation.
+        setup = hardy.HardySetup(
+            p=2.0, q=3.0, alpha=0.0, theta=2.0, R=1e-50, side=hardy.Side.LEFT_VANISHING
+        )
+        ratio = 2.0 * hardy.sandwich(setup).upper
+        monkeypatch.setattr(
+            hardy, "rayleigh_probe", lambda *args, **kwargs: hardy.ProbeResult(ratio, None)
+        )
+        argv = ["hardy", "--p", "2", "--q", "3", "--alpha", "0", "--theta", "2",
+                "--R", "1e-50", "--trials", "20"]
+        status, out, _ = run_cli(argv, capsys)
+        assert status == 4
+        assert json.loads(out)["probe_ok"] is False
+
     def test_hardy_infeasible_is_domain_error(self, capsys):
         status, _out, err = run_cli(
             ["hardy", "--p", "2", "--q", "2", "--alpha", "3", "--theta", "0"], capsys
@@ -233,6 +248,7 @@ class TestCommands:
             ("0", "interval endpoint must be positive and finite, got R=0.0"),
             ("-1", "interval endpoint must be positive and finite, got R=-1.0"),
             ("1e200", "the trial's coefficients overflow at R=1e+200"),
+            ("1e-41", "the trial's integrals (0, 0) underflow the float range at R=1e-41"),
         ],
     )
     def test_second_order_bad_radius_is_domain_error(self, radius, message, capsys):

@@ -429,6 +429,14 @@ class TestSecondOrder:
         with pytest.raises(DomainError, match="power basis"):
             second_order_trial_ratio(8, 2.0, 2.0, 1.0, poly)
 
+    def test_subnormal_integrals_rejected(self):
+        # At R = 1e-40 both integrals are subnormal and the ratio read 0.0995.
+        poly = np.polynomial.Polynomial(np.random.default_rng(0).uniform(-1.0, 1.0, 4))
+        ratio = second_order_trial_ratio(8, 2.0, 2.0, 1e-30, poly)
+        assert ratio == pytest.approx(0.07319250547113967, rel=1e-12)
+        with pytest.raises(DomainError, match=r"underflow the float range at R=1e-40"):
+            second_order_trial_ratio(8, 2.0, 2.0, 1e-40, poly)
+
     def test_boundary_conditions_by_construction(self):
         poly = np.polynomial.Polynomial([0.3, -1.2, 0.7])
         R = 1.4

@@ -17,8 +17,16 @@ from adamskit.moser1d import (
     energy,
     moser_family,
 )
-from adamskit.profiles import PiecewiseProfile, constant_piece, piecewise_linear
+from adamskit.profiles import (
+    ExpApproachPiece,
+    LinearPiece,
+    PiecewiseProfile,
+    PowerPiece,
+    constant_piece,
+    piecewise_linear,
+)
 from adamskit.quadrature import QuadratureSpec
+from adamskit.rearrange import SampledFunction, energy_change_of_variables, talenti_radial_solution
 from adamskit.specfun import EULER_GAMMA, digamma
 
 
@@ -124,6 +132,62 @@ class TestCcFunctional:
         shifted = PiecewiseProfile(knots=(1.0, 2.0), pieces=(constant_piece(0.5),), tail=constant_piece(0.5))
         with pytest.raises(DomainError):
             cc_functional(shifted, 2.0)
+
+    @pytest.mark.parametrize("q", [2.0, 1.5])
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            ExpApproachPiece(amplitude=-1.0, rate=0.5, anchor=1.0, offset=0.5),  # g(10) = -0.489
+            PowerPiece(coeff=-1.0, shift=0.0, exponent=0.3, offset=1.5),  # g(1e3) = -6.44
+            LinearPiece(intercept=1.0, slope=-0.5),
+        ],
+        ids=["exp", "power", "linear"],
+    )
+    def test_tail_below_zero_rejected(self, tail, q):
+        # Every knot value is nonnegative; only the tail's limit is not.
+        g = PiecewiseProfile(knots=(0.0, 1.0), pieces=(LinearPiece(0.0, 0.5),), tail=tail)
+        with pytest.raises(DomainError, match="profile must be nonnegative"):
+            cc_functional(g, q)
+        with pytest.raises(DomainError, match="profile must be nonnegative"):
+            cc_lemma_bound(g, q / (q - 1.0), 0.5)
+
+
+def t_space_reference(g: PiecewiseProfile, q: float, value) -> float:
+    """J of ``g``, whose value in mpmath is ``value``, by mpmath.quad in t split
+    at the knots, 30 digits."""
+    with mpmath.workdps(30):
+        return float(mpmath.quad(lambda t: mpmath.exp(value(t) ** q - t), [*g.knots, mpmath.inf]))
+
+
+class TestTailBranches:
+    """The tails that ``cc_functional`` integrates neither in closed form nor
+    by truncating a saturating piece."""
+
+    def test_log_radial_pullback(self):
+        radial = talenti_radial_solution(SampledFunction(cells=((0.3, 2.0), (0.5, 1.0))), 4, 1.0)
+        g = energy_change_of_variables(radial, 2)
+        want = t_space_reference(g, 2.0, lambda t: mpmath.mpf(g.value(float(t))))
+        assert want == pytest.approx(2.84157537857404, rel=1e-14)
+        assert cc_functional(g, 2.0) == pytest.approx(want, rel=1e-12)
+
+    def test_hoelder_envelope(self):
+        # Energy 0.64 on the ramp and 0.09 / 0.4 on the power tail.
+        tail = PowerPiece(coeff=1.0, shift=0.0, exponent=0.3, offset=-0.2)
+        g = PiecewiseProfile(knots=(0.0, 1.0), pieces=(LinearPiece(0.0, 0.8),), tail=tail)
+        assert energy(g, 2.0) == pytest.approx(0.865, rel=1e-13)
+
+        def value(t):
+            return 0.8 * t if t <= 1 else t ** mpmath.mpf(0.3) - mpmath.mpf(0.2)
+
+        want = t_space_reference(g, 2.0, value)
+        assert want == pytest.approx(1.87147623720836, rel=1e-14)
+        assert cc_functional(g, 2.0) == pytest.approx(want, rel=1e-12)
+
+    def test_hoelder_envelope_needs_tail_energy_below_one(self):
+        # Tail energy (0.9)^2 / 0.4 = 2.025: no envelope bounds the tail.
+        g = PiecewiseProfile(knots=(1.0,), pieces=(), tail=PowerPiece(3.0, 0.0, 0.3))
+        with pytest.raises(DomainError, match="tail energy >= 1"):
+            cc_integral(g, 2.0, 1.0, math.inf)
 
 
 U = 2.0**-53
