@@ -8,7 +8,13 @@ over functions vanishing at 0 (left) or at R (right), the second-order
 radial inequality with its iterated constants, and randomized
 Rayleigh-quotient probes that certify the sandwich numerically.  A
 probe's weighted norm is one ``profiles.abs_pow_integral`` of the trial
-or its derivative, which breaks its quadrature at knots and roots.
+or its derivative, which breaks its quadrature at knots and roots (and
+evaluates a piecewise-linear trial by one gather per level).  The
+second-order trials' polynomials are plain coefficient arrays: products
+by ``np.convolve``, derivatives as k c_k, values by Horner's rule, each in
+``numpy.polynomial``'s order of operations, so the ratios are bit for bit
+those of ``polymul``/``polyder``/``polyval`` without their per-call
+wrappers; only the roots, which become the breaks, come from ``polyroots``.
 
 For pure power weights the product defining B is unimodal in the split
 point for every parameter choice (its log-derivative is C - G(x) with G
@@ -293,9 +299,16 @@ def _abs_pow_poly_integral(
     real = roots.real[
         (np.abs(roots.imag) < 1e-12) & (1e-12 < roots.real) & (roots.real < R * (1 - 1e-12))
     ]
-    return abs_pow_quadrature(
-        lambda r: P.polyval(r, coef), power, weight_pow, 0.0, R, spec, breaks=np.unique(real)
-    )
+    top, rest = coef[-1], coef[-2::-1].tolist()
+
+    def value(r):
+        # Horner's rule in ``P.polyval``'s order of operations.
+        y = top + r * 0.0
+        for c in rest:
+            y = c + y * r
+        return y
+
+    return abs_pow_quadrature(value, power, weight_pow, 0.0, R, spec, breaks=np.unique(real))
 
 
 def second_order_trial_ratio(
@@ -309,21 +322,25 @@ def second_order_trial_ratio(
     """LHS/RHS of the second-order inequality for u = (R - r)^2 poly(r).
 
     The boundary conditions u(R) = 0 and u'(R) = 0 hold by construction.
-    Raises ``DomainError`` when ``poly`` is not in the power basis (its
-    domain differs from its window), the coefficients of u overflow, or
-    either integral of a nonzero ``poly`` falls below the normal float
-    range, where its digits are lost (R near 1e-40 and below).
+    Raises ``DomainError`` when p < 1, when ``poly`` is not in the power
+    basis (its domain differs from its window), the coefficients of u
+    overflow, or either integral of a nonzero ``poly`` falls below the
+    normal float range, where its digits are lost (R near 1e-40 and below).
     """
+    if not p >= 1.0:
+        raise DomainError(f"need p >= 1, got p={p}")
     if not (poly.domain == poly.window).all():
         raise DomainError(f"the trial polynomial must be in the power basis, got {poly!r}")
     q_star = n * q / (n - 2.0 * q)
-    u = P.polymul(P.polymul([R, -1.0], [R, -1.0]), poly.coef)
+    factor = np.array([R, -1.0])
+    u = np.convolve(np.convolve(factor, factor), poly.coef)
     if not np.isfinite(u).all():
         raise DomainError(f"the trial's coefficients overflow at R={R}")
-    du = P.polyder(u)
+    du = np.arange(1, u.size) * u[1:]
+    d2u = np.arange(1, du.size) * du[1:]
     # |r u'' + (n-1) u'|^p r^{np/q - 1 - p} keeps the laplacian integrand
     # polynomial-times-power (no 1/r at the origin).
-    lap_times_r = P.polyadd(P.polymulx(P.polyder(u, 2)), (n - 1.0) * du)
+    lap_times_r = np.concatenate(([0.0], d2u)) + (n - 1.0) * du
     lhs = _abs_pow_poly_integral(u, p, n * p / q_star - 1.0, R, spec)
     rhs = _abs_pow_poly_integral(lap_times_r, p, n * p / q - 1.0 - p, R, spec)
     if np.any(poly.coef) and not min(lhs, rhs) >= sys.float_info.min:

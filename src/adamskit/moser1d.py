@@ -165,16 +165,22 @@ def cc_integral(
     hi: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """integral_lo^hi exp(g^q - t) dt along the profile's pieces."""
+    """integral_lo^hi exp(g^q - t) dt along the profile's pieces.
+
+    Unchecked: where g < 0 at a non-integer q, or exp overflows, the
+    integrand is NaN or infinite and the engine raises ``QuadratureError``
+    (numpy's warnings for those values are silenced for the whole call).
+    """
     total = 0.0
-    for seg_lo, seg_hi, piece in g.segments():
-        a, b = max(seg_lo, lo), min(seg_hi, hi)
-        if b <= a:
-            continue
-        if math.isinf(b):
-            total += _cc_tail(g, piece, q, a, spec)
-        else:
-            total += _cc_finite(piece, q, a, b, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg_lo, seg_hi, piece in g.segments():
+            a, b = max(seg_lo, lo), min(seg_hi, hi)
+            if b <= a:
+                continue
+            if math.isinf(b):
+                total += _cc_tail(g, piece, q, a, spec)
+            else:
+                total += _cc_finite(piece, q, a, b, spec)
     return total
 
 

@@ -7,7 +7,11 @@ value and derivative.  ``abs_pow_integral`` is the one integral of
 ``moser1d`` and the weighted norms of ``hardy`` alike: it walks the
 segments once, sums ``abs_pow_closed_form`` wherever the piece type has a
 closed form and integrates the remaining runs of segments with
-``abs_pow_quadrature``, breaking at their knots and roots.
+``abs_pow_quadrature``, breaking at their knots and roots.  The values of
+a profile whose segments are all linear (a Hardy trial) come from one
+gather of intercepts and slopes per engine level, not from the per-segment
+dispatch of ``PiecewiseProfile.value``; constructing a profile does no
+extra work for it.
 """
 
 from __future__ import annotations
@@ -340,11 +344,31 @@ def abs_pow_integral(
                 runs[-1].append(root)
         runs[-1].append(b)
     fn = g.derivative if derivative else g.value
+    if runs and not derivative and all(isinstance(piece, LinearPiece) for piece in g._segments):
+        fn = _linear_value(g)
     for edges in runs:
         total += abs_pow_quadrature(
             fn, power, weight_pow, edges[0], edges[-1], spec, breaks=edges[1:-1]
         )
     return total
+
+
+def _linear_value(g: PiecewiseProfile) -> Callable[[np.ndarray], np.ndarray]:
+    """``g.value`` on the nodes of a profile whose segments are all linear,
+    by one gather: the segment of each node is picked as ``_piece_index``
+    picks it, then intercept + slope * r is ``LinearPiece.value``'s
+    arithmetic, so the values are bit for bit those of ``g.value``.  The
+    nodes lie in the domain by construction, so there is no bounds check,
+    and r >= knots[0] leaves only the clip to the last segment."""
+    knots, last = g._knots_arr, len(g._segments) - 1
+    intercept = np.array([piece.intercept for piece in g._segments], dtype=float)
+    slope = np.array([piece.slope for piece in g._segments], dtype=float)
+
+    def value(r):
+        i = np.minimum(np.searchsorted(knots, r, side="right") - 1, last)
+        return intercept[i] + slope[i] * r
+
+    return value
 
 
 def abs_pow_closed_form(

@@ -27,6 +27,7 @@ from adamskit.profiles import (
     PiecewiseProfile,
     PowerPiece,
     abs_pow_integral,
+    abs_pow_quadrature,
     piecewise_linear,
 )
 from adamskit.quadrature import DEFAULT_SPEC
@@ -332,3 +333,66 @@ class TestWholeNorms:
             q, theta_ = mpmath.mpf(setup.q), mpmath.mpf(theta)
             want = reference(lambda r: abs(value(r)) ** q * r**theta_, points)
         assert got == pytest.approx(want, rel=GRADED)
+
+
+def run_breaks(u, lo, hi):
+    """The knots and the roots of ``u`` strictly inside (lo, hi), on which
+    every piece is linear and not constant."""
+    breaks = []
+    for a, b, piece in u.segments():
+        a, b = max(a, lo), min(b, hi)
+        if b <= a:
+            continue
+        if lo < a:
+            breaks.append(a)
+        root = -piece.intercept / piece.slope
+        if a < root < b:
+            breaks.append(root)
+    return breaks
+
+
+GATHER_SETUPS = {
+    "left": LEFT,
+    "left-q=1.7": HardySetup(p=1.5, q=1.7, alpha=-0.2, theta=0.73, R=2.0, side=Side.LEFT_VANISHING),
+    "right-substitution": RIGHT,
+    "right-theta=1.4": HardySetup(p=2.0, q=2.5, alpha=1.2, theta=1.4, R=0.7, side=Side.RIGHT_VANISHING),
+}
+
+
+class TestLinearGather:
+    """A value run of linear pieces is integrated from one gather of their
+    intercepts and slopes.  It must give the bits of one
+    ``abs_pow_quadrature`` call of ``PiecewiseProfile.value`` over the run."""
+
+    @pytest.mark.parametrize("setup", list(GATHER_SETUPS.values()), ids=list(GATHER_SETUPS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_profile_value_route(self, setup, seed):
+        u = hardy._random_trial(setup, np.random.default_rng(seed))
+        knots, values = np.array(u.knots), u.value(np.array(u.knots))
+        trials = [u, piecewise_linear(knots, values)]  # the second with a constant tail
+        if setup.side is Side.LEFT_VANISHING:
+            # Two more knots in the zero segment [0, x0].
+            zeros = knots[1] * np.array([0.25, 0.5])
+            trials.append(
+                piecewise_linear(
+                    np.insert(knots, 1, zeros), np.insert(values, 1, [0.0, 0.0]), constant_tail=False
+                )
+            )
+        for trial in trials:
+            start = next(a for a, _b, piece in trial.segments() if piece.slope != 0.0)
+            want = abs_pow_quadrature(
+                trial.value, setup.q, setup.theta, start, setup.R, DEFAULT_SPEC,
+                breaks=run_breaks(trial, start, setup.R),
+            )
+            got = abs_pow_integral(trial, setup.q, setup.theta, 0.0, setup.R, DEFAULT_SPEC)
+            assert got == want
+
+    def test_no_per_node_dispatch(self, monkeypatch):
+        u = hardy._random_trial(RIGHT, np.random.default_rng(0))
+        want = abs_pow_integral(u, RIGHT.q, RIGHT.theta, 0.0, RIGHT.R, DEFAULT_SPEC)
+
+        def refuse(self, t):
+            raise AssertionError("PiecewiseProfile.value called")
+
+        monkeypatch.setattr(PiecewiseProfile, "value", refuse)
+        assert abs_pow_integral(u, RIGHT.q, RIGHT.theta, 0.0, RIGHT.R, DEFAULT_SPEC) == want

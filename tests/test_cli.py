@@ -259,6 +259,16 @@ class TestCommands:
         assert out == ""
         assert err == f"adamskit: domain error: {message}\n"
 
+    @pytest.mark.parametrize("p", ["-1", "0", "1e-300"])
+    def test_second_order_p_below_one_is_domain_error(self, p, capsys):
+        # p = -1 used to print a numpy warning and exit 3; p = 0 and 1e-300
+        # spent the engine's split budget and exited 3.
+        argv = ["hardy", "--second-order", "--n-dim", "8", "--q", "2", "--R", "1",
+                "--trials", "3", "--p", p]
+        status, out, err = run_cli(argv, capsys)
+        assert (status, out) == (2, "")
+        assert err == f"adamskit: domain error: need p >= 1, got p={float(p)!r}\n"
+
     @pytest.mark.parametrize("radius", ["1e-300", "1e300"])
     def test_hardy_radius_out_of_range_is_domain_error(self, radius, capsys):
         argv = ["hardy", "--p", "2", "--q", "2", "--alpha", "-1", "--theta", "-3",

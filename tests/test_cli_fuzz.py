@@ -1,0 +1,109 @@
+"""Contract fuzz of ``adamskit hardy``: every input ends in a documented
+exit code, with no traceback, no numpy warning and only finite numbers.
+
+The cases are derandomized, so the suite sees the same ones on every run.
+"""
+
+import contextlib
+import io
+import math
+import re
+import warnings
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from adamskit.cli import main
+
+#: The documented exit codes: success, domain error, quadrature failure,
+#: probe failure, malformed arguments.
+EXIT_CODES = {0, 2, 3, 4, 64}
+#: A number token in the output, including the non-finite spellings.
+TOKEN = re.compile(
+    r"(?<![\w.])-?(?:inf|nan|\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)(?![\w.])", re.IGNORECASE
+)
+
+#: The float range's ends, the exponents' boundaries and plain values.
+EXTREMES = [1e-300, 1e300, -1e300, -1.0, 0.0, 1.0, 1.0 + 1e-10, 0.5]
+TRIALS = st.sampled_from(["0", "1", "3"])
+FORMATS = st.sampled_from([[], ["--format", "csv"]])
+
+
+@st.composite
+def _perturbed(draw, feasible):
+    """Options {name: value}: ``feasible`` values, of which up to two are
+    replaced by an extreme or left out."""
+    values = dict(feasible)
+    for name in draw(st.lists(st.sampled_from(tuple(feasible)), max_size=2, unique=True)):
+        values[name] = draw(st.one_of(st.sampled_from(EXTREMES), st.none()))
+    # "--p=-1" keeps argparse from reading a negative value as an option.
+    return [f"{name}={value!r}" for name, value in values.items() if value is not None]
+
+
+@st.composite
+def hardy_first_order(draw):
+    """A feasible setup (the sign of alpha - p + 1 fits the side, and
+    q (alpha - p + 1) < p (theta + 1)), then perturbed."""
+    side = draw(st.sampled_from(["left", "right"]))
+    p = draw(st.floats(1.01, 4.0))
+    q = p * draw(st.floats(1.0, 2.0))
+    shifted = draw(st.floats(0.05, 2.0)) * (-1.0 if side == "left" else 1.0)
+    theta = q * shifted / p - 1.0 + draw(st.floats(0.01, 2.0))
+    feasible = {"--p": p, "--q": q, "--alpha": shifted + p - 1.0, "--theta": theta,
+                "--R": draw(st.floats(0.1, 10.0))}
+    options = draw(_perturbed(feasible))
+    return draw(FORMATS) + ["hardy", *options, "--side", side, "--trials", draw(TRIALS)]
+
+
+@st.composite
+def hardy_second_order(draw):
+    """A feasible probe (n - 2q > 0), then perturbed; n is drawn apart."""
+    n = draw(st.sampled_from([3, 4, 5, 6, 8, 12, 100]))
+    feasible = {"--q": draw(st.floats(1.01, n / 2.0 - 0.01)), "--p": draw(st.floats(1.0, 5.0)),
+                "--R": draw(st.floats(0.1, 10.0))}
+    options = draw(_perturbed(feasible))
+    argv = draw(FORMATS) + ["hardy", "--second-order", "--n-dim", str(n)]
+    return argv + options + ["--trials", draw(TRIALS)]
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr, warnings) of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse's exit 64 and --help
+                status = exc.code
+    return status, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def check_contract(argv):
+    status, out, err, caught = run_in_process(argv)
+    assert status in EXIT_CODES, (argv, status, err)
+    assert "Traceback" not in err, (argv, err)
+    assert "Warning" not in err and not caught, (argv, err, caught)
+    if status == 0:
+        numbers = [float(t) for t in TOKEN.findall(out)]
+        assert numbers and all(math.isfinite(x) for x in numbers), (argv, out)
+
+
+_FUZZ = settings(
+    derandomize=True,
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@_FUZZ
+@given(hardy_first_order())
+def test_hardy_contract(argv):
+    check_contract(argv)
+
+
+@_FUZZ
+@given(hardy_second_order())
+def test_hardy_second_order_contract(argv):
+    check_contract(argv)

@@ -9,6 +9,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from adamskit.constants import AdamsParams, beta0_product_form, unit_sphere_area
 import adamskit.hardy as hardy_module
@@ -29,6 +30,7 @@ from adamskit.hardy import (
     trial_ratio,
 )
 from adamskit.profiles import PiecewiseProfile, constant_piece, piecewise_linear
+from adamskit.quadrature import DEFAULT_SPEC
 
 
 def balanced_left(p: float, alpha: float, R: float = 1.0) -> HardySetup:
@@ -472,6 +474,75 @@ class TestSecondOrder:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("optimized probe ratio")
+
+
+def reference_second_order_ratio(n, p, q, R, poly):
+    """The second-order ratio through numpy.polynomial's polymul, polyder,
+    polyadd, polymulx and polyval: the reference that the library's plain
+    coefficient arithmetic must reproduce bit for bit."""
+    q_star = n * q / (n - 2.0 * q)
+    u = P.polymul(P.polymul([R, -1.0], [R, -1.0]), poly.coef)
+    du = P.polyder(u)
+    lap_times_r = P.polyadd(P.polymulx(P.polyder(u, 2)), (n - 1.0) * du)
+
+    def integral(coef, weight_pow):
+        roots = P.polyroots(coef)
+        real = roots.real[
+            (np.abs(roots.imag) < 1e-12) & (1e-12 < roots.real) & (roots.real < R * (1 - 1e-12))
+        ]
+        return profiles_module.abs_pow_quadrature(
+            lambda r: P.polyval(r, coef), p, weight_pow, 0.0, R, DEFAULT_SPEC,
+            breaks=np.unique(real),
+        )
+
+    lhs = integral(u, n * p / q_star - 1.0)
+    rhs = integral(lap_times_r, n * p / q - 1.0 - p)
+    if rhs == 0.0:
+        return math.nan
+    return lhs ** (1.0 / p) / rhs ** (1.0 / p)
+
+
+class TestCoefficientArithmetic:
+    """``second_order_trial_ratio`` forms its polynomials on plain arrays and
+    must return the bits of the numpy.polynomial route."""
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_equals_the_numpy_polynomial_route(self, n, k, p):
+        q = float(np.linspace(1.2, n / 2.0 - 0.4, 3)[k])
+        rng = np.random.default_rng(100 * n + k)
+        for _ in range(3):
+            poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, size=4))
+            R = float(rng.uniform(0.5, 2.0))
+            want = reference_second_order_ratio(n, p, q, R, poly)
+            assert second_order_trial_ratio(n, p, q, R, poly) == want
+
+    def test_constant_and_zero_polynomials(self):
+        one = np.polynomial.Polynomial([1.0])
+        assert second_order_trial_ratio(8, 2.0, 2.0, 1.0, one) == reference_second_order_ratio(
+            8, 2.0, 2.0, 1.0, one
+        )
+        zero = np.polynomial.Polynomial([0.0, 0.0, 0.0, 0.0])
+        assert math.isnan(second_order_trial_ratio(8, 2.0, 2.0, 1.0, zero))
+        assert math.isnan(reference_second_order_ratio(8, 2.0, 2.0, 1.0, zero))
+
+    def test_no_numpy_polynomial_arithmetic(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.polynomial arithmetic called")
+
+        for name in ("polymul", "polyder", "polyadd", "polymulx", "polyval"):
+            monkeypatch.setattr(P, name, refuse)
+        assert 0.0 < second_order_probe(8, 2.0, 2.0, 1.0, 3, 0) < math.inf
+
+    @pytest.mark.parametrize("p", [-1.0, 0.0, 1e-300, 0.5, math.nan])
+    def test_p_below_one_rejected(self, p):
+        with pytest.raises(DomainError, match=r"need p >= 1, got p="):
+            second_order_trial_ratio(8, p, 2.0, 1.0, np.polynomial.Polynomial([1.0]))
+
+    @pytest.mark.parametrize("p", [1.0, 50.0])
+    def test_p_from_one_up_accepted(self, p):
+        assert 0.0 < second_order_trial_ratio(8, p, 2.0, 1.0, np.polynomial.Polynomial([1.0])) < 1.0
 
 
 class TestIteratedConstant:

@@ -151,6 +151,24 @@ class TestCcFunctional:
         with pytest.raises(DomainError, match="profile must be nonnegative"):
             cc_lemma_bound(g, q / (q - 1.0), 0.5)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            piecewise_linear([0.0, 1.0, 2.0], [0.5, -0.5, 0.2]),
+            PiecewiseProfile(
+                knots=(0.0, 1.0),
+                pieces=(LinearPiece(0.0, 0.5),),
+                tail=ExpApproachPiece(amplitude=-1.0, rate=0.5, anchor=1.0, offset=0.5),
+            ),
+        ],
+        ids=["linear", "exp-tail"],
+    )
+    def test_unchecked_negative_profile_raises_without_warning(self, g):
+        # g^1.5 is NaN where g < 0: the engine names the panel, and numpy
+        # prints no "invalid value" warning first (the suite makes one an error).
+        with pytest.raises(QuadratureError, match="integrand is NaN"):
+            cc_integral(g, 1.5, 0.0, math.inf)
+
 
 def t_space_reference(g: PiecewiseProfile, q: float, value) -> float:
     """J of ``g``, whose value in mpmath is ``value``, by mpmath.quad in t split
