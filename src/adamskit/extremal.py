@@ -226,10 +226,7 @@ def functional_quadrature(
     params: TestFnParams, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """J(w) = integral_0^inf exp(w^{n/(n-2)} - t) dt via the shared kernel."""
-    _require_admissible(params)
-    n = params.n
-    w = test_function(params)
-    return cc_functional(w, n / (n - 2.0), spec)
+    return cc_functional(test_function(params), params.n / (params.n - 2.0), spec)
 
 
 def eta_function(t: float) -> float:
@@ -268,6 +265,9 @@ class VerdictRow(NamedTuple):
     gap_numeric: bool
 
 
+_NORM_ROUNDING = 4.0 * 2.0**-53  # 4 u, relative
+
+
 def verdict(n: int, spec: QuadratureSpec = DEFAULT_SPEC) -> VerdictRow:
     """All gap quantities for one dimension.
 
@@ -275,16 +275,22 @@ def verdict(n: int, spec: QuadratureSpec = DEFAULT_SPEC) -> VerdictRow:
     that the directly integrated norm stays admissible.  Below the proven
     threshold the row is exploratory data, not an assertion.
 
-    ``functional_lower_bound`` is a proven lower bound on J(w), so a
-    quadrature J below it by more than the tolerance allowance
-    2 (rel_tol + truncation_epsilon) raises ``QuadratureError``.  Over
-    n = 16..1000 and 2000..10000 the quadrature J exceeds it by 6 % or more.
+    Proven bounds are free oracles: ``QuadratureError`` when J is below
+    ``functional_lower_bound`` by more than 2 (rel_tol + truncation_epsilon)
+    (J exceeds it by 6 % or more over n = 16..1000 and 2000..10000), or when
+    the norm is above ``norm_chain_bound`` by more than ``_NORM_ROUNDING``
+    (the gap is 6.40-6.75/n^2 over n = 16..20000, 1e5 and 1e6; 57 650 u at 1e6).
     """
     if n < 16:
         raise DomainError(f"verdicts start at n = 16, got {n}")
     params = make_params(n)
     chain = norm_chain_bound(params)
     norm = norm_quadrature(params)
+    if not norm <= chain * (1.0 + _NORM_ROUNDING):
+        raise QuadratureError(
+            f"at n = {n} the integrated norm {norm!r} is above the proven chain"
+            f" bound {chain!r} by more than rounding: the norm integration is wrong"
+        )
     lower = functional_lower_bound(params)
     j_quad = functional_quadrature(params, spec)
     if not j_quad >= lower * (1.0 - 2.0 * (spec.rel_tol + spec.truncation_epsilon)):
@@ -311,7 +317,9 @@ def sweep(
     step: int = 2,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[VerdictRow]:
-    """Verdict rows for n = n_from, n_from + step, ..., <= n_to."""
+    """Verdict rows for n = n_from, n_from + step, ..., <= n_to (at least one)."""
     if step < 1:
         raise DomainError(f"step must be >= 1, got {step}")
+    if n_to < n_from:
+        raise DomainError(f"the range is empty: n_to = {n_to} is below n_from = {n_from}")
     return [verdict(n, spec) for n in range(n_from, n_to + 1, step)]

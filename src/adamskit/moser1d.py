@@ -57,36 +57,36 @@ _UNIT_ROUNDOFF = 2.0**-53
 #: 2 u t at t = 2^48, where the float spacing (1/32) is half the narrowest
 #: panel ``_cc_breaks`` lays; ``_cc_finite`` refuses a piece beyond it.
 _MAX_ROUNDING = 2.0**-4
-#: 1/2, 1/4, ...: the graded offsets of ``_cc_breaks`` in uniform panel widths.
+#: 1/2, 1/4, ...: the offsets of ``_cc_breaks``'s edges from a piece's ends,
+#: in piece widths.
 _HALVES = 0.5 ** np.arange(1, 64)
 
 
 def _cc_breaks(lo: float, hi: float) -> np.ndarray:
     """First-level panel edges inside (lo, hi) for ``_cc_finite``.
 
-    Up to 64 uniform panels of width h about 8 (wider on pieces longer
-    than 512), and in the first and the last of them the points at
-    distance h/2, h/4, ... from the piece's ends, down to a width in
-    (1/16, 1/8].  That is where halving the uniform panels used to end up:
-    e^{g^q - t} puts its mass in O(1)-wide strips at the ends of a piece.
-    The edges are strictly increasing while hi < 2^48.
+    Edges at width/2, width/4, ... from both ends of the piece, down to end
+    panels in (1/16, 1/8]; the two halves meet at the midpoint.  That is
+    2 ceil(log2(8 width)) panels (one panel for a width of at most 1/8),
+    with the ceiling taken exactly.  e^{g^q - t} puts its mass in O(1)-wide
+    strips at the ends of a piece, and each panel [d, 2d] from an end is
+    no wider than its distance to that end, so G15 resolves an integrand
+    analytic away from the ends on the first level.  The edges are strictly
+    increasing while hi < 2^48.
     """
     width = hi - lo
-    count = max(1, min(64, math.ceil(width / 8.0)))
-    h = width / count
-    grades = max(0, math.ceil(math.log2(8.0 * h)))
-    near = _HALVES[:grades][::-1]
-    far = count - near[::-1]
-    if count == 1:  # one panel: both ends grade from its midpoint
-        far = far[1:]
-    return lo + h * np.concatenate((near, np.arange(1.0, count), far))
+    mantissa, exponent = math.frexp(8.0 * width)
+    grades = max(0, exponent - (mantissa == 0.5))  # ceil(log2(8 width))
+    offsets = np.concatenate((_HALVES[:grades][::-1], 1.0 - _HALVES[1:grades]))
+    return lo + width * offsets
 
 
 def _cc_finite(piece: Piece, q: float, lo: float, hi: float, spec: QuadratureSpec) -> float:
     """integral_lo^hi exp(piece^q - t) dt on one smooth piece.
 
-    The first level is laid out by ``_cc_breaks``, so a piece whose mass
-    sits at its ends converges there without halving.  The exponent
+    The first level is ``_cc_breaks``'s geometric grading toward both
+    ends, 2 ceil(log2(8 w)) panels on a piece of width w, so a piece whose
+    mass sits at its ends converges there without halving.  The exponent
     g^q - t cancels terms as large as t, so the integrand carries a
     relative rounding of about 2 u t (u = 2^-53).  When that rounding at
     the piece's far end exceeds 100 rel_tol (or ``_MAX_ROUNDING``, where
@@ -291,6 +291,12 @@ def cc_lemma_bound(
 # concentrating family
 # ---------------------------------------------------------------------------
 
+#: Largest p of ``moser_family`` and ``concentration_maximizer``: a float
+#: slope's energy s^p carries a relative rounding of p u/2, 5.6e-11 at 1e6,
+#: under a tenth of the 1e-9 energy allowance of ``cc_functional``.
+_P_MAX = 1e6
+
+
 def moser_family(a: float, p: float) -> PiecewiseProfile:
     """Unit-energy ramp g(t) = t a^{-1/p} on [0, a], constant a^{1/q} beyond.
 
@@ -302,8 +308,8 @@ def moser_family(a: float, p: float) -> PiecewiseProfile:
     a = float(a)
     if not a > 0.0:
         raise DomainError(f"scale must be positive, got {a}")
-    if not p > 1.0:
-        raise DomainError(f"p must exceed 1, got {p}")
+    if not 1.0 < p <= _P_MAX:
+        raise DomainError(f"p must lie in (1, {_P_MAX:g}], got {p}")
     q = p / (p - 1.0)
     return PiecewiseProfile(
         knots=(0.0, a),
@@ -425,8 +431,10 @@ def _project(s: np.ndarray, dt: np.ndarray, k: int, p: float, epsilon: float) ->
     """Clip to s >= 0, cap the energy of the window (the first ``k``
     segments) at epsilon, renormalize the total to 1."""
     s = np.maximum(s, 0.0)  # a fresh array: the scalings below act in place
-    e_window = float((s[:k] ** p * dt[:k]).sum())
-    e_rest = float((s[k:] ** p * dt[k:]).sum())
+    # A trial slope above e^{709/p} overflows s^p; its part then scales to 0.
+    with np.errstate(over="ignore"):
+        e_window = float((s[:k] ** p * dt[:k]).sum())
+        e_rest = float((s[k:] ** p * dt[k:]).sum())
     if e_rest <= 0.0:
         s[k:] = 0.05
         e_rest = float((s[k:] ** p * dt[k:]).sum())
@@ -463,8 +471,8 @@ def concentration_maximizer(
     Inputs whose Gauss panels would exceed ``_PANEL_BUDGET`` raise
     ``DomainError`` before any array is built.
     """
-    if not p >= 2.0:
-        raise DomainError(f"maximizer requires p >= 2, got {p}")
+    if not 2.0 <= p <= _P_MAX:
+        raise DomainError(f"maximizer requires 2 <= p <= {_P_MAX:g}, got {p}")
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5), got {epsilon}")
     if knot_count < 8:

@@ -103,30 +103,16 @@ def symmetrize(f: SampledFunction, n: int) -> RadialProfile:
     return RadialProfile(radius=float(radii[-1]), dimension=n, profile=profile)
 
 
-class _SlabIntegral:
-    """Antiderivative of s^{2/n-2} (A + c s), the outer integrand over one
+def _slab_antiderivative(n: int, a: float, c: float, s):
+    """Antiderivative of s^{2/n-2} (a + c s), the outer integrand over one
     volume slab where the step data has constant value."""
-
-    def __init__(self, n: int, a: float, c: float):
-        self.n = n
-        self.a = a
-        self.c = c
-
-    def antiderivative(self, s):
-        s = np.asarray(s, dtype=float)
-        n = self.n
-        if n == 2:
-            # a == 0 exactly on the innermost slab, where s may be 0.
-            a_term = self.a * np.log(s) if self.a != 0.0 else np.zeros_like(s)
-            return a_term + self.c * s
-        if self.a == 0.0:
-            a_term = np.zeros_like(s)
-        else:
-            a_term = self.a * s ** (2.0 / n - 1.0) / (2.0 / n - 1.0)
-        return a_term + self.c * s ** (2.0 / n) / (2.0 / n)
-
-    def between(self, s_lo, s_hi):
-        return self.antiderivative(s_hi) - self.antiderivative(s_lo)
+    s = np.asarray(s, dtype=float)
+    if n == 2:
+        # a == 0 exactly on the innermost slab, where s may be 0.
+        a_term = a * np.log(s) if a != 0.0 else np.zeros_like(s)
+        return a_term + c * s
+    a_term = a * s ** (2.0 / n - 1.0) / (2.0 / n - 1.0) if a != 0.0 else np.zeros_like(s)
+    return a_term + c * s ** (2.0 / n) / (2.0 / n)
 
 
 @dataclass(frozen=True)
@@ -146,17 +132,15 @@ class _ComparisonPiece(Piece):
     tail_value: float
     kind = "radial-comparison"
 
-    def _norm(self) -> float:
-        return 1.0 / (self.n**2 * self.omega ** (2.0 / self.n))
-
-    def _slab(self) -> _SlabIntegral:
-        return _SlabIntegral(
-            self.n, self.f_accum - self.f_val * self.s_lo, self.f_val
-        )
+    def outer(self, s):
+        """int_s^{s_hi} s^{2/n-2} F(s) ds / (n^2 omega^{2/n})."""
+        n, a = self.n, self.f_accum - self.f_val * self.s_lo
+        norm = 1.0 / (n**2 * self.omega ** (2.0 / n))
+        hi = _slab_antiderivative(n, a, self.f_val, self.s_hi)
+        return norm * (hi - _slab_antiderivative(n, a, self.f_val, s))
 
     def value(self, r):
-        s = self.omega * np.asarray(r, dtype=float) ** self.n
-        return self.tail_value + self._norm() * self._slab().between(s, self.s_hi)
+        return self.tail_value + self.outer(self.omega * np.asarray(r, dtype=float) ** self.n)
 
     def derivative(self, r):
         # v'(r) = -(1/(n omega)) r^{1-n} F(omega r^n) with
@@ -220,7 +204,6 @@ def talenti_radial_solution(
 
     # Accumulate the outer integral from the boundary inward.
     pieces_rev: list[_ComparisonPiece] = []
-    norm = 1.0 / (n**2 * omega ** (2.0 / n))
     tail_value = 0.0
     for i in range(len(slab_values) - 1, -1, -1):
         s_lo, s_hi = edges[i], edges[i + 1]
@@ -234,8 +217,7 @@ def talenti_radial_solution(
             tail_value=tail_value,
         )
         pieces_rev.append(piece)
-        slab = _SlabIntegral(n, f_at_edges[i] - slab_values[i] * s_lo, slab_values[i])
-        tail_value += norm * slab.between(s_lo, s_hi)
+        tail_value += piece.outer(s_lo)
 
     radii = [(s / omega) ** (1.0 / n) for s in edges]
     radii[0] = 0.0

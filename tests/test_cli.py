@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from adamskit import extremal, hardy
+from adamskit import extremal, hardy, moser1d
 from adamskit.cli import main, parse_args
 from adamskit.constants import AdamsParams, beta0
 
@@ -269,6 +269,30 @@ class TestCommands:
         assert (status, out) == (2, "")
         assert err == f"adamskit: domain error: need p >= 1, got p={float(p)!r}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("cc --p 1e10 --maximize", "maximizer requires 2 <= p <= 1e+06, got 10000000000.0"),
+            ("cc --p 1e15 --maximize", "maximizer requires 2 <= p <= 1e+06, got 1000000000000000.0"),
+            ("cc --p 1e16 --maximize", "maximizer requires 2 <= p <= 1e+06, got 1e+16"),
+            ("cc --p 1e17 --family moser --a 5", "p must lie in (1, 1e+06], got 1e+17"),
+            ("cc --p 1.5e6 --family moser --a 5 --q 2", "p must lie in (1, 1e+06], got 1500000.0"),
+        ],
+    )
+    def test_huge_p_is_domain_error(self, argv, message, monkeypatch, capsys):
+        # --maximize used to end in a ZeroDivisionError traceback (exit 1), and
+        # the Moser family exited 2 naming q = p/(p-1), which rounds to 1.0.
+        calls = []
+        monkeypatch.setattr(moser1d, "adaptive_gauss", lambda *args, **kwargs: calls.append(args))
+        status, out, err = run_cli(argv.split(), capsys)
+        assert (status, out, err) == (2, "", f"adamskit: domain error: {message}\n")
+        assert calls == []  # refused before any quadrature
+
+    def test_largest_p_accepted(self, capsys):
+        status, out, _ = run_cli(["cc", "--p", "1e6", "--family", "moser", "--a", "5"], capsys)
+        assert status == 0
+        assert abs(json.loads(out)["energy"] - 1.0) < 1e-9
+
     @pytest.mark.parametrize("radius", ["1e-300", "1e300"])
     def test_hardy_radius_out_of_range_is_domain_error(self, radius, capsys):
         argv = ["hardy", "--p", "2", "--q", "2", "--alpha", "-1", "--theta", "-3",
@@ -447,6 +471,17 @@ class TestOutputContracts:
         assert err == (
             f"adamskit: quadrature failure: at n = 104 the quadrature J = 1.0 is below"
             f" the proven lower bound {lower!r}: the quadrature missed the integrand's mass\n"
+        )
+
+    def test_norm_above_the_chain_bound_exits_3(self, monkeypatch, capsys):
+        chain = extremal.norm_chain_bound(extremal.make_params(104))
+        monkeypatch.setattr(extremal, "norm_quadrature", lambda _params: 1.5)
+        status, out, err = run_cli(["extremal-sweep", "--n-from", "104", "--n-to", "110"], capsys)
+        assert status == 3
+        assert out == ""
+        assert err == (
+            f"adamskit: quadrature failure: at n = 104 the integrated norm 1.5 is above the"
+            f" proven chain bound {chain!r} by more than rounding: the norm integration is wrong\n"
         )
 
     @pytest.mark.parametrize("n", ["5000", "10000"])

@@ -1,5 +1,6 @@
-"""Contract fuzz of ``adamskit hardy``: every input ends in a documented
-exit code, with no traceback, no numpy warning and only finite numbers.
+"""Contract fuzz of ``adamskit hardy``, ``cc`` and ``extremal-sweep``: every
+input ends in a documented exit code, with no traceback, no numpy warning
+and only finite numbers.
 
 The cases are derandomized, so the suite sees the same ones on every run.
 """
@@ -25,17 +26,20 @@ TOKEN = re.compile(
 
 #: The float range's ends, the exponents' boundaries and plain values.
 EXTREMES = [1e-300, 1e300, -1e300, -1.0, 0.0, 1.0, 1.0 + 1e-10, 0.5]
+#: Integer extremes for the sweep's dimensions and step: none is large,
+#: since a large --n-to would make a long but valid sweep.
+INT_EXTREMES = [-2, 0, 1, 3, 14, 15, 17]
 TRIALS = st.sampled_from(["0", "1", "3"])
 FORMATS = st.sampled_from([[], ["--format", "csv"]])
 
 
 @st.composite
-def _perturbed(draw, feasible):
+def _perturbed(draw, feasible, extremes=EXTREMES):
     """Options {name: value}: ``feasible`` values, of which up to two are
     replaced by an extreme or left out."""
     values = dict(feasible)
     for name in draw(st.lists(st.sampled_from(tuple(feasible)), max_size=2, unique=True)):
-        values[name] = draw(st.one_of(st.sampled_from(EXTREMES), st.none()))
+        values[name] = draw(st.one_of(st.sampled_from(extremes), st.none()))
     # "--p=-1" keeps argparse from reading a negative value as an option.
     return [f"{name}={value!r}" for name, value in values.items() if value is not None]
 
@@ -64,6 +68,38 @@ def hardy_second_order(draw):
     options = draw(_perturbed(feasible))
     argv = draw(FORMATS) + ["hardy", "--second-order", "--n-dim", str(n)]
     return argv + options + ["--trials", draw(TRIALS)]
+
+
+@st.composite
+def cc_moser(draw):
+    """A Moser ramp of unit p-energy, then perturbed; --q is the conjugate
+    unless drawn."""
+    feasible = {"--p": draw(st.floats(1.1, 6.0)), "--a": draw(st.floats(0.5, 1e5))}
+    if draw(st.booleans()):
+        feasible["--q"] = draw(st.floats(1.1, 6.0))
+    options = draw(_perturbed(feasible))
+    return draw(FORMATS) + ["cc", "--family", "moser", *options]
+
+
+@st.composite
+def cc_maximize(draw):
+    """A small concentration search (8-16 knots), then perturbed."""
+    feasible = {"--p": draw(st.floats(2.0, 5.0)), "--A": draw(st.floats(0.5, 10.0)),
+                "--epsilon": draw(st.floats(0.01, 0.45))}
+    options = draw(_perturbed(feasible))
+    knots = draw(st.sampled_from(["8", "12", "16"]))
+    return ["--seed", draw(TRIALS), "cc", "--maximize", *options, "--knots", knots]
+
+
+@st.composite
+def extremal_sweep(draw):
+    """A short sweep (at most six verdicts) from n = 16 up to where the
+    rounding guard refuses (n = 2e7), then perturbed."""
+    n_from = draw(st.sampled_from([16, 20, 104, 512, 5000, 10**6, 2 * 10**7, 2**31]))
+    feasible = {"--n-from": n_from, "--n-to": n_from + draw(st.sampled_from([0, 2, 10])),
+                "--step": draw(st.sampled_from([2, 4]))}
+    options = draw(_perturbed(feasible, INT_EXTREMES))
+    return draw(FORMATS) + ["extremal-sweep", *options]
 
 
 def run_in_process(argv):
@@ -106,4 +142,22 @@ def test_hardy_contract(argv):
 @_FUZZ
 @given(hardy_second_order())
 def test_hardy_second_order_contract(argv):
+    check_contract(argv)
+
+
+@_FUZZ
+@given(cc_moser())
+def test_cc_moser_contract(argv):
+    check_contract(argv)
+
+
+@settings(_FUZZ, max_examples=60)
+@given(cc_maximize())
+def test_cc_maximize_contract(argv):
+    check_contract(argv)
+
+
+@_FUZZ
+@given(extremal_sweep())
+def test_extremal_sweep_contract(argv):
     check_contract(argv)

@@ -1,7 +1,10 @@
 """The extremal-beating test function: junctions, norms, functional, verdicts."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -300,6 +303,12 @@ class TestVerdict:
         with pytest.raises(DomainError):
             verdict(14)
 
+    def test_empty_range_rejected(self):
+        # It used to return no rows, and the CLI printed a bare header.
+        with pytest.raises(DomainError, match="the range is empty: n_to = 16 is below n_from = 17"):
+            sweep(17, 16)
+        assert [row.n for row in sweep(16, 16)] == [16]
+
     @pytest.mark.parametrize("n", [5000, 10000])
     def test_tolerance_below_rounding_raises(self, n):
         # exp(w^q - t) cancels terms of size ~n, so its rounding (about
@@ -325,6 +334,49 @@ class TestVerdict:
         j_quad = lower * (1.0 - 1.9 * (DEFAULT_SPEC.rel_tol + DEFAULT_SPEC.truncation_epsilon))
         monkeypatch.setattr(extremal, "cc_functional", lambda *_args: j_quad)
         assert verdict(104).functional_quadrature == j_quad
+
+    @pytest.mark.parametrize("excess", [8.0 * 2.0**-53, 1e-12, math.nan], ids=["8u", "1e-12", "nan"])
+    def test_norm_above_the_chain_bound_raises(self, excess, monkeypatch):
+        # The chain is a proven upper bound on the norm; the measured gap
+        # is 6.40-6.75/n^2, far above the 4 u rounding allowance.
+        chain = norm_chain_bound(make_params(104))
+        norm = chain * (1.0 + excess)
+        monkeypatch.setattr(extremal, "norm_quadrature", lambda _params: norm)
+        message = (
+            f"at n = 104 the integrated norm {norm!r} is above the proven chain bound"
+            f" {chain!r} by more than rounding: the norm integration is wrong"
+        )
+        with pytest.raises(QuadratureError, match=re.escape(message)):
+            verdict(104)
+
+    def test_norm_within_the_rounding_allowance_passes(self, monkeypatch):
+        norm = norm_chain_bound(make_params(104)) * (1.0 + 2.0 * 2.0**-53)
+        monkeypatch.setattr(extremal, "norm_quadrature", lambda _params: norm)
+        assert verdict(104).norm_quadrature == norm
+
+    @pytest.mark.parametrize("n", [16, 104, 512, 5000, 20000, 10**5, 10**6])
+    def test_norm_gap_is_far_above_rounding(self, n):
+        params = make_params(n)
+        gap = norm_chain_bound(params) - norm_quadrature(params)
+        assert 6.3 / n**2 < gap < 6.8 / n**2
+
+    def test_norm_check_survives_optimize_flag(self):
+        script = (
+            "import adamskit.extremal as extremal\n"
+            "from adamskit.errors import QuadratureError\n"
+            "extremal.norm_quadrature = lambda params: 2.0\n"
+            "try:\n"
+            "    extremal.verdict(104)\n"
+            "except QuadratureError as exc:\n"
+            "    print('debug' if __debug__ else 'optimized', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(extremal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("optimized at n = 104 the integrated norm 2.0")
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-11, 1e-12])
     def test_converges_at_tight_tolerances(self, rel_tol):

@@ -1,10 +1,13 @@
 """Energy, the exponential functional, the tail certificate, and the maximizer."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from adamskit import extremal, moser1d
@@ -277,6 +280,81 @@ class TestWideRamps:
         assert 6.0 in returned  # the benchmark's widest ramp converges
 
 
+@st.composite
+def piece_ends(draw):
+    """(lo, hi) with 0 <= lo < hi < 2^48 and hi - lo from 1e-6 to 4.5e7; lo
+    is drawn near 0 or in [2^47, 2^48), where the float spacing is 1/32."""
+    width = draw(st.floats(1e-6, 4.5e7))
+    lo = draw(st.one_of(st.floats(0.0, 1e6), st.floats(2.0**47, 2.0**48 - 2.0 * width)))
+    hi = lo + width
+    assume(lo < hi < 2.0**48)
+    return lo, hi
+
+
+def exact_grades(width: float) -> int:
+    """ceil(log2(8 width)) in exact arithmetic (0 for width <= 1/8)."""
+    grades = 0
+    while Fraction(2) ** grades < 8 * Fraction(width):
+        grades += 1
+    return grades
+
+
+class TestCcBreaks:
+    """``_cc_breaks``: edges at width/2, width/4, ... from both ends of a piece."""
+
+    #: The edges of every piece at most 16 wide, as laid by the layout that
+    #: added a uniform run of 8-wide panels on wider pieces.
+    PINNED = {
+        (0.0, 0.1): [],
+        (0.0, 0.2): [0.1],
+        (0.0, 1.0): [0.125, 0.25, 0.5, 0.75, 0.875],
+        (2.5, 7.5): [2.578125, 2.65625, 2.8125, 3.125, 3.75, 5.0, 6.25, 6.875, 7.1875,
+                     7.34375, 7.421875],
+        (0.0, 9.7): [0.07578125, 0.1515625, 0.303125, 0.60625, 1.2125, 2.425, 4.85,
+                     7.2749999999999995, 8.487499999999999, 9.09375, 9.396875,
+                     9.548437499999999, 9.624218749999999],
+        (0.0, 12.0): [0.09375, 0.1875, 0.375, 0.75, 1.5, 3.0, 6.0, 9.0, 10.5, 11.25, 11.625,
+                      11.8125, 11.90625],
+        (1.3, 14.9): [1.40625, 1.5125, 1.725, 2.15, 3.0, 4.7, 8.1, 11.5, 13.200000000000001,
+                      14.05, 14.475, 14.6875, 14.793750000000001],
+        (3.0, 19.0): [3.125, 3.25, 3.5, 4.0, 5.0, 7.0, 11.0, 15.0, 17.0, 18.0, 18.5, 18.75,
+                      18.875],
+    }
+
+    @pytest.mark.parametrize("ends", list(PINNED), ids=str)
+    def test_narrow_pieces_pinned(self, ends):
+        assert moser1d._cc_breaks(*ends).tolist() == self.PINNED[ends]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(piece_ends())
+    def test_layout(self, ends):
+        lo, hi = ends
+        breaks = moser1d._cc_breaks(lo, hi)
+        edges = np.concatenate(([lo], breaks, [hi]))
+        widths = np.diff(edges)
+        assert (widths > 0.0).all()  # strictly increasing, strictly inside
+        width = hi - lo
+        grades = exact_grades(width)
+        assert widths.size == (2 * grades if grades else 1)
+        if not grades:
+            return
+        # Rounding of lo + width * offset, and of width itself.
+        slack = 4.0 * np.spacing(hi)
+        from_lo, from_hi = breaks - lo, hi - breaks
+        np.testing.assert_allclose(from_lo, from_hi[::-1], rtol=0.0, atol=slack)
+        for end_panel in (widths[0], widths[-1]):
+            assert 1.0 / 16.0 - slack < end_panel <= 1.0 / 8.0 + slack
+        inner = widths[1:-1]
+        nearer = np.minimum(edges[1:-2] - lo, hi - edges[2:-1])
+        assert (inner <= nearer + slack).all()
+
+    def test_edges_stay_apart_at_the_float_range_end(self):
+        # Just below 2^48 the spacing is 1/32, half the narrowest end panel.
+        lo = 2.0**48 - 1.0
+        breaks = moser1d._cc_breaks(lo, lo + 0.75)
+        assert (breaks - lo).tolist() == [3 / 32, 6 / 32, 12 / 32, 18 / 32, 21 / 32]
+
+
 class TestSublinearity:
     def test_hoelder_envelope_on_grid(self):
         # Unit energy forces g(t)^q <= t.
@@ -367,6 +445,25 @@ class TestMoserFamily:
             for a in (1e2, 1e3, 1e4):
                 j = cc_functional(moser_family(a, p), q)
                 assert 1.0 <= j <= bound
+
+
+class TestLargeP:
+    def test_family_refuses_p_above_the_bound(self):
+        assert moser_family(5.0, moser1d._P_MAX).knots == (0.0, 5.0)
+        with pytest.raises(DomainError, match=r"p must lie in \(1, 1e\+06\], got 1000001.0"):
+            moser_family(5.0, 1e6 + 1.0)
+
+    def test_maximizer_refuses_p_above_the_bound(self):
+        with pytest.raises(DomainError, match=r"requires 2 <= p <= 1e\+06, got 100000000.0"):
+            concentration_maximizer(1e8, 5.0, 0.01, 8, seed=0)
+
+    @pytest.mark.parametrize("p", [1e4, 1e6])
+    def test_maximizer_at_large_p_without_warning(self, p):
+        # A trial slope above e^{709/p} overflows s^p in the projection;
+        # numpy's overflow warning is an error under this suite's settings.
+        result = concentration_maximizer(p, 5.0, 0.01, 8, seed=0)
+        assert math.isfinite(result.functional_value)
+        assert energy(result.profile, p) <= 1.0 + 1e-9
 
 
 class TestMaximizer:

@@ -167,6 +167,15 @@ class TestAdaptiveGauss:
             # One level on each of the ramp, the arc and the saturating tail.
             assert len(sizes) == 3, n
 
+    @pytest.mark.parametrize("n, panels", [(104, 58), (512, 72), (5000, 92)])
+    def test_verdict_panel_count(self, n, panels, monkeypatch):
+        # 2 ceil(log2(8 width)) graded panels per piece, each converged on
+        # its first level; a uniform run of 8-wide panels across each piece
+        # took 77, 161 and 248.
+        sizes = count_moser1d_batches(monkeypatch)
+        verdict(n)
+        assert len(sizes) == 3 and sum(sizes) == 46 * panels
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_moser_ramp_levels(self, p, monkeypatch):
         # The graded first level already resolves the strips at both ends of
