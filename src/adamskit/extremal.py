@@ -277,7 +277,9 @@ def verdict(n: int, spec: QuadratureSpec = DEFAULT_SPEC) -> VerdictRow:
 
     Proven bounds are free oracles: ``QuadratureError`` when J is below
     ``functional_lower_bound`` by more than 2 (rel_tol + truncation_epsilon)
-    (J exceeds it by 6 % or more over n = 16..1000 and 2000..10000), or when
+    (J exceeds it by 6 % or more over n = 16..1000 and 2000..10000; the bound
+    is 1 + (n/2 - 1)/e plus the arc's closed-form J, so this checks the
+    quadratures of the ramp and the tail), or when
     the norm is above ``norm_chain_bound`` by more than ``_NORM_ROUNDING``
     (the gap is 6.40-6.75/n^2 over n = 16..20000, 1e5 and 1e6; 57 650 u at 1e6).
     """

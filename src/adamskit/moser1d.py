@@ -3,6 +3,10 @@
 The central object is J(g) = integral_0^inf exp(g(t)^q - t) dt over
 nonnegative profiles with unit p-energy (p conjugate to q).  An energy is
 one ``profiles.abs_pow_integral`` of the profile's derivative at weight 0.
+J has a closed form on every piece whose g^q is affine in t
+(``_cc_closed_form``): a constant piece, on a finite interval or out to
+infinity, and a power c (t - shift)^{1/q}, such as the extremal test
+function's arc, where w^q = t - 1.  Every other piece is one engine call.
 The improper upper end of J is handled exactly for constant and saturating
 tails, by pullback for log-radial tails, and by the sub-unit-energy
 majorant otherwise.
@@ -57,9 +61,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 #: 2 u t at t = 2^48, where the float spacing (1/32) is half the narrowest
 #: panel ``_cc_breaks`` lays; ``_cc_finite`` refuses a piece beyond it.
 _MAX_ROUNDING = 2.0**-4
-#: 1/2, 1/4, ...: the offsets of ``_cc_breaks``'s edges from a piece's ends,
-#: in piece widths.
-_HALVES = 0.5 ** np.arange(1, 64)
+#: 2^-63, ..., 1/4, 1/2, 3/4, ..., 1 - 2^-63: ``_cc_breaks``'s edges on a
+#: piece of unit width for every number k < 64 of halvings, the k-th layout
+#: being the slice [63 - k, 62 + k).
+_UNIT_EDGES = np.concatenate((0.5 ** np.arange(63, 0, -1), 1.0 - 0.5 ** np.arange(2, 64)))
 
 
 def _cc_breaks(lo: float, hi: float) -> np.ndarray:
@@ -72,13 +77,13 @@ def _cc_breaks(lo: float, hi: float) -> np.ndarray:
     strips at the ends of a piece, and each panel [d, 2d] from an end is
     no wider than its distance to that end, so G15 resolves an integrand
     analytic away from the ends on the first level.  The edges are strictly
-    increasing while hi < 2^48.
+    increasing while hi < 2^48, which ``_cc_finite``'s rounding guard
+    ensures, so there are fewer than the 64 grades ``_UNIT_EDGES`` holds.
     """
     width = hi - lo
     mantissa, exponent = math.frexp(8.0 * width)
     grades = max(0, exponent - (mantissa == 0.5))  # ceil(log2(8 width))
-    offsets = np.concatenate((_HALVES[:grades][::-1], 1.0 - _HALVES[1:grades]))
-    return lo + width * offsets
+    return lo + width * _UNIT_EDGES[63 - grades : 62 + grades]
 
 
 def _cc_finite(piece: Piece, q: float, lo: float, hi: float, spec: QuadratureSpec) -> float:
@@ -110,6 +115,59 @@ def _cc_finite(piece: Piece, q: float, lo: float, hi: float, spec: QuadratureSpe
     return adaptive_gauss(integrand, lo, hi, spec, breaks=_cc_breaks(lo, hi))
 
 
+def _cc_closed_form(piece: Piece, q: float, lo: float, hi: float) -> float | None:
+    """integral_lo^hi exp(piece^q - t) dt in closed form where piece^q is
+    affine in t, or None.
+
+    There g^q - t = k t + corner: k = -1 and corner = c^q on a constant
+    piece c (slope 0), out to hi = inf as well; on a power coeff
+    (t - shift)^e with offset 0, coeff > 0, lo >= shift and e q = 1 up to
+    4 u (the rounding of a float 1/q), k = C - 1 and corner = -C shift,
+    C = coeff^q.  Then J = e^{k lo + corner} expm1(k (hi - lo))/k, with the
+    exponent taken at hi instead where k > 0 (the integrand's peak), and
+    (hi - lo) e^{corner} at k = 0.  A constant below 0 at a non-integer q,
+    or a J that overflows, raises ``QuadratureError`` as the engine does
+    for a NaN or infinite panel.
+    """
+    constant = isinstance(piece, LinearPiece) and piece.slope == 0.0
+    if constant and piece.intercept < 0.0 and not float(q).is_integer():
+        raise QuadratureError(
+            f"integrand is NaN on [{lo}, {hi}]: the constant g = {piece.intercept!r} of"
+            f" {piece!r} is below 0, so g^q has no real value at q = {q!r}",
+            interval=(lo, hi),
+        )
+    affine = (
+        isinstance(piece, PowerPiece)
+        and piece.offset == 0.0
+        and piece.coeff > 0.0
+        and lo >= piece.shift
+        and not math.isinf(hi)
+        and abs(piece.exponent * q - 1.0) <= 4.0 * _UNIT_ROUNDOFF
+    )
+    if not (constant or affine):
+        return None
+    try:
+        if constant:
+            k, corner = -1.0, piece.intercept**q
+        else:
+            c = piece.coeff**q
+            k, corner = c - 1.0, -c * piece.shift
+        if k == 0.0:
+            value = (hi - lo) * math.exp(corner)
+        else:
+            edge = hi if k > 0.0 else lo
+            value = math.exp(k * edge + corner) * math.expm1(-abs(k) * (hi - lo)) / -abs(k)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        what = "NaN" if math.isnan(value) else "infinite"
+        raise QuadratureError(
+            f"integrand is {what} on [{lo}, {hi}]: J of {piece!r} at q = {q!r} is {value!r}",
+            interval=(lo, hi),
+        )
+    return value
+
+
 def _cc_tail(
     g: PiecewiseProfile,
     piece: Piece,
@@ -117,12 +175,11 @@ def _cc_tail(
     lo: float,
     spec: QuadratureSpec,
 ) -> float:
-    """integral_lo^inf exp(piece^q - t) dt for a tail piece."""
+    """integral_lo^inf exp(piece^q - t) dt for a tail piece without a
+    closed form."""
     eps = spec.truncation_epsilon
     if isinstance(piece, LinearPiece):
-        if piece.slope != 0.0:
-            raise DomainError("a linear tail must be constant: J diverges or g turns negative")
-        return math.exp(piece.intercept**q - lo)
+        raise DomainError("a linear tail must be constant: J diverges or g turns negative")
     if isinstance(piece, ExpApproachPiece):
         cap = max(float(np.asarray(piece.value(lo))), piece.limit_value)
         hi = max(lo + 1.0, cap**q - math.log(eps))
@@ -165,10 +222,12 @@ def cc_integral(
     hi: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """integral_lo^hi exp(g^q - t) dt along the profile's pieces.
+    """integral_lo^hi exp(g^q - t) dt along the profile's pieces:
+    ``_cc_closed_form`` where the piece has one, else one engine call per
+    piece (``_cc_finite``, or ``_cc_tail`` out to infinity).
 
     Unchecked: where g < 0 at a non-integer q, or exp overflows, the
-    integrand is NaN or infinite and the engine raises ``QuadratureError``
+    integrand is NaN or infinite and ``QuadratureError`` is raised
     (numpy's warnings for those values are silenced for the whole call).
     """
     total = 0.0
@@ -177,7 +236,10 @@ def cc_integral(
             a, b = max(seg_lo, lo), min(seg_hi, hi)
             if b <= a:
                 continue
-            if math.isinf(b):
+            closed = _cc_closed_form(piece, q, a, b)
+            if closed is not None:
+                total += closed
+            elif math.isinf(b):
                 total += _cc_tail(g, piece, q, a, spec)
             else:
                 total += _cc_finite(piece, q, a, b, spec)

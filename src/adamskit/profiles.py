@@ -205,24 +205,22 @@ class PiecewiseProfile:
         knots = tuple(float(k) for k in self.knots)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        arr = np.asarray(knots, dtype=float)
-        object.__setattr__(self, "_knots_arr", arr)
+        object.__setattr__(self, "_knots_arr", np.asarray(knots, dtype=float))
         tail = () if self.tail is None else (self.tail,)
         object.__setattr__(self, "_segments", self.pieces + tail)
         if len(knots) != len(self.pieces) + 1:
             raise DomainError(
                 f"need len(knots) == len(pieces) + 1, got {len(knots)} and {len(self.pieces)}"
             )
-        if np.any(np.diff(arr) <= 0):
-            raise DomainError("knots must be strictly increasing")
+        _check_knots(knots)
         if self.check_continuity:
             self._check_continuity()
 
     def _check_continuity(self) -> None:
         for i in range(1, len(self._segments)):
             k = self.knots[i]
-            left = float(np.asarray(self._segments[i - 1].value(k)))
-            right = float(np.asarray(self._segments[i].value(k)))
+            left = float(self._segments[i - 1].value(k))
+            right = float(self._segments[i].value(k))
             scale = max(1.0, abs(left), abs(right))
             if abs(left - right) > _CONTINUITY_TOL * scale:
                 raise DomainError(
@@ -291,14 +289,24 @@ class PiecewiseProfile:
         return out
 
 
+def _check_knots(knots: Sequence[float]) -> None:
+    """``DomainError`` unless the float knots are finite and strictly
+    increasing; a NaN fails the comparison ``a < b`` on either side."""
+    if not (
+        math.isfinite(knots[0])
+        and math.isfinite(knots[-1])
+        and all(a < b for a, b in zip(knots, knots[1:]))
+    ):
+        raise DomainError("knots must be finite and strictly increasing")
+
+
 def piecewise_linear(ts: Sequence[float], ys: Sequence[float], *, constant_tail: bool = True) -> PiecewiseProfile:
     """Polyline through (ts, ys), optionally continued as a constant."""
     ts = [float(x) for x in ts]
     ys = [float(y) for y in ys]
     if len(ts) != len(ys) or len(ts) < 2:
         raise DomainError("piecewise_linear needs matching arrays of length >= 2")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise DomainError("knots must be strictly increasing")
+    _check_knots(ts)
     pieces = []
     for i in range(len(ts) - 1):
         slope = (ys[i + 1] - ys[i]) / (ts[i + 1] - ts[i])

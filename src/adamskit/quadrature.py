@@ -21,8 +21,9 @@ Each first-level panel must lie within one smooth piece of its integrand:
 the callers break there (``profiles.abs_pow_integral`` at the knots and
 roots of a profile, such as a Hardy trial, graded geometrically toward an
 algebraic end at r = 0 by ``profiles.abs_pow_quadrature``; ``moser1d`` by
-one call per profile piece, with edges at width/2, width/4, ... from both
-ends of the piece down to end panels in (1/16, 1/8]).  The error estimate
+one call per profile piece without a closed form, with edges at width/2,
+width/4, ... from both ends of the piece down to end panels in
+(1/16, 1/8]).  The error estimate
 is blind to a jump that lies between a panel edge and that panel's
 outermost Gauss node, where G15 and G31 see the same side and agree on a
 wrong value;
@@ -52,7 +53,8 @@ class QuadratureSpec:
     The absolute error floor is min(1e-13, rel_tol).  A tolerance below the
     integrand's rounding cannot be met and raises ``QuadratureError``: the
     sweep's e^{w^q - t} cancels terms up to t ~ 3n, so at rel_tol=1e-13 its
-    J raises at n = 3000, 5000, 7000 and 10000.
+    J raises at n = 3000, 5000, 7000 and 10000, each time from the
+    saturating tail (the arc between them is closed-form).
     """
 
     rel_tol: float = 1e-10

@@ -1,6 +1,6 @@
-"""Contract fuzz of ``adamskit hardy``, ``cc`` and ``extremal-sweep``: every
-input ends in a documented exit code, with no traceback, no numpy warning
-and only finite numbers.
+"""Contract fuzz of every ``adamskit`` subcommand: every input ends in a
+documented exit code, with no traceback, no numpy warning and only finite
+numbers.
 
 The cases are derandomized, so the suite sees the same ones on every run.
 """
@@ -8,7 +8,9 @@ The cases are derandomized, so the suite sees the same ones on every run.
 import contextlib
 import io
 import math
+import os
 import re
+import tempfile
 import warnings
 
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +31,10 @@ EXTREMES = [1e-300, 1e300, -1e300, -1.0, 0.0, 1.0, 1.0 + 1e-10, 0.5]
 #: Integer extremes for the sweep's dimensions and step: none is large,
 #: since a large --n-to would make a long but valid sweep.
 INT_EXTREMES = [-2, 0, 1, 3, 14, 15, 17]
+#: Integer extremes for the constants' m and n: the domain's edges
+#: (0 < m < n, n >= 2), where the sphere area underflows (n = 439), and
+#: integers far beyond a float's exact range.
+DIM_EXTREMES = [-1, 0, 1, 2, 3, 438, 439, 10**6, 2**63, 10**400]
 TRIALS = st.sampled_from(["0", "1", "3"])
 FORMATS = st.sampled_from([[], ["--format", "csv"]])
 
@@ -102,6 +108,55 @@ def extremal_sweep(draw):
     return draw(FORMATS) + ["extremal-sweep", *options]
 
 
+@st.composite
+def constants(draw):
+    """A feasible (m, n), 0 < m < n, then perturbed."""
+    n = draw(st.integers(2, 64))
+    options = draw(_perturbed({"--m": draw(st.integers(1, n - 1)), "--n": n}, DIM_EXTREMES))
+    return draw(FORMATS) + ["constants", *options]
+
+
+@st.composite
+def level(draw):
+    """A feasible (m, n) and domain measure, then perturbed."""
+    n = draw(st.integers(2, 64))
+    feasible = {"--m": draw(st.integers(1, n - 1)), "--n": n,
+                "--measure": draw(st.floats(1e-3, 1e3))}
+    options = draw(_perturbed(feasible, EXTREMES + DIM_EXTREMES))
+    return draw(FORMATS) + ["level", *options]
+
+
+@st.composite
+def t0(draw):
+    """``t0`` takes no options of its own: the global ones, perturbed."""
+    feasible = {"--rtol": 1e-10, "--truncation-eps": 1e-12, "--seed": 0}
+    options = draw(_perturbed(feasible, EXTREMES + INT_EXTREMES))
+    return options + draw(FORMATS) + ["t0"]
+
+
+#: A cell's measure or value that is an extreme or no number.
+BAD_CELL = st.sampled_from([repr(x) for x in EXTREMES] + ["nan", "inf", "-inf", "x", ""])
+
+
+@st.composite
+def rearrange(draw):
+    """(the --input CSV text, the argv without --input): up to six feasible
+    cells, of which one may be replaced, a mode, and a feasible dimension
+    and radius, then perturbed."""
+    cell = st.tuples(st.floats(1e-3, 10.0).map(repr), st.floats(-10.0, 10.0).map(repr))
+    rows = draw(st.lists(cell, max_size=6))
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.one_of(st.tuples(BAD_CELL, cell.map(lambda c: c[1])),
+                                 st.tuples(cell.map(lambda c: c[0]), BAD_CELL)))
+    text = "measure,value\n" if draw(st.booleans()) else ""
+    text += "".join(f"{m},{v}\n" for m, v in rows)
+    mode = draw(st.sampled_from(["rearrange", "symmetrize", "talenti"]))
+    feasible = {"--n": draw(st.integers(2, 8)), "--radius": draw(st.floats(0.5, 10.0))}
+    options = draw(_perturbed(feasible, EXTREMES + INT_EXTREMES))
+    return text, ["rearrange", "--mode", mode, *options]
+
+
 def run_in_process(argv):
     """(exit code, stdout, stderr, warnings) of one ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
@@ -161,3 +216,32 @@ def test_cc_maximize_contract(argv):
 @given(extremal_sweep())
 def test_extremal_sweep_contract(argv):
     check_contract(argv)
+
+
+@_FUZZ
+@given(constants())
+def test_constants_contract(argv):
+    check_contract(argv)
+
+
+@_FUZZ
+@given(level())
+def test_level_contract(argv):
+    check_contract(argv)
+
+
+@_FUZZ
+@given(t0())
+def test_t0_contract(argv):
+    check_contract(argv)
+
+
+@_FUZZ
+@given(rearrange())
+def test_rearrange_contract(case):
+    text, argv = case
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "cells.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        check_contract(argv + ["--input", path])

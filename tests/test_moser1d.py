@@ -1,6 +1,9 @@
 """Energy, the exponential functional, the tail certificate, and the maximizer."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -101,11 +104,13 @@ class TestCcFunctional:
 
     def test_j_below_one_raises(self, monkeypatch):
         # J >= 1 on every nonnegative profile; an engine that misses all the
-        # mass (here: returns 0.0 on every piece) trips the floor.
+        # mass (here: returns 0.0 on every piece) trips the floor.  The
+        # finite pieces all go through the engine, and the constant tail,
+        # in closed form, carries e^{0.8^1.5 - 2} < 1.
         monkeypatch.setattr(moser1d, "adaptive_gauss", lambda *args, **kwargs: 0.0)
-        w = extremal.test_function(extremal.make_params(16))
+        w = piecewise_linear([0.0, 1.0, 2.0], [0.0, 0.5, 0.8])
         with pytest.raises(QuadratureError, match="missed the integrand's mass"):
-            cc_functional(w, 16.0 / 14.0)
+            cc_functional(w, 1.5)
 
     @pytest.mark.parametrize("a", [1e-9, 1e-300])
     def test_near_zero_ramp_stays_at_one(self, a):
@@ -209,6 +214,135 @@ class TestTailBranches:
         g = PiecewiseProfile(knots=(1.0,), pieces=(), tail=PowerPiece(3.0, 0.0, 0.3))
         with pytest.raises(DomainError, match="tail energy >= 1"):
             cc_integral(g, 2.0, 1.0, math.inf)
+
+
+class TestClosedForm:
+    """``_cc_closed_form``: J on the pieces whose g^q is affine in t."""
+
+    @staticmethod
+    def reference(head, slope, lo, hi):
+        """integral_lo^hi exp(head + slope t - t) dt by mpmath.quad, 30 digits."""
+        with mpmath.workdps(30):
+            head, slope = mpmath.mpf(head), mpmath.mpf(slope)
+            return float(mpmath.quad(lambda t: mpmath.exp(head + (slope - 1) * t), [lo, hi]))
+
+    @pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
+    @pytest.mark.parametrize("c", [0.0, 0.7, 2.3])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (3.5, 40.0), (2.0, math.inf)])
+    def test_constant_against_mpmath(self, c, q, lo, hi):
+        got = moser1d._cc_closed_form(constant_piece(c), q, lo, hi)
+        want = self.reference(mpmath.mpf(c) ** q, 0.0, lo, hi if hi < math.inf else mpmath.inf)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("q", [2.0, 1.5, 1.1])
+    @pytest.mark.parametrize("coeff_q", [0.25, 1.0, 1.75], ids=["k<0", "k=0", "k>0"])
+    @pytest.mark.parametrize("shift", [0.0, -0.5, 1.0])
+    def test_affine_power_against_mpmath(self, coeff_q, q, shift):
+        # coeff (t - shift)^{1/q}: g^q = coeff^q (t - shift), k = coeff^q - 1.
+        piece = PowerPiece(coeff=coeff_q ** (1.0 / q), shift=shift, exponent=1.0 / q)
+        lo, hi = shift + 0.25, shift + 30.0
+        got = moser1d._cc_closed_form(piece, q, lo, hi)
+        c = mpmath.mpf(piece.coeff) ** q
+        assert got == pytest.approx(self.reference(-c * shift, c, lo, hi), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "piece, lo, hi",
+        [
+            (LinearPiece(0.0, 0.5), 0.0, 1.0),
+            (PowerPiece(1.0, 0.0, 0.5 + 1e-10), 1.0, 2.0),  # e q - 1 = 2e-10
+            (PowerPiece(1.0, 0.0, 0.5, offset=0.1), 1.0, 2.0),
+            (PowerPiece(-1.0, 0.0, 0.5), 1.0, 2.0),
+            (PowerPiece(1.0, 1.5, 0.5), 1.0, 2.0),  # lo below the shift
+            (PowerPiece(1.0, 0.0, 0.5), 1.0, math.inf),
+        ],
+        ids=["slope", "exponent", "offset", "coeff<0", "lo<shift", "infinite"],
+    )
+    def test_no_closed_form(self, piece, lo, hi):
+        assert moser1d._cc_closed_form(piece, 2.0, lo, hi) is None
+
+    @pytest.mark.parametrize("n", [16, 104, 5000])
+    def test_extremal_arc(self, n):
+        # w^q = t - 1 on [n/2, lambda], so J there is (lambda - n/2)/e =
+        # (n/2 - 1) expm1(b - s)/e.  The first is exact in the float lambda;
+        # the second carries lambda's own rounding, up to 2 u at n = 16.
+        params = extremal.make_params(n)
+        arc = extremal.test_function(params).pieces[1]
+        got = moser1d._cc_closed_form(arc, n / (n - 2.0), n / 2.0, params.lam)
+        with mpmath.workdps(30):
+            exact = float((mpmath.mpf(params.lam) - n // 2) / mpmath.e)
+        assert abs(got - exact) <= 2.0 * U * exact
+        want = (n / 2.0 - 1.0) * math.expm1(params.b - params.s) / math.e
+        assert abs(got - want) <= 2.0 * math.ulp(want)
+
+    #: J of the extremal test function at 30 digits (``bench/oracle.py``'s
+    #: ``extremal_functional``), computed offline.
+    LARGE_N = {
+        50_000: "54371.7462546288949214744632045",
+        100_000: "108721.077542233322284526944176",
+    }
+
+    @pytest.mark.parametrize("n", list(LARGE_N))
+    def test_large_n_verdict(self, n):
+        # With the arc in the engine, J was 1.1e-10 and 1.4e-10 off.
+        want = float(mpmath.mpf(self.LARGE_N[n]))
+        assert extremal.verdict(n).functional_quadrature == pytest.approx(want, rel=2e-11, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: cc_integral(piecewise_linear([0, 1], [0, -0.5]), 1.5, 1.0, math.inf),
+            # -5e-13 passes the -1e-12 allowance of the nonnegativity check.
+            lambda: cc_lemma_bound(piecewise_linear([0, 1], [0, -5e-13]), 3.0, 1.0),
+        ],
+        ids=["cc_integral", "cc_lemma_bound"],
+    )
+    def test_negative_constant_raises(self, call):
+        with pytest.raises(QuadratureError, match=r"integrand is NaN on \[1.0, inf\]: the constant g = -"):
+            call()
+
+    def test_negative_constant_at_integer_q(self):
+        assert cc_integral(piecewise_linear([0, 1], [0, -0.5]), 2.0, 1.0, math.inf) == math.exp(
+            0.25 - 1.0
+        )
+
+    @pytest.mark.parametrize(
+        "piece, hi",
+        [(constant_piece(30.0), math.inf), (constant_piece(1e200), 5.0),
+         (PowerPiece(2.0, 0.0, 0.5), 800.0)],
+        ids=["constant-tail", "constant-pow", "power"],
+    )
+    def test_overflow_raises(self, piece, hi):
+        g = PiecewiseProfile(knots=(0.0,), pieces=(), tail=piece)
+        with pytest.raises(QuadratureError, match="integrand is infinite"):
+            cc_integral(g, 2.0, 0.0, hi)
+
+    def test_checks_survive_optimize_flag(self):
+        script = (
+            "import math\n"
+            "from adamskit.errors import QuadratureError\n"
+            "from adamskit.moser1d import cc_integral, cc_lemma_bound\n"
+            "from adamskit.profiles import piecewise_linear\n"
+            "for call in (\n"
+            "    lambda: cc_integral(piecewise_linear([0, 1], [0, -0.5]), 1.5, 1.0, math.inf),\n"
+            "    lambda: cc_lemma_bound(piecewise_linear([0, 1], [0, -5e-13]), 3.0, 1.0),\n"
+            "    lambda: cc_integral(piecewise_linear([0, 1], [0, 30.0]), 2.0, 1.0, math.inf),\n"
+            "):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except QuadratureError as exc:\n"
+            "        print('debug' if __debug__ else 'optimized', str(exc).split(':')[0])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(moser1d.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "optimized integrand is NaN on [1.0, inf]",
+            "optimized integrand is NaN on [1.0, inf]",
+            "optimized integrand is infinite on [1.0, inf]",
+        ]
 
 
 U = 2.0**-53

@@ -122,6 +122,29 @@ class TestPiecewiseProfile:
         with pytest.raises(DomainError):
             piecewise_linear([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
 
+    BAD_KNOTS = {
+        "nan": (0.0, math.nan, 2.0),
+        "nan-first": (math.nan, 1.0, 2.0),
+        "inf": (0.0, 1.0, math.inf),
+        "-inf": (-math.inf, 1.0, 2.0),
+        "repeated": (0.0, 1.0, 1.0),
+        "decreasing": (0.0, 2.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("knots", list(BAD_KNOTS.values()), ids=list(BAD_KNOTS))
+    def test_bad_knots_raise(self, knots):
+        # np.diff(knots) <= 0 is False at a NaN, so such a check let it through.
+        message = "knots must be finite and strictly increasing"
+        pieces = (constant_piece(1.0), constant_piece(1.0))
+        with pytest.raises(DomainError, match=message):
+            PiecewiseProfile(knots=knots, pieces=pieces)
+        with pytest.raises(DomainError, match=message):
+            piecewise_linear(knots, [1.0, 1.0, 1.0])
+
+    def test_single_knot_must_be_finite(self):
+        with pytest.raises(DomainError, match="finite"):
+            PiecewiseProfile(knots=(math.nan,), pieces=(), tail=constant_piece(1.0))
+
 
 class TestAdaptiveGauss:
     def test_polynomial_exact(self):
@@ -164,17 +187,18 @@ class TestAdaptiveGauss:
         for n in (104, 512, 5000):
             sizes.clear()
             assert verdict(n).gap_numeric
-            # One level on each of the ramp, the arc and the saturating tail.
-            assert len(sizes) == 3, n
+            # One level on each of the ramp and the saturating tail; the
+            # arc, where w^q = t - 1, has a closed form.
+            assert len(sizes) == 2, n
 
-    @pytest.mark.parametrize("n, panels", [(104, 58), (512, 72), (5000, 92)])
+    @pytest.mark.parametrize("n, panels", [(104, 36), (512, 44), (5000, 58)])
     def test_verdict_panel_count(self, n, panels, monkeypatch):
-        # 2 ceil(log2(8 width)) graded panels per piece, each converged on
-        # its first level; a uniform run of 8-wide panels across each piece
-        # took 77, 161 and 248.
+        # 2 ceil(log2(8 width)) graded panels on the ramp and the tail, each
+        # converged on its first level; with the arc in the engine too it
+        # took 58, 72 and 92, and with uniform 8-wide panels 77, 161 and 248.
         sizes = count_moser1d_batches(monkeypatch)
         verdict(n)
-        assert len(sizes) == 3 and sum(sizes) == 46 * panels
+        assert len(sizes) == 2 and sum(sizes) == 46 * panels
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_moser_ramp_levels(self, p, monkeypatch):
