@@ -6,10 +6,12 @@ one ``profiles.abs_pow_integral`` of the profile's derivative at weight 0.
 J has a closed form on every piece whose g^q is affine in t
 (``_cc_closed_form``): a constant piece, on a finite interval or out to
 infinity, and a power c (t - shift)^{1/q}, such as the extremal test
-function's arc, where w^q = t - 1.  Every other piece is one engine call.
-The improper upper end of J is handled exactly for constant and saturating
-tails, by pullback for log-radial tails, and by the sub-unit-energy
-majorant otherwise.
+function's arc, where w^q = t - 1.  A profile's run of log-radial pieces
+(``profiles.LogRadialRun``, from ``rearrange.energy_change_of_variables``)
+is one engine call on radii for J and one for its energy, tail included.
+Every other piece is one engine call.  The improper upper end of J is
+handled exactly for constant and saturating tails, by the radial pullback
+for log-radial runs, and by the sub-unit-energy majorant otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import DomainError, EnergyBoundError, QuadratureError
 from .profiles import (
     ExpApproachPiece,
     LinearPiece,
-    LogRadialPiece,
+    LogRadialRun,
     Piece,
     PiecewiseProfile,
     PowerPiece,
@@ -168,6 +170,21 @@ def _cc_closed_form(piece: Piece, q: float, lo: float, hi: float) -> float | Non
     return value
 
 
+def _cc_log_radial(run: LogRadialRun, q: float, lo: float, hi: float, spec: QuadratureSpec) -> float:
+    """integral_lo^hi exp(g^q - t) dt on a log-radial run by one engine call
+    on radii: dt = -n dr / r and e^{-t} = (r/R)^n turn it into
+    n R^{-n} integral e^{(scale w(r))^q} r^{n-1} dr over [R e^{-hi/n},
+    R e^{-lo/n}], exact out to t = inf (r = 0).  The run's radii are the
+    first-level breaks, and w comes from one gather per level."""
+    n, scale, value = run.dim, run.scale, run.value
+    r_lo, r_hi, breaks = run.span(lo, hi)
+
+    def integrand(r):
+        return np.exp((scale * value(r)) ** q) * r ** (n - 1.0)
+
+    return n * run.big_r ** (-n) * adaptive_gauss(integrand, r_lo, r_hi, spec, breaks=breaks)
+
+
 def _cc_tail(
     g: PiecewiseProfile,
     piece: Piece,
@@ -176,7 +193,9 @@ def _cc_tail(
     spec: QuadratureSpec,
 ) -> float:
     """integral_lo^inf exp(piece^q - t) dt for a tail piece without a
-    closed form."""
+    closed form: a saturating tail truncated where its bound leaves
+    truncation_epsilon, a generic one under the Hoelder envelope.  A
+    log-radial tail never comes here; it ends its run (``_cc_log_radial``)."""
     eps = spec.truncation_epsilon
     if isinstance(piece, LinearPiece):
         raise DomainError("a linear tail must be constant: J diverges or g turns negative")
@@ -184,15 +203,6 @@ def _cc_tail(
         cap = max(float(np.asarray(piece.value(lo))), piece.limit_value)
         hi = max(lo + 1.0, cap**q - math.log(eps))
         return _cc_finite(piece, q, lo, hi, spec)
-    if isinstance(piece, LogRadialPiece):
-        # Exact pullback: dt = -n dr/r and e^{-t} = (r/R)^n.
-        n, big_r = piece.dim, piece.big_r
-        r_lo = big_r * math.exp(-lo / n)
-
-        def integrand(r):
-            return np.exp((piece.scale * piece.source.value(r)) ** q) * r ** (n - 1.0)
-
-        return n * big_r ** (-n) * adaptive_gauss(integrand, 0.0, r_lo, spec)
     # Generic tail: majorize g by the Hoelder envelope
     # g(t) <= g(lo) + delta^{1/p} (t - lo)^{1/q}, delta the tail energy.
     p = q / (q - 1.0)
@@ -222,9 +232,10 @@ def cc_integral(
     hi: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """integral_lo^hi exp(g^q - t) dt along the profile's pieces:
-    ``_cc_closed_form`` where the piece has one, else one engine call per
-    piece (``_cc_finite``, or ``_cc_tail`` out to infinity).
+    """integral_lo^hi exp(g^q - t) dt along ``g.walk``: one engine call on
+    radii per log-radial run (``_cc_log_radial``), ``_cc_closed_form`` where
+    a piece has one, else one engine call per piece (``_cc_finite``, or
+    ``_cc_tail`` out to infinity).
 
     Unchecked: where g < 0 at a non-integer q, or exp overflows, the
     integrand is NaN or infinite and ``QuadratureError`` is raised
@@ -232,9 +243,12 @@ def cc_integral(
     """
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg_lo, seg_hi, piece in g.segments():
+        for seg_lo, seg_hi, piece in g.walk:
             a, b = max(seg_lo, lo), min(seg_hi, hi)
             if b <= a:
+                continue
+            if isinstance(piece, LogRadialRun):
+                total += _cc_log_radial(piece, q, a, b, spec)
                 continue
             closed = _cc_closed_form(piece, q, a, b)
             if closed is not None:
@@ -265,8 +279,13 @@ def _far_value(g: PiecewiseProfile) -> float:
 
 def _check_nonnegative(g: PiecewiseProfile) -> None:
     # Knot values plus the far value; a cheap guard, not a proof of positivity.
-    values = [float(np.asarray(piece.value(k))) for k, _hi, piece in g.segments()]
-    if min(values + [_far_value(g)]) < -1e-12:
+    values = [_far_value(g)]
+    for k, _hi, piece in g.walk:
+        if isinstance(piece, LogRadialRun):  # its knots are radii[1:]
+            values.append(float((piece.scale * piece.value(piece.radii[1:])).min()))
+        else:
+            values.append(float(np.asarray(piece.value(k))))
+    if min(values) < -1e-12:
         raise DomainError("profile must be nonnegative")
 
 
@@ -340,7 +359,9 @@ def cc_lemma_bound(
         raise DomainError(f"tail energy must be < 1, got {delta}")
     q = p / (p - 1.0)
     lhs = cc_integral(w, q, a, math.inf, spec)
-    w_a = float(np.asarray(w.value(a)))
+    # _check_nonnegative lets w reach -1e-12; there w(a) is 0, or w_a^q is
+    # complex at a non-integer q.
+    w_a = max(float(np.asarray(w.value(a))), 0.0)
     shrink = 1.0 - delta ** (1.0 / (p - 1.0))
     gamma_p = delta * shrink ** (1.0 - p)
     c = q * w_a ** (q - 1.0)

@@ -11,13 +11,20 @@ closed form and integrates the remaining runs of segments with
 a profile whose segments are all linear (a Hardy trial) come from one
 gather of intercepts and slopes per engine level, not from the per-segment
 dispatch of ``PiecewiseProfile.value``; constructing a profile does no
-extra work for it.
+extra work for it.  ``PiecewiseProfile.walk`` merges each run of adjacent
+log-radial segments with a common map r = R e^{-t/n} into one
+``LogRadialRun``, whose energy is one integral on radii; its values come
+from the source piece class's ``Piece.gather``, one gather of coefficients
+per engine level where the class has one (the radial comparison solution
+of ``rearrange``), so this module needs no import of the source's module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +52,18 @@ class Piece:
 
     def params(self) -> dict:
         return {}
+
+    @staticmethod
+    def gather(pieces: Sequence[Piece], knots: Sequence[float]):
+        """(value, derivative) of ``pieces`` laid on the increasing
+        ``knots`` (piece i on [knots[i], knots[i + 1]]), for arrays of
+        points inside [knots[0], knots[-1]].
+
+        Here each piece evaluates its own points, by ``PiecewiseProfile``'s
+        dispatch; a piece class whose pieces can share one gather of
+        coefficients overrides this."""
+        profile = PiecewiseProfile(tuple(knots), tuple(pieces), check_continuity=False)
+        return profile.value, profile.derivative
 
 
 @dataclass(frozen=True)
@@ -164,8 +183,8 @@ class LogRadialPiece(Piece):
     """Radial piece seen through r = R e^{-t/n}, scaled by a constant.
 
     g(t) = scale * w(R e^{-t/n}).  Keeps the source piece so integrals can
-    be pulled back to the bounded radial domain (exact treatment of the
-    t -> infinity end).
+    be pulled back to the bounded radial domain, where t = infinity is
+    r = 0 (``LogRadialRun``).
     """
 
     source: Piece
@@ -183,6 +202,56 @@ class LogRadialPiece(Piece):
     def derivative(self, t):
         r = self.radius(t)
         return -self.scale * self.source.derivative(r) * r / self.dim
+
+
+@dataclass(frozen=True, eq=False)
+class LogRadialRun:
+    """Adjacent ``LogRadialPiece`` segments that share (scale, R, n), on radii.
+
+    ``radii`` are the run's t-knots mapped to r = R e^{-t/n}, increasing
+    (t = inf is r = 0).  ``value`` and ``derivative`` are the sources' w and
+    w' on arrays of radii inside them, from one ``Piece.gather`` of the
+    source class, so a log-radial profile's knot values, J and energy each
+    take one evaluation per batch of radii, not one per piece.
+    """
+
+    scale: float
+    big_r: float
+    dim: int
+    radii: np.ndarray
+    value: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray]
+
+    def span(self, lo: float, hi: float) -> tuple[float, float, np.ndarray]:
+        """The t-interval [lo, hi] of the run on radii: (r_lo, r_hi, the
+        run's radii strictly between them, as first-level breaks)."""
+        r_lo = self.big_r * math.exp(-hi / self.dim)
+        r_hi = self.big_r * math.exp(-lo / self.dim)
+        radii = self.radii
+        return r_lo, r_hi, radii[(r_lo < radii) & (radii < r_hi)]
+
+    def energy(self, power: float, lo: float, hi: float, spec: QuadratureSpec) -> float:
+        """integral_lo^hi |g'(t)|^power dt by one ``abs_pow_quadrature`` on
+        radii: dt = -n dr / r and |g'(t)| = |scale| r |w'(r)| / n give
+        n (|scale|/n)^power integral |w'(r)|^power r^{power-1} dr."""
+        n = self.dim
+        r_lo, r_hi, breaks = self.span(lo, hi)
+        radial = abs_pow_quadrature(self.derivative, power, power - 1.0, r_lo, r_hi, spec, breaks=breaks)
+        return n * (abs(self.scale) / n) ** power * radial
+
+
+def _log_radial_run(segments: list) -> tuple[float, float, LogRadialRun]:
+    """(lo, hi, run) of consecutive ``segments()`` entries whose
+    ``LogRadialPiece`` pieces share (scale, R, n)."""
+    first = segments[0][2]
+    n, big_r = first.dim, first.big_r
+    t_knots = [lo for lo, _hi, _piece in segments] + [segments[-1][1]]
+    radii = np.array([big_r * math.exp(-t / n) for t in reversed(t_knots)])
+    sources = [piece.source for _lo, _hi, piece in reversed(segments)]
+    kind = type(sources[0])
+    gather = kind.gather if all(type(source) is kind for source in sources) else Piece.gather
+    run = LogRadialRun(first.scale, big_r, n, radii, *gather(sources, radii))
+    return t_knots[0], t_knots[-1], run
 
 
 @dataclass(frozen=True)
@@ -243,6 +312,19 @@ class PiecewiseProfile:
         if self.tail is not None:
             yield self.knots[-1], math.inf, self.tail
 
+    @cached_property
+    def walk(self) -> tuple[tuple[float, float, Piece | LogRadialRun], ...]:
+        """``segments()``, with each run of adjacent ``LogRadialPiece``
+        segments that share (scale, R, n) as one ``LogRadialRun``; built on
+        first use."""
+        walk: list = []
+        for radial_map, segments in groupby(self.segments(), _radial_map):
+            if radial_map is None:
+                walk.extend(segments)
+            else:
+                walk.append(_log_radial_run(list(segments)))
+        return tuple(walk)
+
     def _piece_index(self, t: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._knots_arr, t, side="right") - 1
         return np.clip(idx, 0, len(self._segments) - 1)
@@ -289,6 +371,12 @@ class PiecewiseProfile:
         return out
 
 
+def _radial_map(segment) -> tuple[float, float, int] | None:
+    """(scale, R, n) of a log-radial segment, else None."""
+    piece = segment[2]
+    return (piece.scale, piece.big_r, piece.dim) if isinstance(piece, LogRadialPiece) else None
+
+
 def _check_knots(knots: Sequence[float]) -> None:
     """``DomainError`` unless the float knots are finite and strictly
     increasing; a NaN fails the comparison ``a < b`` on either side."""
@@ -331,13 +419,19 @@ def abs_pow_integral(
     segments that have a closed form; each run of adjacent segments without
     one is one ``abs_pow_quadrature`` call of g (or g'), whose breaks are
     the run's interior knots and the roots of its linear pieces' values.
-    ``DomainError`` when such a segment reaches infinity.
+    ``DomainError`` when such a segment reaches infinity.  An energy (g' at
+    weight 0) takes each ``LogRadialRun`` of ``g.walk`` as one integral on
+    radii (``LogRadialRun.energy``), out to t = inf.
     """
     total = 0.0
     runs: list[list[float]] = []  # the edges of each run, ends included
-    for seg_lo, seg_hi, piece in g.segments():
+    for seg_lo, seg_hi, piece in g.walk if derivative and weight_pow == 0.0 else g.segments():
         a, b = max(seg_lo, lo), min(seg_hi, hi)
-        closed = abs_pow_closed_form(piece, power, weight_pow, a, b, spec, derivative=derivative)
+        if isinstance(piece, LogRadialRun):
+            if a < b:
+                total += piece.energy(power, a, b, spec)
+            continue
+        closed = abs_pow_closed_form(piece, power, weight_pow, a, b, derivative=derivative)
         if closed is not None:
             total += closed
             continue
@@ -385,7 +479,6 @@ def abs_pow_closed_form(
     weight_pow: float,
     lo: float,
     hi: float,
-    spec: QuadratureSpec,
     *,
     derivative: bool = False,
 ) -> float | None:
@@ -395,8 +488,7 @@ def abs_pow_closed_form(
     Closed forms: an empty interval, a constant integrand (a linear
     derivative, a constant value, zero) and a power of (r - shift) at any
     weight when the shift is 0, else at weight 0; at weight 0 also the
-    saturating exponential's derivative and the log-radial derivative,
-    pulled back to radii (so hi may be inf).
+    saturating exponential's derivative (so hi may be inf).
     """
     if hi <= lo:
         return 0.0
@@ -412,22 +504,12 @@ def abs_pow_closed_form(
             e = piece.exponent - 1.0 if derivative else piece.exponent
             w1 = e * power + weight_pow + 1.0
             return power_integral(c, w1, lo - piece.shift, hi - piece.shift)
-    elif derivative and weight_pow == 0.0:
-        if isinstance(piece, ExpApproachPiece):
-            rate = piece.rate * power
-            c = abs(piece.amplitude * piece.rate) ** power
-            upper = 0.0 if math.isinf(hi) else math.exp(-rate * (hi - piece.anchor))
-            lower = math.exp(-rate * (lo - piece.anchor))
-            return c * (lower - upper) / rate
-        if isinstance(piece, LogRadialPiece):
-            # dt = -n dr / r and |g'(t)|^p = (scale r |w'(r)| / n)^p, so the
-            # t -> inf end becomes the bounded endpoint r -> 0.
-            n = piece.dim
-            r_hi = 0.0 if math.isinf(hi) else piece.big_r * math.exp(-hi / n)
-            r_lo = piece.big_r * math.exp(-lo / n)
-            dw = piece.source.derivative
-            radial = abs_pow_quadrature(dw, power, power - 1.0, r_hi, r_lo, spec)
-            return n * (abs(piece.scale) / n) ** power * radial
+    elif derivative and weight_pow == 0.0 and isinstance(piece, ExpApproachPiece):
+        rate = piece.rate * power
+        c = abs(piece.amplitude * piece.rate) ** power
+        upper = 0.0 if math.isinf(hi) else math.exp(-rate * (hi - piece.anchor))
+        lower = math.exp(-rate * (lo - piece.anchor))
+        return c * (lower - upper) / rate
     return None
 
 

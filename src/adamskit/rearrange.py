@@ -5,7 +5,11 @@ Simple functions are kept as (measure, value) cells, so rearrangement is
 exact sorting and the double integral defining the radial comparison
 solution evaluates in closed form piece by piece (the inner integral of a
 step function is piecewise linear; the outer integrand s^{2/n-2} times a
-linear factor has an elementary antiderivative).
+linear factor has an elementary antiderivative).  The slabs of one
+solution also evaluate together: ``_ComparisonPiece.gather`` turns a run
+of them into per-slab coefficient arrays and picks a slab per point, so
+the J and energy integrals of ``energy_change_of_variables``'s profile
+(``profiles.LogRadialRun``) take one gather per engine level.
 """
 
 from __future__ import annotations
@@ -156,6 +160,43 @@ class _ComparisonPiece(Piece):
         a = self.f_accum - self.f_val * self.s_lo
         singular = a * r**-self.n if a != 0.0 else np.zeros_like(r)
         return (self.n - 1.0) / (self.n * self.omega) * singular - self.f_val / self.n
+
+    @staticmethod
+    def gather(pieces, knots):
+        """w and w' of adjacent comparison pieces on the increasing radii
+        ``knots`` by one gather of per-slab coefficients.
+
+        On a slab F(s) = a + f s, and the outer integral in closed form is
+        w(r) = w(r_hi) + b (x(r) - x(r_hi)) + c (r_hi^2 - r^2) and
+        w'(r) = -A r^{1-n} - 2 c r, with A = a/(n omega), c = f/(2n),
+        x = r^{2-n} and b = A/(n-2) (x = log r and b = -A at n = 2).  A
+        point takes the slab whose outer end is the first knot at or above
+        it, so w at a knot is that slab's w(r_hi), ``tail_value``, exactly.
+        """
+        n, omega = pieces[0].n, pieces[0].omega
+        big_a = np.array([p.f_accum - p.f_val * p.s_lo for p in pieces]) / (n * omega)
+        c = np.array([p.f_val for p in pieces]) / (2.0 * n)
+        top = np.array([p.tail_value for p in pieces])
+        r_hi = np.asarray(knots[1:], dtype=float)
+        if n == 2:
+            b, x = -big_a, np.log
+        else:
+            b, power = big_a / (n - 2.0), 2.0 - n
+
+            def x(r):
+                return r**power
+
+        x_hi, r2_hi, inner = x(r_hi), r_hi * r_hi, r_hi[:-1]
+
+        def value(r):
+            i = np.searchsorted(inner, r)
+            return top[i] + b[i] * (x(r) - x_hi[i]) + c[i] * (r2_hi[i] - r * r)
+
+        def derivative(r):
+            i = np.searchsorted(inner, r)
+            return -(big_a[i] * r ** (1.0 - n) + 2.0 * c[i] * r)
+
+        return value, derivative
 
 
 def talenti_radial_solution(

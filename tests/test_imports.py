@@ -53,6 +53,20 @@ def test_sweep_skips_hardy_and_rearrange():
     assert "adamskit.rearrange" not in modules
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["cc", "--p", "2", "--family", "moser", "--a", "1000"], ["cc", "--p", "2", "--maximize"]],
+    ids=["moser", "maximize"],
+)
+def test_cc_skips_hardy_and_rearrange(argv):
+    # moser1d and profiles reach a log-radial source's gather through its
+    # piece class, never by importing rearrange.
+    modules = run_code(MODULES_AFTER_COMMAND, *argv).split()
+    assert "adamskit.moser1d" in modules
+    assert "adamskit.hardy" not in modules
+    assert "adamskit.rearrange" not in modules
+
+
 def test_import_loads_no_submodule():
     out = run_code("import sys, adamskit; print(sorted(m for m in sys.modules if m.startswith('adamskit')))")
     assert out.strip() == "['adamskit']"

@@ -555,6 +555,33 @@ class TestLemmaBound:
         with pytest.raises(DomainError):
             cc_lemma_bound(w, 1.5, 0.5)
 
+    def test_w_a_inside_the_allowance_counts_as_zero(self):
+        # w(1) = -5e-13 passes the -1e-12 nonnegativity allowance; at p = 3,
+        # q = 1.5, w(a)^{q-1} was complex and the bound ended in a TypeError.
+        w = piecewise_linear([0.0, 1.0, 2.0], [0.0, -5e-13, 0.5])
+        got = cc_lemma_bound(w, 3.0, 1.0)
+        # At w(a) = 0, c = 0 and the exponent is 0: rhs = e^{-a} e^{psi(p)+gamma} / shrink.
+        shrink = 1.0 - math.sqrt(energy(w, 3.0, (1.0, math.inf)))
+        want = math.exp(-1.0) * math.exp(digamma(3.0) + EULER_GAMMA) / shrink
+        assert got.rhs == pytest.approx(want, rel=1e-15)
+        assert 0.0 < got.lhs <= got.rhs
+
+    def test_w_a_clamp_survives_optimize_flag(self):
+        script = (
+            "from adamskit.moser1d import cc_lemma_bound\n"
+            "from adamskit.profiles import piecewise_linear\n"
+            "w = piecewise_linear([0.0, 1.0, 2.0], [0.0, -5e-13, 0.5])\n"
+            "print('debug' if __debug__ else 'optimized', *cc_lemma_bound(w, 3.0, 1.0))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(moser1d.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        want = cc_lemma_bound(piecewise_linear([0.0, 1.0, 2.0], [0.0, -5e-13, 0.5]), 3.0, 1.0)
+        assert result.stdout.split() == ["optimized", *map(repr, want)]
+
 
 class TestMoserFamily:
     def test_profile_shape(self):
