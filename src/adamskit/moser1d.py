@@ -6,12 +6,12 @@ one ``profiles.abs_pow_integral`` of the profile's derivative at weight 0.
 J has a closed form on every piece whose g^q is affine in t
 (``_cc_closed_form``): a constant piece, on a finite interval or out to
 infinity, and a power c (t - shift)^{1/q}, such as the extremal test
-function's arc, where w^q = t - 1.  A profile's run of log-radial pieces
+function's arc, where w^q = t - 1.  A log-radial profile's tail
 (``profiles.LogRadialRun``, from ``rearrange.energy_change_of_variables``)
-is one engine call on radii for J and one for its energy, tail included.
+is one engine call on radii for J and one for its energy.
 Every other piece is one engine call.  The improper upper end of J is
 handled exactly for constant and saturating tails, by the radial pullback
-for log-radial runs, and by the sub-unit-energy majorant otherwise.
+for log-radial profiles, and by the sub-unit-energy majorant otherwise.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ def _cc_log_radial(run: LogRadialRun, q: float, lo: float, hi: float, spec: Quad
     on radii: dt = -n dr / r and e^{-t} = (r/R)^n turn it into
     n R^{-n} integral e^{(scale w(r))^q} r^{n-1} dr over [R e^{-hi/n},
     R e^{-lo/n}], exact out to t = inf (r = 0).  The run's radii are the
-    first-level breaks, and w comes from one gather per level."""
-    n, scale, value = run.dim, run.scale, run.value
+    first-level breaks, and w is the run's batch evaluator ``run.w``."""
+    n, scale, value = run.dim, run.scale, run.w
     r_lo, r_hi, breaks = run.span(lo, hi)
 
     def integrand(r):
@@ -195,7 +195,8 @@ def _cc_tail(
     """integral_lo^inf exp(piece^q - t) dt for a tail piece without a
     closed form: a saturating tail truncated where its bound leaves
     truncation_epsilon, a generic one under the Hoelder envelope.  A
-    log-radial tail never comes here; it ends its run (``_cc_log_radial``)."""
+    log-radial tail never comes here: it is one ``LogRadialRun``
+    (``_cc_log_radial``)."""
     eps = spec.truncation_epsilon
     if isinstance(piece, LinearPiece):
         raise DomainError("a linear tail must be constant: J diverges or g turns negative")
@@ -232,10 +233,10 @@ def cc_integral(
     hi: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """integral_lo^hi exp(g^q - t) dt along ``g.walk``: one engine call on
-    radii per log-radial run (``_cc_log_radial``), ``_cc_closed_form`` where
-    a piece has one, else one engine call per piece (``_cc_finite``, or
-    ``_cc_tail`` out to infinity).
+    """integral_lo^hi exp(g^q - t) dt along ``g.segments()``: one engine
+    call on radii for a log-radial run (``_cc_log_radial``),
+    ``_cc_closed_form`` where a piece has one, else one engine call per
+    piece (``_cc_finite``, or ``_cc_tail`` out to infinity).
 
     Unchecked: where g < 0 at a non-integer q, or exp overflows, the
     integrand is NaN or infinite and ``QuadratureError`` is raised
@@ -243,7 +244,7 @@ def cc_integral(
     """
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg_lo, seg_hi, piece in g.walk:
+        for seg_lo, seg_hi, piece in g.segments():
             a, b = max(seg_lo, lo), min(seg_hi, hi)
             if b <= a:
                 continue
@@ -280,9 +281,9 @@ def _far_value(g: PiecewiseProfile) -> float:
 def _check_nonnegative(g: PiecewiseProfile) -> None:
     # Knot values plus the far value; a cheap guard, not a proof of positivity.
     values = [_far_value(g)]
-    for k, _hi, piece in g.walk:
+    for k, _hi, piece in g.segments():
         if isinstance(piece, LogRadialRun):  # its knots are radii[1:]
-            values.append(float((piece.scale * piece.value(piece.radii[1:])).min()))
+            values.append(float((piece.scale * piece.w(piece.radii[1:])).min()))
         else:
             values.append(float(np.asarray(piece.value(k))))
     if min(values) < -1e-12:

@@ -4,27 +4,23 @@ A profile is a list of increasing knots, one analytic piece per gap, and an
 optional tail piece on [last knot, infinity).  Pieces expose vectorized
 value and derivative.  ``abs_pow_integral`` is the one integral of
 |h|^power r^weight over a profile or its derivative, for the energies of
-``moser1d`` and the weighted norms of ``hardy`` alike: it walks the
+``moser1d`` and the weighted norms of ``hardy`` alike: it goes through the
 segments once, sums ``abs_pow_closed_form`` wherever the piece type has a
 closed form and integrates the remaining runs of segments with
 ``abs_pow_quadrature``, breaking at their knots and roots.  The values of
 a profile whose segments are all linear (a Hardy trial) come from one
 gather of intercepts and slopes per engine level, not from the per-segment
 dispatch of ``PiecewiseProfile.value``; constructing a profile does no
-extra work for it.  ``PiecewiseProfile.walk`` merges each run of adjacent
-log-radial segments with a common map r = R e^{-t/n} into one
-``LogRadialRun``, whose energy is one integral on radii; its values come
-from the source piece class's ``Piece.gather``, one gather of coefficients
-per engine level where the class has one (the radial comparison solution
-of ``rearrange``), so this module needs no import of the source's module.
+extra work for it.  A radial profile seen through r = R e^{-t/n} is one
+``LogRadialRun`` tail, whose energy is one integral on radii with the
+evaluators its builder supplies, so this module needs no import of the
+source's module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,18 +48,6 @@ class Piece:
 
     def params(self) -> dict:
         return {}
-
-    @staticmethod
-    def gather(pieces: Sequence[Piece], knots: Sequence[float]):
-        """(value, derivative) of ``pieces`` laid on the increasing
-        ``knots`` (piece i on [knots[i], knots[i + 1]]), for arrays of
-        points inside [knots[0], knots[-1]].
-
-        Here each piece evaluates its own points, by ``PiecewiseProfile``'s
-        dispatch; a piece class whose pieces can share one gather of
-        coefficients overrides this."""
-        profile = PiecewiseProfile(tuple(knots), tuple(pieces), check_continuity=False)
-        return profile.value, profile.derivative
 
 
 @dataclass(frozen=True)
@@ -178,49 +162,38 @@ class FuncPiece(Piece):
         return self.d2fn(np.asarray(t, dtype=float))
 
 
-@dataclass(frozen=True)
-class LogRadialPiece(Piece):
-    """Radial piece seen through r = R e^{-t/n}, scaled by a constant.
+@dataclass(frozen=True, eq=False)
+class LogRadialRun(Piece):
+    """g(t) = scale * w(R e^{-t/n}) for t >= t_knots[0], a radial profile w
+    on [0, R] seen through r = R e^{-t/n}, where t = inf is r = 0
+    (``rearrange.energy_change_of_variables``).
 
-    g(t) = scale * w(R e^{-t/n}).  Keeps the source piece so integrals can
-    be pulled back to the bounded radial domain, where t = infinity is
-    r = 0 (``LogRadialRun``).
+    ``radii`` are the t-knots mapped to r, increasing from 0 to R, and
+    ``on_radii`` lays w's pieces on them.  ``value`` and ``derivative`` are
+    g and g' through those pieces.  ``w`` and ``dw`` are w and w' on arrays
+    of radii for the integrands of J and the energy, one evaluation per
+    batch of radii, so each is one integral on radii, out to t = inf.
     """
 
-    source: Piece
     scale: float
     big_r: float
     dim: int
+    t_knots: tuple[float, ...]
+    radii: np.ndarray
+    on_radii: PiecewiseProfile
+    w: Callable[[np.ndarray], np.ndarray]
+    dw: Callable[[np.ndarray], np.ndarray]
     kind = "radial-log"
 
     def radius(self, t):
         return self.big_r * np.exp(-np.asarray(t, dtype=float) / self.dim)
 
     def value(self, t):
-        return self.scale * self.source.value(self.radius(t))
+        return self.scale * self.on_radii.value(self.radius(t))
 
     def derivative(self, t):
         r = self.radius(t)
-        return -self.scale * self.source.derivative(r) * r / self.dim
-
-
-@dataclass(frozen=True, eq=False)
-class LogRadialRun:
-    """Adjacent ``LogRadialPiece`` segments that share (scale, R, n), on radii.
-
-    ``radii`` are the run's t-knots mapped to r = R e^{-t/n}, increasing
-    (t = inf is r = 0).  ``value`` and ``derivative`` are the sources' w and
-    w' on arrays of radii inside them, from one ``Piece.gather`` of the
-    source class, so a log-radial profile's knot values, J and energy each
-    take one evaluation per batch of radii, not one per piece.
-    """
-
-    scale: float
-    big_r: float
-    dim: int
-    radii: np.ndarray
-    value: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
+        return -self.scale * self.on_radii.derivative(r) * r / self.dim
 
     def span(self, lo: float, hi: float) -> tuple[float, float, np.ndarray]:
         """The t-interval [lo, hi] of the run on radii: (r_lo, r_hi, the
@@ -236,22 +209,8 @@ class LogRadialRun:
         n (|scale|/n)^power integral |w'(r)|^power r^{power-1} dr."""
         n = self.dim
         r_lo, r_hi, breaks = self.span(lo, hi)
-        radial = abs_pow_quadrature(self.derivative, power, power - 1.0, r_lo, r_hi, spec, breaks=breaks)
+        radial = abs_pow_quadrature(self.dw, power, power - 1.0, r_lo, r_hi, spec, breaks=breaks)
         return n * (abs(self.scale) / n) ** power * radial
-
-
-def _log_radial_run(segments: list) -> tuple[float, float, LogRadialRun]:
-    """(lo, hi, run) of consecutive ``segments()`` entries whose
-    ``LogRadialPiece`` pieces share (scale, R, n)."""
-    first = segments[0][2]
-    n, big_r = first.dim, first.big_r
-    t_knots = [lo for lo, _hi, _piece in segments] + [segments[-1][1]]
-    radii = np.array([big_r * math.exp(-t / n) for t in reversed(t_knots)])
-    sources = [piece.source for _lo, _hi, piece in reversed(segments)]
-    kind = type(sources[0])
-    gather = kind.gather if all(type(source) is kind for source in sources) else Piece.gather
-    run = LogRadialRun(first.scale, big_r, n, radii, *gather(sources, radii))
-    return t_knots[0], t_knots[-1], run
 
 
 @dataclass(frozen=True)
@@ -312,19 +271,6 @@ class PiecewiseProfile:
         if self.tail is not None:
             yield self.knots[-1], math.inf, self.tail
 
-    @cached_property
-    def walk(self) -> tuple[tuple[float, float, Piece | LogRadialRun], ...]:
-        """``segments()``, with each run of adjacent ``LogRadialPiece``
-        segments that share (scale, R, n) as one ``LogRadialRun``; built on
-        first use."""
-        walk: list = []
-        for radial_map, segments in groupby(self.segments(), _radial_map):
-            if radial_map is None:
-                walk.extend(segments)
-            else:
-                walk.append(_log_radial_run(list(segments)))
-        return tuple(walk)
-
     def _piece_index(self, t: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._knots_arr, t, side="right") - 1
         return np.clip(idx, 0, len(self._segments) - 1)
@@ -371,12 +317,6 @@ class PiecewiseProfile:
         return out
 
 
-def _radial_map(segment) -> tuple[float, float, int] | None:
-    """(scale, R, n) of a log-radial segment, else None."""
-    piece = segment[2]
-    return (piece.scale, piece.big_r, piece.dim) if isinstance(piece, LogRadialPiece) else None
-
-
 def _check_knots(knots: Sequence[float]) -> None:
     """``DomainError`` unless the float knots are finite and strictly
     increasing; a NaN fails the comparison ``a < b`` on either side."""
@@ -419,15 +359,17 @@ def abs_pow_integral(
     segments that have a closed form; each run of adjacent segments without
     one is one ``abs_pow_quadrature`` call of g (or g'), whose breaks are
     the run's interior knots and the roots of its linear pieces' values.
-    ``DomainError`` when such a segment reaches infinity.  An energy (g' at
-    weight 0) takes each ``LogRadialRun`` of ``g.walk`` as one integral on
-    radii (``LogRadialRun.energy``), out to t = inf.
+    ``DomainError`` when such a segment reaches infinity.  A
+    ``LogRadialRun`` is one integral on radii (``LogRadialRun.energy``), out
+    to t = inf, and takes no request but its energy (g' at weight 0).
     """
     total = 0.0
     runs: list[list[float]] = []  # the edges of each run, ends included
-    for seg_lo, seg_hi, piece in g.walk if derivative and weight_pow == 0.0 else g.segments():
+    for seg_lo, seg_hi, piece in g.segments():
         a, b = max(seg_lo, lo), min(seg_hi, hi)
         if isinstance(piece, LogRadialRun):
+            if not (derivative and weight_pow == 0.0):
+                raise DomainError("a log-radial run integrates only its energy, |g'|^power at weight 0")
             if a < b:
                 total += piece.energy(power, a, b, spec)
             continue

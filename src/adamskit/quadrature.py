@@ -20,14 +20,14 @@ only frozen panels fail their share.
 Each first-level panel must lie within one smooth piece of its integrand:
 the callers break there (``profiles.abs_pow_integral`` at the knots and
 roots of a profile, such as a Hardy trial, graded geometrically toward an
-algebraic end at r = 0 by ``profiles.abs_pow_quadrature``, and each
-log-radial run's energy at the run's radii; ``moser1d`` by one call per
-log-radial run at its radii, and one per other profile piece without a
-closed form, with edges at width/2, width/4, ... from both ends of the
-piece down to end panels in (1/16, 1/8]).  The error estimate
-is blind to a jump that lies between a panel edge and that panel's
-outermost Gauss node, where G15 and G31 see the same side and agree on a
-wrong value;
+algebraic end at r = 0 by ``profiles.abs_pow_quadrature``, and a
+log-radial profile's energy at the radii of its ``LogRadialRun``;
+``moser1d`` by one call per log-radial profile at those radii, and one
+per other profile piece without a closed form, with edges at width/2,
+width/4, ... from both ends of the piece down to end panels in
+(1/16, 1/8]).  The error estimate is blind to a jump that lies between a
+panel edge and that panel's outermost Gauss node, where G15 and G31 see
+the same side and agree on a wrong value;
 ``tests/test_profiles.py::TestAdaptiveGauss::test_jump_next_to_panel_edge``
 pins such a case as a strict xfail.
 """

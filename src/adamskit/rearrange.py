@@ -6,10 +6,10 @@ exact sorting and the double integral defining the radial comparison
 solution evaluates in closed form piece by piece (the inner integral of a
 step function is piecewise linear; the outer integrand s^{2/n-2} times a
 linear factor has an elementary antiderivative).  The slabs of one
-solution also evaluate together: ``_ComparisonPiece.gather`` turns a run
-of them into per-slab coefficient arrays and picks a slab per point, so
-the J and energy integrals of ``energy_change_of_variables``'s profile
-(``profiles.LogRadialRun``) take one gather per engine level.
+solution also evaluate together: ``_ComparisonPiece.gather`` turns them
+into per-slab coefficient arrays and picks a slab per point, so the J and
+energy integrals of ``energy_change_of_variables``'s ``LogRadialRun`` take
+one gather per engine level.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .constants import AdamsParams, beta0, unit_ball_volume
 from .errors import DomainError, MonotonicityError
 from .profiles import (
     FuncPiece,
-    LogRadialPiece,
+    LogRadialRun,
     Piece,
     PiecewiseProfile,
     constant_piece,
@@ -293,10 +293,14 @@ def radial_laplacian(profile: RadialProfile) -> PiecewiseProfile:
 
 
 def energy_change_of_variables(profile: RadialProfile, m: int) -> PiecewiseProfile:
-    """g(t) = beta0(m, n)^{(n-m)/n} w(R e^{-t/n}) on [0, infinity).
+    """g(t) = beta0(m, n)^{(n-m)/n} w(R e^{-t/n}) on [0, infinity), one
+    ``LogRadialRun`` tail.
 
-    The innermost radial piece becomes the tail; derivatives come from the
-    chain rule inside each mapped piece.
+    The run's radii are the source's knots mapped to t-knots and back.  J
+    and the energy take w from ``_ComparisonPiece.gather`` when every piece
+    is a comparison slab, else from the pieces laid on the radii.  A source
+    built without its continuity check (``symmetrize``'s steps) is checked
+    on the radii.
     """
     n = profile.dimension
     params = AdamsParams(m, n)  # validates m < n
@@ -306,9 +310,13 @@ def energy_change_of_variables(profile: RadialProfile, m: int) -> PiecewiseProfi
     if abs(source.knots[0]) > 1e-15 or abs(source.knots[-1] - big_r) > 1e-12 * big_r:
         raise DomainError("radial profile must span [0, R]")
 
-    mapped = [
-        LogRadialPiece(source=piece, scale=scale, big_r=big_r, dim=n)
-        for piece in reversed(source.pieces)
-    ]
-    t_knots = [0.0] + [n * math.log(big_r / r) for r in reversed(source.knots[1:-1])]
-    return PiecewiseProfile(knots=tuple(t_knots), pieces=tuple(mapped[:-1]), tail=mapped[-1])
+    pieces = source.pieces
+    t_knots = (0.0, *(n * math.log(big_r / r) for r in reversed(source.knots[1:-1])))
+    radii = np.array([big_r * math.exp(-t / n) for t in (math.inf, *reversed(t_knots))])
+    on_radii = PiecewiseProfile(tuple(radii), pieces, check_continuity=not source.check_continuity)
+    if all(type(piece) is _ComparisonPiece for piece in pieces):
+        w, dw = _ComparisonPiece.gather(pieces, radii)
+    else:
+        w, dw = on_radii.value, on_radii.derivative
+    run = LogRadialRun(scale, big_r, n, t_knots, radii, on_radii, w, dw)
+    return PiecewiseProfile(knots=(0.0,), pieces=(), tail=run)

@@ -151,14 +151,15 @@ class TestEnergies:
         m = n - 1
         p = n / m
         g = energy_change_of_variables(radial, m)
-        for lo, hi, piece in g.segments():
-            # The whole profile clipped to one segment: the others add 0.
+        run = g.tail
+        t_knots = (*run.t_knots, math.inf)
+        for lo, hi, src in zip(t_knots, t_knots[1:], reversed(run.on_radii.pieces)):
+            # The whole profile clipped to one piece: the others add 0.
             got = abs_pow_integral(g, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)
-            src = piece.source
             omega, f, s_lo = (mpmath.mpf(x) for x in (src.omega, src.f_val, src.s_lo))
             a = mpmath.mpf(src.f_accum) - f * s_lo
 
-            def integrand(t, omega=omega, f=f, a=a, scale=mpmath.mpf(piece.scale)):
+            def integrand(t, omega=omega, f=f, a=a, scale=mpmath.mpf(run.scale)):
                 # g'(t) = -scale v'(r) r / n at r = R e^{-t/n}, with the comparison
                 # piece's closed-form v'(r) = -(a r^{1-n} + f omega r) / (n omega).
                 r = mpmath.mpf(big_r) * mpmath.exp(-t / n)
@@ -167,6 +168,15 @@ class TestEnergies:
 
             want = reference(integrand, [lo, hi])
             assert got == pytest.approx(want, rel=QUAD), (lo, hi)
+
+    @pytest.mark.parametrize(
+        "weight_pow, derivative", [(0.0, False), (1.0, True), (2.0, False)], ids=["value", "weighted", "norm"]
+    )
+    def test_log_radial_takes_only_its_energy(self, weight_pow, derivative):
+        radial = talenti_radial_solution(SampledFunction(cells=((0.3, 2.0), (0.5, 1.0))), 4, 1.0)
+        g = energy_change_of_variables(radial, 2)
+        with pytest.raises(DomainError, match="only its energy"):
+            abs_pow_integral(g, 2.0, weight_pow, 0.0, 3.0, DEFAULT_SPEC, derivative=derivative)
 
 
 class TestHardyIntegrals:

@@ -59,8 +59,8 @@ def test_sweep_skips_hardy_and_rearrange():
     ids=["moser", "maximize"],
 )
 def test_cc_skips_hardy_and_rearrange(argv):
-    # moser1d and profiles reach a log-radial source's gather through its
-    # piece class, never by importing rearrange.
+    # moser1d and profiles take a log-radial profile's evaluators from the
+    # LogRadialRun that rearrange builds, never by importing rearrange.
     modules = run_code(MODULES_AFTER_COMMAND, *argv).split()
     assert "adamskit.moser1d" in modules
     assert "adamskit.hardy" not in modules

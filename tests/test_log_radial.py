@@ -140,13 +140,13 @@ class TestComparisonRuns:
     def test_against_mpmath(self, n, data, big_r, values, shares, fill, target):
         m = data.draw(st.integers(1, n - 1), label="m")
         g, ref = comparison_profile(n, m, big_r, values, shares[: len(values)], fill, target)
-        (_lo, _hi, run), = g.walk  # the whole profile is one run
+        run = g.tail  # the whole profile is one run
         assert isinstance(run, LogRadialRun)
         q, p = n / (n - m), n / m
         assert_close(cc_functional(g, q), ref.functional(), J_TOL)
         assert_close(energy(g, p), ref.energy(), ENERGY_TOL)
         # Intervals that start or end inside the run, between or at knots.
-        t_end = g.knots[-1] + 2.0
+        t_end = run.t_knots[-1] + 2.0
         lo = data.draw(st.floats(0.0, t_end), label="lo")
         hi = data.draw(st.one_of(st.just(math.inf), st.floats(lo + 0.05, t_end + 5.0)), label="hi")
         assert_close(cc_integral(g, q, lo, hi), ref.functional(lo, hi), J_TOL)
@@ -166,7 +166,7 @@ class TestComparisonRuns:
         monkeypatch.setattr(profiles, "adaptive_gauss", counted("profiles"))
         for cells in (1, 4, 8):
             g, _ref = comparison_profile(4, 2, 1.0, [3.0 - 0.3 * i for i in range(cells)], [1.0] * cells, 0.8, 0.9)
-            assert len(g.pieces) == cells  # plus the tail: cells + 1 pieces in one run
+            assert len(g.tail.t_knots) == cells + 1  # cells + 1 pieces in one run
             calls.update(moser1d=0, profiles=0)
             cc_functional(g, 2.0)
             assert calls == {"moser1d": 1, "profiles": 1}, cells
@@ -189,8 +189,7 @@ class TestOtherSources:
         values = np.array([1.0, 0.8, 0.3, 0.0])
         g, _pieces = profile(values)
         g, pieces = profile(values * math.sqrt(0.8 / energy(g, 2.0)))  # energy is quadratic in w
-        (_lo, _hi, run), = g.walk
-        assert isinstance(run.value.__self__, PiecewiseProfile)  # no coefficient gather
+        assert isinstance(g.tail.w.__self__, PiecewiseProfile)  # no coefficient gather
 
         def piece(r):
             return pieces[min(np.searchsorted(knots, float(r), side="right") - 1, 2)]

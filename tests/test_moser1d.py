@@ -178,11 +178,11 @@ class TestCcFunctional:
             cc_integral(g, 1.5, 0.0, math.inf)
 
 
-def t_space_reference(g: PiecewiseProfile, q: float, value) -> float:
-    """J of ``g``, whose value in mpmath is ``value``, by mpmath.quad in t split
-    at the knots, 30 digits."""
+def t_space_reference(knots, q: float, value) -> float:
+    """J of a profile whose value in mpmath is ``value``, by mpmath.quad in t
+    split at its ``knots``, 30 digits."""
     with mpmath.workdps(30):
-        return float(mpmath.quad(lambda t: mpmath.exp(value(t) ** q - t), [*g.knots, mpmath.inf]))
+        return float(mpmath.quad(lambda t: mpmath.exp(value(t) ** q - t), [*knots, mpmath.inf]))
 
 
 class TestTailBranches:
@@ -192,9 +192,17 @@ class TestTailBranches:
     def test_log_radial_pullback(self):
         radial = talenti_radial_solution(SampledFunction(cells=((0.3, 2.0), (0.5, 1.0))), 4, 1.0)
         g = energy_change_of_variables(radial, 2)
-        want = t_space_reference(g, 2.0, lambda t: mpmath.mpf(g.value(float(t))))
+        want = t_space_reference(g.tail.t_knots, 2.0, lambda t: mpmath.mpf(g.value(float(t))))
         assert want == pytest.approx(2.84157537857404, rel=1e-14)
         assert cc_functional(g, 2.0) == pytest.approx(want, rel=1e-12)
+
+    def test_log_radial_bits_pinned(self):
+        # Pinned with ==: a refactor of the log-radial run must not move a bit.
+        radial = talenti_radial_solution(SampledFunction(cells=((0.3, 2.0), (0.5, 1.0))), 4, 1.0)
+        g = energy_change_of_variables(radial, 2)
+        assert cc_functional(g, 2.0) == 2.8415753785740385
+        assert energy(g, 2.0, (0.5, 3.0)) == 0.6503695670719579
+        assert g.value(1.0) == 0.3212298895572235
 
     def test_hoelder_envelope(self):
         # Energy 0.64 on the ramp and 0.09 / 0.4 on the power tail.
@@ -205,7 +213,7 @@ class TestTailBranches:
         def value(t):
             return 0.8 * t if t <= 1 else t ** mpmath.mpf(0.3) - mpmath.mpf(0.2)
 
-        want = t_space_reference(g, 2.0, value)
+        want = t_space_reference(g.knots, 2.0, value)
         assert want == pytest.approx(1.87147623720836, rel=1e-14)
         assert cc_functional(g, 2.0) == pytest.approx(want, rel=1e-12)
 

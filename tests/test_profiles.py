@@ -85,6 +85,12 @@ class TestPiecewiseProfile:
                 tail=None,
             )
 
+    @pytest.mark.parametrize("tail", [None, constant_piece(2.0)], ids=["piece", "tail"])
+    def test_jump_names_its_knot_and_values(self, tail):
+        pieces = (constant_piece(1.0),) if tail else (constant_piece(1.0), constant_piece(2.0))
+        with pytest.raises(DomainError, match=r"discontinuous at knot 1\.0: 1\.0 vs 2\.0"):
+            PiecewiseProfile(knots=(0.0, 1.0, 2.0)[: len(pieces) + 1], pieces=pieces, tail=tail)
+
     def test_vector_evaluation_and_piece_routing(self):
         g = piecewise_linear([0.0, 1.0, 3.0], [0.0, 2.0, 1.0])
         ts = np.array([0.25, 1.0, 2.0, 5.0])

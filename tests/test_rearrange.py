@@ -361,6 +361,17 @@ class TestEnergyChangeOfVariables:
         g = energy_change_of_variables(rp2, 2)
         assert energy(g, n / 2.0, (0.0, math.inf)) == pytest.approx(1.0, rel=1e-9)
 
+    def test_unchecked_source_is_checked_on_radii(self):
+        # symmetrize's steps skip the continuity check; the map checks them on
+        # its radii and names the jump in the caller's terms: a radius in (0, R)
+        # and the unscaled step values.
+        rp = symmetrize(SampledFunction(((0.3, 2.0), (0.5, 1.0))), 4)
+        with pytest.raises(DomainError, match=r"discontinuous at knot (\S+): 2\.0 vs 1\.0") as info:
+            energy_change_of_variables(rp, 2)
+        radius = float(info.value.args[0].split("knot ")[1].split(":")[0])
+        assert radius == pytest.approx(rp.profile.knots[1], rel=1e-15)
+        assert 0.0 < radius < rp.radius
+
     def test_rejects_bad_order(self):
         rp, _ = self._smooth_radial(4, 1.0, [1.0, 0.5])
         with pytest.raises(DomainError):
