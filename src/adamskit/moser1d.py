@@ -409,6 +409,8 @@ def moser_family(a: float, p: float) -> PiecewiseProfile:
 class MaximizerResult(NamedTuple):
     profile: PiecewiseProfile
     functional_value: float
+    #: J evaluations of the search (``_SlopeObjective.value`` calls).
+    evaluations: int
 
 
 #: Width of the maximizer's fixed G15 panels.
@@ -418,11 +420,13 @@ _PANEL_BUDGET = 32_768
 """Most Gauss panels the maximizer may lay over [0, t_max].
 
 Checked before any array is built, against the bound (knot_count - 1) +
-ceil(t_max / _PANEL_WIDTH) on the count.  It admits A up to about 2 180 at
-48 knots and up to about 32 600 knots at A <= 10.  At the budget a default
-search (6 starts) takes 1.8-3.9 s on a 2-vCPU VM and 32-37 MB above the
-library's own footprint (A = 2 181 with 48 knots; A = 5 with 32 600 knots).
-The benchmark's (A, knots) = (5, 48) lays 179 panels, 2 685 nodes.
+ceil(t_max / _PANEL_WIDTH) on the count, t_max = max(600, 60 A,
+1.001 A/epsilon).  At epsilon = 0.01 that admits A up to about 1 307 at 48
+knots, and up to about 32 500 knots at A <= 10.  At the budget a default
+search (7 starts) took 0.36 s and 39 MB above the library's own footprint
+(A = 1 307 with 48 knots), and 1.7 s and 42-46 MB (A = 5 with 32 600 knots,
+A = 10 with 32 500) on a 2-vCPU VM.  The benchmark's (A, knots) = (5, 48)
+lays 179 panels, 2 685 nodes.
 """
 
 _STEP_FLOOR = 1e-8
@@ -434,8 +438,24 @@ Measured over 49 searches (seeds 0-39 at (p, A, epsilon, knots) =
 at most 1.0e-15, and one below 1e-8 by at most 6.3e-13.  All the steps a
 start accepted after its step first fell below 1e-8 added at most 9.3e-13
 to J, a hundredth of the rel_tol = 1e-10 to which ``cc_functional``
-certifies the returned J.  Searching on down to 1e-14 cost about 100 of
-a search's 265 J evaluations at (2, 5, 0.01, 48).
+certifies the returned J.  Searching on down to 1e-14 costs 60 J
+evaluations instead of 45 at (2, 5, 0.01, 48, seed 0), and 316 instead of
+211 at (4, 1, 0.499, 8, seed 11).
+"""
+
+_GAIN_FLOOR = 1e-3
+"""Relative gain of an accepted step below which a start that trails the
+best J so far ends (every start but the first searched).
+
+Measured over 72 searches (the 12 ``maximizer_golden.json`` cases and 60
+seeded draws of p in [2, 4], A in [0.1, 20], epsilon in [0.01, 0.45] and
+8-48 knots) against searching every start down to ``_STEP_FLOOR``, which
+took 12 957 J evaluations.  Ending starts at their first rejected trial
+when they have accepted none takes 8 897; this floor at 1e-4, 1e-3 and
+1e-2 takes 7 268, 6 598 and 5 520.  Each loses J on one draw, the same
+one, by 2.9e-4 relative, to the first of those two rules; none loses on
+another.  Applied also to starts above the best J so far, a floor of 1e-3
+loses on five draws (up to 9.3e-6 relative besides that one).
 """
 
 
@@ -544,16 +564,31 @@ def concentration_maximizer(
 
     Feasible set: piecewise-linear g with g(0) = 0, total energy exactly 1,
     and energy on (0, big_a) at most epsilon; the knots reach out to
-    t_max = max(600, 60 big_a).  Deterministic given seed.
+    t_max = max(600, 60 big_a, a_M), a_M = 1.001 big_a/epsilon, geometric
+    beyond the window.  Deterministic given seed.
+
+    Starts: ``n_starts`` seeded warm ramps and, where the window has a
+    segment, the class's Moser ramp ``moser_family(a_M, p)`` (window energy
+    epsilon/1.001).  Its kink falls on a knot: the geometric knot nearest
+    a_M is moved onto it.  That layout is kept where the Moser ramp leads
+    every start on it, or beats every start on the unmoved geometric knots;
+    otherwise the search runs on the geometric knots (the ramp running on
+    to the knot after a_M), which a moved knot would only perturb.  Every start's J is evaluated before any search,
+    and the starts are searched in descending order of that J.
 
     Each trial step evaluates J alone and is kept only when J rises; the
-    gradient for the next step comes from the accepted step's node arrays.
-    A step starts at 0.1 (relative to the largest gradient entry), grows
-    by 1.3 on acceptance and shrinks by 0.4 on rejection; a start ends
-    after ``max_iter`` trials or when its step falls below ``_STEP_FLOOR``
-    = 1e-8, below which accepted steps only add rounding noise to J.
-    Inputs whose Gauss panels would exceed ``_PANEL_BUDGET`` raise
-    ``DomainError`` before any array is built.
+    gradient for the next step comes from the accepted step's node arrays
+    (a start is evaluated once more for its first gradient).  A step starts
+    at 0.1 (relative to the largest gradient entry), grows by 1.3 on
+    acceptance and shrinks by 0.4 on rejection.  A start ends after
+    ``max_iter`` trials or when its step falls below ``_STEP_FLOOR`` =
+    1e-8, below which accepted steps only add rounding noise to J.  Every
+    start after the first also ends at its first rejected trial if it has
+    accepted none, and at an accepted step that raises J by less than
+    ``_GAIN_FLOOR`` = 1e-3 relative while its J trails the best so far.
+    ``evaluations`` counts the J evaluations.  Inputs whose Gauss panels
+    would exceed ``_PANEL_BUDGET`` raise ``DomainError`` before any array
+    is built.
     """
     if not 2.0 <= p <= _P_MAX:
         raise DomainError(f"maximizer requires 2 <= p <= {_P_MAX:g}, got {p}")
@@ -563,14 +598,16 @@ def concentration_maximizer(
         raise DomainError(f"knot_count must be >= 8, got {knot_count}")
     if not big_a > 0.0:
         raise DomainError(f"window endpoint must be positive, got {big_a}")
-    t_max = max(600.0, 60.0 * big_a)
+    a_moser = 1.001 * big_a / epsilon
+    t_max = max(600.0, 60.0 * big_a, a_moser)
     # Each segment takes ceil(width / _PANEL_WIDTH) >= 1 panels.
     panels = knot_count - 1 + math.ceil(t_max / _PANEL_WIDTH)
     if panels > _PANEL_BUDGET:
         raise DomainError(
             f"the maximizer would lay up to {panels} Gauss panels over"
             f" [0, t_max = {t_max:g}] with knot_count (--knots) {knot_count},"
-            f" above its budget of {_PANEL_BUDGET}: lower A (t_max = max(600, 60 A)) or --knots"
+            f" above its budget of {_PANEL_BUDGET}: lower A"
+            " (t_max = max(600, 60 A, 1.001 A/epsilon)) or --knots"
         )
     q = p / (p - 1.0)
 
@@ -578,49 +615,79 @@ def concentration_maximizer(
     window = np.linspace(0.0, big_a, n_window + 1)
     n_out = knot_count - n_window
     outer = big_a * np.geomspace(1.0, t_max / big_a, n_out + 1)[1:]
-    knots = np.concatenate((window, outer))
-    dt = np.diff(knots)
     # The knots increase, so the window's segments are the first k.
-    k = int(np.count_nonzero(knots[:-1] < big_a - 1e-12))
-    objective = _SlopeObjective(knots, q)
-
-    # Warm starts: ramps that spend the window allowance immediately and
-    # the remaining energy linearly up to a trial scale; the integrand's
-    # e^{-t} weighting makes cold random starts blind to the far region.
-    scales = np.geomspace(2.0 * big_a, 1.001 * t_max, n_starts)
+    k = int(np.count_nonzero(window[:-1] < big_a - 1e-12))
     children = np.random.SeedSequence(seed).spawn(n_starts)
-    best = None
-    for scale, child in zip(scales, children):
-        rng = np.random.default_rng(child)
-        s0 = np.zeros(knots.size - 1)
-        s0[:k] = (epsilon / big_a) ** (1.0 / p)
-        ramp_end = int(np.count_nonzero(knots[:-1] < scale))
-        span = max(scale - big_a, dt[k:].min())
-        s0[k:ramp_end] = ((1.0 - epsilon) / span) ** (1.0 / p)
-        # Symmetry-breaking only: slope noise delta shifts the endpoint
-        # exponent by ~2 g_end^2 delta, so it must stay tiny.
-        s0 *= 1.0 + 1e-4 * rng.standard_normal(s0.size)
-        s = _project(s0, dt, k, p, epsilon)
-        j_val = objective.value(s)
+
+    def layout(knots):
+        """The objective on ``knots`` and the starts' slopes there."""
+        dt = np.diff(knots)
+        starts = []
+        # Warm starts: ramps that spend the window allowance immediately and
+        # the remaining energy linearly up to a trial scale; the integrand's
+        # e^{-t} weighting makes cold random starts blind to the far region.
+        scales = np.geomspace(2.0 * big_a, 1.001 * t_max, n_starts)
+        for scale, child in zip(scales, children):
+            rng = np.random.default_rng(child)
+            s0 = np.zeros(knots.size - 1)
+            s0[:k] = (epsilon / big_a) ** (1.0 / p)
+            ramp_end = int(np.count_nonzero(knots[:-1] < scale))
+            span = max(scale - big_a, dt[k:].min())
+            s0[k:ramp_end] = ((1.0 - epsilon) / span) ** (1.0 / p)
+            # Symmetry-breaking only: slope noise delta shifts the endpoint
+            # exponent by ~2 g_end^2 delta, so it must stay tiny.
+            s0 *= 1.0 + 1e-4 * rng.standard_normal(s0.size)
+            starts.append(_project(s0, dt, k, p, epsilon))
+        if k:  # the Moser ramp, kinked at the first knot from a_M on
+            s0 = np.where(knots[:-1] < a_moser, a_moser ** (-1.0 / p), 0.0)
+            starts.append(_project(s0, dt, k, p, epsilon))
+        objective = _SlopeObjective(knots, q)
+        return dt, objective, starts, [objective.value(s) for s in starts]
+
+    geometric = np.concatenate((window, outer))
+    knots = geometric.copy()
+    if k and a_moser < t_max:
+        # The Moser ramp's kink on a segment edge: the geometric knot nearest
+        # a_M moves onto it (the last knot stays t_max).
+        knots[n_window + 1 + np.argmin(np.abs(outer[:-1] - a_moser))] = a_moser
+    dt, objective, starts, start_values = layout(knots)
+    evaluations = len(starts)
+    if not np.array_equal(knots, geometric) and np.argmax(start_values) != n_starts:
+        # A warm start leads.  Where one on the geometric knots also beats
+        # the Moser ramp, the search runs there, unperturbed by the move.
+        unmoved = layout(geometric)
+        evaluations += len(unmoved[2])
+        if max(unmoved[3]) > start_values[n_starts]:
+            dt, objective, starts, start_values = unmoved
+            knots = geometric
+
+    best_j, best_s = -math.inf, None
+    for rank, i in enumerate(np.argsort(start_values, kind="stable")[::-1]):
+        s = starts[i]
+        j_val = objective.value(s)  # again: the node arrays of s, for its gradient
         grad = objective.grad()
-        step = 0.1
+        evaluations += 1
+        step, accepted = 0.1, False
         for _ in range(max_iter):
             scale_free = step / max(float(np.max(np.abs(grad))), 1e-12)
             trial = _project(s + scale_free * grad, dt, k, p, epsilon)
             j_trial = objective.value(trial)
+            evaluations += 1
             if j_trial > j_val:
-                s, j_val = trial, j_trial
+                stalled = j_trial - j_val < _GAIN_FLOOR * j_val and j_trial < best_j
+                s, j_val, accepted = trial, j_trial, True
+                if rank and stalled:
+                    break
                 grad = objective.grad()
                 step *= 1.3
             else:
                 step *= 0.4
-                if step < _STEP_FLOOR:
+                if (rank and not accepted) or step < _STEP_FLOOR:
                     break
-        if best is None or j_val > best[0]:
-            best = (j_val, s)
+        if j_val > best_j:
+            best_j, best_s = j_val, s
 
-    _, s = best
-    values = np.concatenate(([0.0], np.cumsum(s * dt)))
+    values = np.concatenate(([0.0], np.cumsum(best_s * dt)))
     profile = piecewise_linear(knots, values, constant_tail=True)
     j_final = cc_functional(profile, q, spec)
-    return MaximizerResult(profile=profile, functional_value=j_final)
+    return MaximizerResult(profile=profile, functional_value=j_final, evaluations=evaluations)

@@ -1,17 +1,26 @@
-"""The concentration maximizer: exact output pin, gradient, call counts, work budget.
+"""The concentration maximizer: exact output pin, gradient, call counts,
+work budget, and the Moser ramp as a witness it must reach.
 
 ``tests/data/maximizer_golden.json`` holds the maximizer's profile and J for
 a spread of p, A, epsilon, knot counts and seeds.  The search's arithmetic
 and accept/reject sequence are part of its contract, so the comparison is
 ``==``.  A change that moves nodes or reorders sums must re-pin the file
 with ``PYTHONPATH=src python tests/test_maximizer.py``, and say so.  That
-script checks every J it is about to write against an mpmath J of the
-returned polyline (``bench/oracle.py::linear_profile_functional``) and
-writes nothing when one is off by more than ``REPIN_REL_TOL``.
+script prints each case's J-evaluation count and J change against the old
+pin.  It writes nothing when a J falls by more than ``REPIN_REL_TOL``
+relative, or is off an mpmath J of the returned polyline
+(``bench/oracle.py::linear_profile_functional``) by more.  Then it re-pins
+``cli_golden.json``'s ``cc --p 2 --maximize`` entry, whose J is that of the
+first case.
 """
 
+import contextlib
+import importlib.util
+import io
 import json
 import math
+import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -20,11 +29,19 @@ import pytest
 
 from adamskit import moser1d
 from adamskit.cli import main
+from adamskit.constants import unit_concentration_level
 from adamskit.errors import DomainError
-from adamskit.moser1d import _SlopeObjective, concentration_maximizer
+from adamskit.moser1d import _SlopeObjective, cc_functional, concentration_maximizer, moser_family
 from adamskit.quadrature import _W15, _X15
 
-GOLDEN_PATH = Path(__file__).parent / "data" / "maximizer_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN_PATH = DATA / "maximizer_golden.json"
+CLI_GOLDEN_PATH = DATA / "cli_golden.json"
+#: The ``cli_golden.json`` entry that prints the first case's J.
+CLI_MAXIMIZE = "cc --p 2 --maximize"
+#: Largest relative error against mpmath that a pinned J may carry, and the
+#: largest relative fall of a re-pinned J against its old pin.
+REPIN_REL_TOL = 1e-12
 
 #: (p, A, epsilon, knots, seed) of every pinned case: p in {2, 2.5, 3, 4};
 #: knots in {8, 24, 48, 200}; the weak window epsilon = 0.499; an empty
@@ -50,9 +67,8 @@ def case_id(case) -> str:
     return "p={}-A={!r}-eps={}-knots={}-seed={}".format(*case)
 
 
-def maximizer_record(case) -> dict:
-    """The maximizer's knots, values at the knots and J, as plain floats."""
-    result = concentration_maximizer(*case)
+def maximizer_record(result) -> dict:
+    """A maximizer result's knots, values at the knots and J, as plain floats."""
     return {
         "knots": list(result.profile.knots),
         "values": [entry["value"] for entry in result.profile.to_json_obj()],
@@ -64,13 +80,57 @@ def _golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
+def _mpmath_j(record: dict, p: float) -> float:
+    """``bench/oracle.py``'s 30-digit J of a record's polyline, loaded from
+    its file (read-only) with mpmath's precision restored afterwards."""
+    import mpmath
+
+    saved = mpmath.mp.dps
+    try:
+        path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+        spec = importlib.util.spec_from_file_location("_bench_oracle", path)
+        oracle = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(oracle)
+        return float(oracle.linear_profile_functional(record["knots"], record["values"], p / (p - 1.0)))
+    finally:
+        mpmath.mp.dps = saved
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_output_is_pinned_exactly(case):
     want = _golden()[case_id(case)]
-    got = maximizer_record(case)
+    got = maximizer_record(concentration_maximizer(*case))
     assert got["knots"] == want["knots"]
     assert got["values"] == want["values"]
     assert got["J"] == want["J"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_pin_agrees_with_mpmath(case):
+    want = _golden()[case_id(case)]
+    assert abs(want["J"] - _mpmath_j(want, case[0])) <= REPIN_REL_TOL * want["J"]
+
+
+def test_cli_pin_carries_the_maximizer_pin():
+    printed = json.loads(json.loads(CLI_GOLDEN_PATH.read_text())[CLI_MAXIMIZE]["stdout"])
+    assert printed["J"] == _golden()[case_id(CASES[0])]["J"]
+
+
+@pytest.mark.parametrize("knots", [16, 48])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("epsilon", [0.01, 0.1])
+@pytest.mark.parametrize("big_a", [5.0, 10.0, 50.0, 200.0])
+def test_reaches_the_moser_ramp_below_the_level(big_a, epsilon, p, knots):
+    # moser_family(a_M, p), a_M = 1.001 A/epsilon, is in the class.  Both
+    # profiles are floats: one ulp in g moves the exponent g^q - t at the
+    # ramp's end by q a_M u, so the allowance is that for each profile where
+    # it exceeds 1e-12 (8.9e-12 at a_M = 20 020, q = 2).
+    q = p / (p - 1.0)
+    a_moser = 1.001 * big_a / epsilon
+    j_family = cc_functional(moser_family(a_moser, p), q)
+    j_max = concentration_maximizer(p, big_a, epsilon, knots, seed=0).functional_value
+    assert j_max >= j_family * (1.0 - max(1e-12, 2.0 * q * a_moser * 2.0**-53))
+    assert j_max <= unit_concentration_level(p)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -95,8 +155,9 @@ def test_step_floor_drops_only_rounding_gains(case, monkeypatch):
     assert abs(concentration_maximizer(*case).functional_value - want) <= 1e-12 * want
 
 
-def test_search_evaluation_count(monkeypatch):
-    # The benchmark's parameters: 262-267 J evaluations with a 1e-14 floor.
+def _counted_evaluations(case, monkeypatch) -> int:
+    """The maximizer's own J-evaluation count, checked against a count of
+    ``_SlopeObjective.value`` calls."""
     calls = []
     value = _SlopeObjective.value
 
@@ -105,8 +166,20 @@ def test_search_evaluation_count(monkeypatch):
         return value(self, s)
 
     monkeypatch.setattr(_SlopeObjective, "value", counted)
-    concentration_maximizer(2.0, 5.0, 0.01, 48, 0)
-    assert len(calls) <= 180
+    evaluations = concentration_maximizer(*case).evaluations
+    assert evaluations == len(calls)
+    return evaluations
+
+
+def test_search_evaluation_count(monkeypatch):
+    # The benchmark's parameters: 60 J evaluations with a 1e-14 floor.
+    assert _counted_evaluations((2.0, 5.0, 0.01, 48, 0), monkeypatch) == 45
+
+
+def test_search_evaluation_count_weak_window(monkeypatch):
+    # epsilon = 0.499: the first start searched takes most of the
+    # evaluations, 316 with a 1e-14 floor.
+    assert _counted_evaluations((4.0, 1.0, 0.499, 8, 11), monkeypatch) == 211
 
 
 def _linspace_layout(knots: np.ndarray):
@@ -141,9 +214,9 @@ def _maximizer_knots(case, monkeypatch) -> np.ndarray:
     return caught.value.args[0]
 
 
-@pytest.mark.parametrize("case", [*CASES, (2.0, 2181.0, 0.01, 48, 0)], ids=case_id)
+@pytest.mark.parametrize("case", [*CASES, (2.0, 1307.0, 0.01, 48, 0)], ids=case_id)
 def test_layout_matches_linspace_panels(case, monkeypatch):
-    # The last case lays 32 740 panels, at the budget of 32 768.
+    # The last case lays 32 752 panels, at the budget of 32 768.
     knots = _maximizer_knots(case, monkeypatch)
     objective = _SlopeObjective(knots, 2.0)
     want = _linspace_layout(knots)
@@ -199,31 +272,34 @@ def test_gradient_only_on_accepted_steps(monkeypatch):
     monkeypatch.setattr(_SlopeObjective, "value", logged("value", _SlopeObjective.value))
     monkeypatch.setattr(_SlopeObjective, "grad", logged("grad", _SlopeObjective.grad))
     monkeypatch.setattr(moser1d, "_project", logged("project", moser1d._project))
-    # Each start seeds its own generator: that call marks where a start begins.
-    monkeypatch.setattr(np.random, "default_rng", logged("start", np.random.default_rng))
     n_starts = 3
-    concentration_maximizer(2.0, 5.0, 0.01, 24, seed=3, n_starts=n_starts, max_iter=60)
+    result = concentration_maximizer(2.0, 5.0, 0.01, 24, seed=3, n_starts=n_starts, max_iter=60)
 
     names = [name for name, _ in events]
-    assert names.count("start") == n_starts
-    # Replay the search: a trial is accepted when its J beats the incumbent,
-    # and exactly the start's value and the accepted values are followed by
-    # a gradient.
-    accepted, incumbent = 0, None
-    for (name, out), (next_name, _) in zip(events, events[1:] + [("end", None)]):
-        if name == "start":
-            incumbent = None
-        elif name == "value":
-            keep = incumbent is None or out > incumbent
-            assert (next_name == "grad") == keep
-            if keep:
-                accepted += incumbent is not None
-                incumbent = out
+    # Every start (the warm ones and the Moser ramp) is projected and
+    # evaluated before the first gradient.
+    first = names.index("grad") - 1
+    assert names[:first] == ["project"] * (n_starts + 1) + ["value"] * (n_starts + 1)
+    # Replay the search.  A start begins with a value that no projection
+    # precedes (its re-evaluation), and that value is followed by a gradient;
+    # a trial is a projection and a value, accepted when its J beats the
+    # incumbent, and only an accepted trial may be followed by a gradient.
+    searched, accepted, incumbent = 0, 0, None
+    for (previous, _), (name, out), (following, _) in zip(events[first - 1 :], events[first:], events[first + 1 :] + [("end", None)]):
+        if name != "value":
+            continue
+        if previous != "project":
+            assert following == "grad"
+            searched, incumbent = searched + 1, out
+        elif out > incumbent:
+            accepted, incumbent = accepted + 1, out
+        else:
+            assert following != "grad"
+    assert searched == n_starts + 1
     assert accepted > 0
-    assert names.count("grad") == accepted + n_starts
-    # One value per start and one per trial: each is one projection.
-    assert names.count("value") == names.count("project")
-    assert names.count("value") > 2 * names.count("grad")
+    assert names.count("grad") <= searched + accepted
+    assert names.count("project") == names.count("value") - searched
+    assert names.count("value") == result.evaluations
 
 
 @pytest.mark.parametrize("big_a, knots", [(1e6, 8), (5.0, 3_000_000)], ids=["A=1e6", "knots=3e6"])
@@ -245,29 +321,47 @@ def test_panel_budget_exits_2(capsys):
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
-    assert "up to 15000007 Gauss panels over [0, t_max = 6e+07]" in captured.err
+    assert "up to 25025007 Gauss panels over [0, t_max = 1.001e+08]" in captured.err
 
 
-#: Largest relative error against mpmath that a re-pinned J may carry.
-REPIN_REL_TOL = 1e-12
+def _cli_stdout(invocation: str) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        status = main(shlex.split(invocation))
+    if status != 0:
+        sys.exit(f"not written: {invocation!r} exited {status}")
+    return buffer.getvalue()
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    from oracle import linear_profile_functional
-
+    os.environ.pop("ADAMS_QUAD_RTOL", None)
+    old = _golden() if GOLDEN_PATH.exists() else {}
     records, off = {}, []
     for case in CASES:
-        record = maximizer_record(case)
-        reference = linear_profile_functional(
-            record["knots"], record["values"], case[0] / (case[0] - 1.0)
+        result = concentration_maximizer(*case)
+        record = maximizer_record(result)
+        error = abs(record["J"] - _mpmath_j(record, case[0])) / record["J"]
+        was = old.get(case_id(case), {}).get("J")
+        change = math.nan if was is None else (record["J"] - was) / was
+        print(
+            f"{case_id(case)}: J = {record['J']!r}, {result.evaluations} J evaluations,"
+            f" change {change:+.2e} against the old pin, mpmath error {error:.1e}",
+            file=sys.stderr,
         )
-        error = float(abs(record["J"] - reference) / reference)
-        print(f"{case_id(case)}: J = {record['J']!r}, mpmath error {error:.1e}", file=sys.stderr)
-        if not error <= REPIN_REL_TOL:
+        if not error <= REPIN_REL_TOL or change < -REPIN_REL_TOL:
             off.append(case_id(case))
         records[case_id(case)] = record
     if off:
-        sys.exit(f"not written: {', '.join(off)} off mpmath by more than {REPIN_REL_TOL:g}")
+        sys.exit(
+            f"not written: {', '.join(off)} off mpmath, or below the old pin,"
+            f" by more than {REPIN_REL_TOL:g}"
+        )
     GOLDEN_PATH.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} cases to {GOLDEN_PATH}", file=sys.stderr)
+    cli = json.loads(CLI_GOLDEN_PATH.read_text())
+    stdout = _cli_stdout(CLI_MAXIMIZE)
+    if json.loads(stdout)["J"] != records[case_id(CASES[0])]["J"]:
+        sys.exit(f"not written: {CLI_MAXIMIZE!r} prints another J than {case_id(CASES[0])}")
+    cli[CLI_MAXIMIZE] = {"stdout": stdout, "stderr": "", "exit": 0}
+    CLI_GOLDEN_PATH.write_text(json.dumps(cli, indent=1) + "\n")
+    print(f"re-pinned {CLI_MAXIMIZE!r} in {CLI_GOLDEN_PATH}", file=sys.stderr)
