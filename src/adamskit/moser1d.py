@@ -420,13 +420,18 @@ _PANEL_BUDGET = 32_768
 """Most Gauss panels the maximizer may lay over [0, t_max].
 
 Checked before any array is built, against the bound (knot_count - 1) +
-ceil(t_max / _PANEL_WIDTH) on the count, t_max = max(600, 60 A,
-1.001 A/epsilon).  At epsilon = 0.01 that admits A up to about 1 307 at 48
-knots, and up to about 32 500 knots at A <= 10.  At the budget a default
-search (7 starts) took 0.36 s and 39 MB above the library's own footprint
-(A = 1 307 with 48 knots), and 1.7 s and 42-46 MB (A = 5 with 32 600 knots,
-A = 10 with 32 500) on a 2-vCPU VM.  The benchmark's (A, knots) = (5, 48)
-lays 179 panels, 2 685 nodes.
+ceil(t_max / _PANEL_WIDTH) on the count, t_max = max(600, 60 A): that
+admits A up to about 2 180 at 48 knots and up to about 32 600 knots at
+A <= 10.  t_max is then raised to a_M = 1.001 A/epsilon, for the Moser
+start, only where the same bound holds there too; elsewhere the search runs
+without that start.  At 48 knots a_M reaches up to about 130 800: A up to
+about 1 307 at epsilon = 0.01, and nowhere at A = 5, epsilon = 1e-5 (a_M =
+500 500).  At the budget a default search took 0.3 s and 38 MB above the
+library's own footprint (A = 2 181 without the Moser start, A = 1 307 with
+it, both at 48 knots), and 1.2 s and 41-45 MB (32 618 knots at A = 5 and
+A = 10, and 32 518 at A = 10, the most that still reach a_M = 1 001) on a
+2-vCPU VM.  The benchmark's (A, knots) = (5, 48) lays 179 panels, 2 685
+nodes.
 """
 
 _STEP_FLOOR = 1e-8
@@ -439,23 +444,27 @@ at most 1.0e-15, and one below 1e-8 by at most 6.3e-13.  All the steps a
 start accepted after its step first fell below 1e-8 added at most 9.3e-13
 to J, a hundredth of the rel_tol = 1e-10 to which ``cc_functional``
 certifies the returned J.  Searching on down to 1e-14 costs 60 J
-evaluations instead of 45 at (2, 5, 0.01, 48, seed 0), and 316 instead of
-211 at (4, 1, 0.499, 8, seed 11).
+evaluations instead of 45 at (2, 5, 0.01, 48, seed 0), and 218 instead of
+143 at (4, 1, 0.499, 8, seed 11).
 """
 
-_GAIN_FLOOR = 1e-3
-"""Relative gain of an accepted step below which a start that trails the
-best J so far ends (every start but the first searched).
+_GAIN_FLOOR = 1e-2
+"""Gain of an accepted step, as a share of J - 1, below which a start that
+trails the best J so far ends (every start but the first searched).
 
-Measured over 72 searches (the 12 ``maximizer_golden.json`` cases and 60
+J - 1 is the part of J a profile makes: g = 0 gives J = 1.  Measured over
+164 searches against searching every start down to ``_STEP_FLOOR``, which
+took 28 549 J evaluations: the 12 ``maximizer_golden.json`` cases, 120
 seeded draws of p in [2, 4], A in [0.1, 20], epsilon in [0.01, 0.45] and
-8-48 knots) against searching every start down to ``_STEP_FLOOR``, which
-took 12 957 J evaluations.  Ending starts at their first rejected trial
-when they have accepted none takes 8 897; this floor at 1e-4, 1e-3 and
-1e-2 takes 7 268, 6 598 and 5 520.  Each loses J on one draw, the same
-one, by 2.9e-4 relative, to the first of those two rules; none loses on
-another.  Applied also to starts above the best J so far, a floor of 1e-3
-loses on five draws (up to 9.3e-6 relative besides that one).
+8-48 knots, and 32 at epsilon in [1e-5, 0.01] (30 draws, and
+(2, 5, 1e-5, 8 and 48 knots, seed 0)).  Ending starts at their
+first rejected trial when they have accepted none takes 18 273 and loses
+J on two draws, by 2.9e-4 and 7.0e-7 relative.  This floor at 3e-3, 1e-2
+and 3e-2 of J - 1 then takes 13 681, 12 297 and 10 681; at 3e-2 it loses
+on three more draws, by up to 5.1e-2.  A floor of 1e-3 of J itself took
+13 665 and lost 8.4e-4 at (2, 5, 1e-5, 48, 0), where J - 1 is 0.02 and a
+start climbs by gains of 7e-4 of J.  Applied also to starts above the best
+J so far, a floor of 1e-2 of J - 1 loses on eight draws.
 """
 
 
@@ -565,16 +574,19 @@ def concentration_maximizer(
     Feasible set: piecewise-linear g with g(0) = 0, total energy exactly 1,
     and energy on (0, big_a) at most epsilon; the knots reach out to
     t_max = max(600, 60 big_a, a_M), a_M = 1.001 big_a/epsilon, geometric
-    beyond the window.  Deterministic given seed.
+    beyond the window; a_M is left out of t_max where reaching it would
+    exceed ``_PANEL_BUDGET``.  Deterministic given seed.
 
     Starts: ``n_starts`` seeded warm ramps and, where the window has a
-    segment, the class's Moser ramp ``moser_family(a_M, p)`` (window energy
-    epsilon/1.001).  Its kink falls on a knot: the geometric knot nearest
-    a_M is moved onto it.  That layout is kept where the Moser ramp leads
-    every start on it, or beats every start on the unmoved geometric knots;
-    otherwise the search runs on the geometric knots (the ramp running on
-    to the knot after a_M), which a moved knot would only perturb.  Every start's J is evaluated before any search,
-    and the starts are searched in descending order of that J.
+    segment and t_max reaches a_M, the class's Moser ramp
+    ``moser_family(a_M, p)`` (window energy epsilon/1.001).  Its kink falls
+    on a knot: the geometric knot nearest a_M is moved onto it.  That
+    layout is kept where the Moser ramp leads every start on it, or beats
+    every start on the unmoved geometric knots; otherwise the search runs
+    on the geometric knots (the ramp running on to the knot after a_M),
+    which a moved knot would only perturb.  Every start's J is evaluated
+    before any search, and the starts are searched in descending order of
+    that J.
 
     Each trial step evaluates J alone and is kept only when J rises; the
     gradient for the next step comes from the accepted step's node arrays
@@ -585,7 +597,7 @@ def concentration_maximizer(
     1e-8, below which accepted steps only add rounding noise to J.  Every
     start after the first also ends at its first rejected trial if it has
     accepted none, and at an accepted step that raises J by less than
-    ``_GAIN_FLOOR`` = 1e-3 relative while its J trails the best so far.
+    ``_GAIN_FLOOR`` = 1e-2 of J - 1 while its J trails the best so far.
     ``evaluations`` counts the J evaluations.  Inputs whose Gauss panels
     would exceed ``_PANEL_BUDGET`` raise ``DomainError`` before any array
     is built.
@@ -598,17 +610,19 @@ def concentration_maximizer(
         raise DomainError(f"knot_count must be >= 8, got {knot_count}")
     if not big_a > 0.0:
         raise DomainError(f"window endpoint must be positive, got {big_a}")
-    a_moser = 1.001 * big_a / epsilon
-    t_max = max(600.0, 60.0 * big_a, a_moser)
+    t_max = max(600.0, 60.0 * big_a)
     # Each segment takes ceil(width / _PANEL_WIDTH) >= 1 panels.
     panels = knot_count - 1 + math.ceil(t_max / _PANEL_WIDTH)
     if panels > _PANEL_BUDGET:
         raise DomainError(
             f"the maximizer would lay up to {panels} Gauss panels over"
             f" [0, t_max = {t_max:g}] with knot_count (--knots) {knot_count},"
-            f" above its budget of {_PANEL_BUDGET}: lower A"
-            " (t_max = max(600, 60 A, 1.001 A/epsilon)) or --knots"
+            f" above its budget of {_PANEL_BUDGET}: lower A (t_max = max(600, 60 A),"
+            " raised to 1.001 A/epsilon where that fits) or --knots"
         )
+    a_moser = 1.001 * big_a / epsilon
+    if knot_count - 1 + math.ceil(a_moser / _PANEL_WIDTH) <= _PANEL_BUDGET:
+        t_max = max(t_max, a_moser)
     q = p / (p - 1.0)
 
     n_window = max(3, knot_count // 6)
@@ -617,6 +631,8 @@ def concentration_maximizer(
     outer = big_a * np.geomspace(1.0, t_max / big_a, n_out + 1)[1:]
     # The knots increase, so the window's segments are the first k.
     k = int(np.count_nonzero(window[:-1] < big_a - 1e-12))
+    # No Moser start without a window segment or where a_M is past the budget.
+    moser = k > 0 and a_moser <= t_max
     children = np.random.SeedSequence(seed).spawn(n_starts)
 
     def layout(knots):
@@ -638,7 +654,7 @@ def concentration_maximizer(
             # exponent by ~2 g_end^2 delta, so it must stay tiny.
             s0 *= 1.0 + 1e-4 * rng.standard_normal(s0.size)
             starts.append(_project(s0, dt, k, p, epsilon))
-        if k:  # the Moser ramp, kinked at the first knot from a_M on
+        if moser:  # the Moser ramp, kinked at the first knot from a_M on
             s0 = np.where(knots[:-1] < a_moser, a_moser ** (-1.0 / p), 0.0)
             starts.append(_project(s0, dt, k, p, epsilon))
         objective = _SlopeObjective(knots, q)
@@ -646,7 +662,7 @@ def concentration_maximizer(
 
     geometric = np.concatenate((window, outer))
     knots = geometric.copy()
-    if k and a_moser < t_max:
+    if moser and a_moser < t_max:
         # The Moser ramp's kink on a segment edge: the geometric knot nearest
         # a_M moves onto it (the last knot stays t_max).
         knots[n_window + 1 + np.argmin(np.abs(outer[:-1] - a_moser))] = a_moser
@@ -674,7 +690,7 @@ def concentration_maximizer(
             j_trial = objective.value(trial)
             evaluations += 1
             if j_trial > j_val:
-                stalled = j_trial - j_val < _GAIN_FLOOR * j_val and j_trial < best_j
+                stalled = j_trial - j_val < _GAIN_FLOOR * (j_val - 1.0) and j_trial < best_j
                 s, j_val, accepted = trial, j_trial, True
                 if rank and stalled:
                     break

@@ -178,8 +178,8 @@ def test_search_evaluation_count(monkeypatch):
 
 def test_search_evaluation_count_weak_window(monkeypatch):
     # epsilon = 0.499: the first start searched takes most of the
-    # evaluations, 316 with a 1e-14 floor.
-    assert _counted_evaluations((4.0, 1.0, 0.499, 8, 11), monkeypatch) == 211
+    # evaluations, 218 with a 1e-14 floor.
+    assert _counted_evaluations((4.0, 1.0, 0.499, 8, 11), monkeypatch) == 143
 
 
 def _linspace_layout(knots: np.ndarray):
@@ -214,9 +214,12 @@ def _maximizer_knots(case, monkeypatch) -> np.ndarray:
     return caught.value.args[0]
 
 
-@pytest.mark.parametrize("case", [*CASES, (2.0, 1307.0, 0.01, 48, 0)], ids=case_id)
+@pytest.mark.parametrize(
+    "case", [*CASES, (2.0, 1307.0, 0.01, 48, 0), (2.0, 2181.0, 0.01, 48, 0)], ids=case_id
+)
 def test_layout_matches_linspace_panels(case, monkeypatch):
-    # The last case lays 32 752 panels, at the budget of 32 768.
+    # The last two cases lay 32 752 and 32 740 panels, at the budget of
+    # 32 768: the first reaches a_M = 1.001 A/epsilon, the second only 60 A.
     knots = _maximizer_knots(case, monkeypatch)
     objective = _SlopeObjective(knots, 2.0)
     want = _linspace_layout(knots)
@@ -281,24 +284,38 @@ def test_gradient_only_on_accepted_steps(monkeypatch):
     first = names.index("grad") - 1
     assert names[:first] == ["project"] * (n_starts + 1) + ["value"] * (n_starts + 1)
     # Replay the search.  A start begins with a value that no projection
-    # precedes (its re-evaluation), and that value is followed by a gradient;
-    # a trial is a projection and a value, accepted when its J beats the
-    # incumbent, and only an accepted trial may be followed by a gradient.
-    searched, accepted, incumbent = 0, 0, None
-    for (previous, _), (name, out), (following, _) in zip(events[first - 1 :], events[first:], events[first + 1 :] + [("end", None)]):
+    # precedes (its re-evaluation), followed by its gradient; a trial is a
+    # projection and a value, accepted when its J beats the incumbent.  An
+    # accepted trial is followed by a gradient unless its start (not the
+    # first searched) stalls there: it gains under _GAIN_FLOOR of J - 1 and
+    # trails the best J of the starts before it.  Then the next start's
+    # re-evaluation or the end of the log follows.  A rejected trial is never
+    # followed by a gradient.
+    searched, accepted, stalled, incumbent, best = 0, 0, 0, None, -math.inf
+    window = zip(events[first - 1 :], events[first:], events[first + 1 :] + [("end", None)])
+    for (previous, _), (name, out), (following, _) in window:
         if name != "value":
             continue
         if previous != "project":
             assert following == "grad"
+            if incumbent is not None:
+                best = max(best, incumbent)
             searched, incumbent = searched + 1, out
         elif out > incumbent:
+            gain = out - incumbent
+            stall = searched > 1 and gain < moser1d._GAIN_FLOOR * (incumbent - 1.0) and out < best
+            assert (following != "grad") == stall
+            if stall:
+                assert following in ("value", "end")
+                stalled += 1
             accepted, incumbent = accepted + 1, out
         else:
             assert following != "grad"
     assert searched == n_starts + 1
-    assert accepted > 0
-    assert names.count("grad") <= searched + accepted
+    assert accepted > stalled > 0
+    assert names.count("grad") == searched + accepted - stalled
     assert names.count("project") == names.count("value") - searched
+    assert names.count("value") > 2 * names.count("grad")
     assert names.count("value") == result.evaluations
 
 
@@ -316,12 +333,28 @@ def test_panel_budget_refuses_before_building(big_a, knots, monkeypatch):
         concentration_maximizer(2.0, big_a, 0.01, knots, seed=0)
 
 
+def test_moser_start_past_the_budget_is_left_out():
+    # a_M = 1.001 A/epsilon = 500 500 would take 125 172 panels.  The search
+    # keeps t_max = max(600, 60 A) and its warm starts, and loses nothing to
+    # its stopping rules: the J is the one every start searched to the step
+    # floor reaches.
+    result = concentration_maximizer(2.0, 5.0, 1e-5, 48, seed=0)
+    knots = np.array(result.profile.knots)
+    values = np.array([result.profile.value(t) for t in knots])
+    slopes = np.diff(values) / np.diff(knots)
+    parts = slopes**2 * np.diff(knots)
+    assert knots[-1] == 600.0
+    assert math.fsum(parts) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(parts[knots[:-1] < 5.0 - 1e-12]) <= 1e-5 * (1.0 + 1e-12)
+    assert result.functional_value == 1.0198254715426798
+
+
 def test_panel_budget_exits_2(capsys):
     status = main(["cc", "--p", "2", "--maximize", "--knots", "8", "--A", "1e6"])
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
-    assert "up to 25025007 Gauss panels over [0, t_max = 1.001e+08]" in captured.err
+    assert "up to 15000007 Gauss panels over [0, t_max = 6e+07]" in captured.err
 
 
 def _cli_stdout(invocation: str) -> str:
