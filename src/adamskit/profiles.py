@@ -168,11 +168,11 @@ class LogRadialRun(Piece):
     on [0, R] seen through r = R e^{-t/n}, where t = inf is r = 0
     (``rearrange.energy_change_of_variables``).
 
-    ``radii`` are the t-knots mapped to r, increasing from 0 to R, and
-    ``on_radii`` lays w's pieces on them.  ``value`` and ``derivative`` are
-    g and g' through those pieces.  ``w`` and ``dw`` are w and w' on arrays
-    of radii for the integrands of J and the energy, one evaluation per
-    batch of radii, so each is one integral on radii, out to t = inf.
+    ``radii`` are the t-knots mapped to r, increasing from 0 to R.  ``w``
+    and ``dw`` are w and w' on arrays of radii, the run's one evaluator:
+    ``value`` and ``derivative`` are g and g' through them, and the
+    integrands of J and the energy take them once per batch of radii, so
+    each is one integral on radii, out to t = inf.
     """
 
     scale: float
@@ -180,7 +180,6 @@ class LogRadialRun(Piece):
     dim: int
     t_knots: tuple[float, ...]
     radii: np.ndarray
-    on_radii: PiecewiseProfile
     w: Callable[[np.ndarray], np.ndarray]
     dw: Callable[[np.ndarray], np.ndarray]
     kind = "radial-log"
@@ -189,11 +188,11 @@ class LogRadialRun(Piece):
         return self.big_r * np.exp(-np.asarray(t, dtype=float) / self.dim)
 
     def value(self, t):
-        return self.scale * self.on_radii.value(self.radius(t))
+        return self.scale * self.w(self.radius(t))
 
     def derivative(self, t):
         r = self.radius(t)
-        return -self.scale * self.on_radii.derivative(r) * r / self.dim
+        return -self.scale * self.dw(r) * r / self.dim
 
     def span(self, lo: float, hi: float) -> tuple[float, float, np.ndarray]:
         """The t-interval [lo, hi] of the run on radii: (r_lo, r_hi, the

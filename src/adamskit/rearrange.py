@@ -3,13 +3,15 @@ radial comparison solution.
 
 Simple functions are kept as (measure, value) cells, so rearrangement is
 exact sorting and the double integral defining the radial comparison
-solution evaluates in closed form piece by piece (the inner integral of a
-step function is piecewise linear; the outer integrand s^{2/n-2} times a
-linear factor has an elementary antiderivative).  The slabs of one
-solution also evaluate together: ``_ComparisonPiece.gather`` turns them
-into per-slab coefficient arrays and picks a slab per point, so the J and
-energy integrals of ``energy_change_of_variables``'s ``LogRadialRun`` take
-one gather per engine level.
+solution evaluates in closed form slab by slab: where the data is a
+constant f, w(r) = w(r_hi) + b (x(r) - x(r_hi)) + c (r_hi^2 - r^2) with
+x = r^{2-n} (log r at n = 2).  ``_slab`` is that formula and its
+derivative, for one slab's coefficients or for arrays of them gathered per
+point.  It gives the slab tops at construction, the pointwise values and
+derivatives of the pieces, and ``_ComparisonPiece.gather``, which
+evaluates all slabs of a solution on a batch of radii, so the J and energy
+integrals of ``energy_change_of_variables``'s ``LogRadialRun`` take one
+gather per engine level.
 """
 
 from __future__ import annotations
@@ -107,94 +109,74 @@ def symmetrize(f: SampledFunction, n: int) -> RadialProfile:
     return RadialProfile(radius=float(radii[-1]), dimension=n, profile=profile)
 
 
-def _slab_antiderivative(n: int, a: float, c: float, s):
-    """Antiderivative of s^{2/n-2} (a + c s), the outer integrand over one
-    volume slab where the step data has constant value."""
-    s = np.asarray(s, dtype=float)
+def _slab(n: int, big_a, c, top, r_hi, r, derivative: bool = False):
+    """w(r), or w'(r) if ``derivative``, on a slab of the radial comparison
+    solution where the data has a constant value f.
+
+    Over the slab -w'(r) = (F(s_lo) + f (omega r^n - s_lo)) / (n omega r^{n-1})
+    with F(s) the integral of the data inside volume s, so with
+    A = (F(s_lo) - f s_lo)/(n omega) and c = f/(2n)
+
+        w(r) = top + b (x(r) - x(r_hi)) + c (r_hi^2 - r^2),
+        w'(r) = -(A r^{1-n} + 2 c r),
+
+    top = w(r_hi), x = r^{2-n} and b = A/(n-2) (x = log r and b = -A at
+    n = 2).  The coefficients are one slab's scalars or arrays gathered per
+    point.  A = 0 on the innermost slab, where r may be 0: there the A term
+    is taken at r_hi, where it is 0.
+    """
+    r = np.asarray(r, dtype=float)
+    r_a = np.where(big_a == 0.0, r_hi, r)
+    if derivative:
+        return -(big_a * r_a ** (1.0 - n) + 2.0 * c * r)
     if n == 2:
-        # a == 0 exactly on the innermost slab, where s may be 0.
-        a_term = a * np.log(s) if a != 0.0 else np.zeros_like(s)
-        return a_term + c * s
-    a_term = a * s ** (2.0 / n - 1.0) / (2.0 / n - 1.0) if a != 0.0 else np.zeros_like(s)
-    return a_term + c * s ** (2.0 / n) / (2.0 / n)
+        rise = -big_a * np.log(r_a / r_hi)
+    else:
+        rise = big_a / (n - 2.0) * (r_a ** (2.0 - n) - r_hi ** (2.0 - n))
+    return top + (rise + c * (r_hi * r_hi - r * r))
 
 
 @dataclass(frozen=True)
 class _ComparisonPiece(Piece):
-    """v(r) on one annulus, via the closed-form outer integral.
-
-    value(r) = tail_value + int_{omega r^n}^{s_hi} s^{2/n-2} F(s) ds / (n^2 omega^{2/n})
-    with F(s) = f_val (s - s_lo) + f_accum on the slab [s_lo, s_hi].
-    """
+    """w on one slab of the radial comparison solution, as ``_slab``'s
+    coefficients: A, c, top = w(r_hi) and the slab's outer radius r_hi."""
 
     n: int
-    omega: float
-    s_lo: float
-    s_hi: float
-    f_val: float
-    f_accum: float
-    tail_value: float
+    big_a: float
+    c: float
+    top: float
+    r_hi: float
     kind = "radial-comparison"
 
-    def outer(self, s):
-        """int_s^{s_hi} s^{2/n-2} F(s) ds / (n^2 omega^{2/n})."""
-        n, a = self.n, self.f_accum - self.f_val * self.s_lo
-        norm = 1.0 / (n**2 * self.omega ** (2.0 / n))
-        hi = _slab_antiderivative(n, a, self.f_val, self.s_hi)
-        return norm * (hi - _slab_antiderivative(n, a, self.f_val, s))
-
     def value(self, r):
-        return self.tail_value + self.outer(self.omega * np.asarray(r, dtype=float) ** self.n)
+        return _slab(self.n, self.big_a, self.c, self.top, self.r_hi, r)
 
     def derivative(self, r):
-        # v'(r) = -(1/(n omega)) r^{1-n} F(omega r^n) with
-        # F(s) = a + f_val s, a = f_accum - f_val s_lo; a vanishes on the
-        # innermost slab, killing the r^{1-n} factor there.
-        r = np.asarray(r, dtype=float)
-        a = self.f_accum - self.f_val * self.s_lo
-        singular = a * r ** (1.0 - self.n) if a != 0.0 else np.zeros_like(r)
-        return -(singular + self.f_val * self.omega * r) / (self.n * self.omega)
+        return _slab(self.n, self.big_a, self.c, self.top, self.r_hi, r, derivative=True)
 
     def second_derivative(self, r):
+        # w'' = (n - 1) A r^{-n} - 2 c; A vanishes on the innermost slab.
         r = np.asarray(r, dtype=float)
-        a = self.f_accum - self.f_val * self.s_lo
-        singular = a * r**-self.n if a != 0.0 else np.zeros_like(r)
-        return (self.n - 1.0) / (self.n * self.omega) * singular - self.f_val / self.n
+        singular = self.big_a * r**-self.n if self.big_a != 0.0 else np.zeros_like(r)
+        return (self.n - 1.0) * singular - 2.0 * self.c
 
     @staticmethod
-    def gather(pieces, knots):
-        """w and w' of adjacent comparison pieces on the increasing radii
-        ``knots`` by one gather of per-slab coefficients.
-
-        On a slab F(s) = a + f s, and the outer integral in closed form is
-        w(r) = w(r_hi) + b (x(r) - x(r_hi)) + c (r_hi^2 - r^2) and
-        w'(r) = -A r^{1-n} - 2 c r, with A = a/(n omega), c = f/(2n),
-        x = r^{2-n} and b = A/(n-2) (x = log r and b = -A at n = 2).  A
-        point takes the slab whose outer end is the first knot at or above
-        it, so w at a knot is that slab's w(r_hi), ``tail_value``, exactly.
-        """
-        n, omega = pieces[0].n, pieces[0].omega
-        big_a = np.array([p.f_accum - p.f_val * p.s_lo for p in pieces]) / (n * omega)
-        c = np.array([p.f_val for p in pieces]) / (2.0 * n)
-        top = np.array([p.tail_value for p in pieces])
-        r_hi = np.asarray(knots[1:], dtype=float)
-        if n == 2:
-            b, x = -big_a, np.log
-        else:
-            b, power = big_a / (n - 2.0), 2.0 - n
-
-            def x(r):
-                return r**power
-
-        x_hi, r2_hi, inner = x(r_hi), r_hi * r_hi, r_hi[:-1]
+    def gather(pieces):
+        """w and w' of the adjacent slabs ``pieces`` on arrays of radii, by
+        one gather of their coefficients per call.  A point takes the slab
+        whose r_hi is the first at or above it, so w at a knot is that
+        slab's top, exactly."""
+        n = pieces[0].n
+        big_a, c, top, r_hi = np.array([(p.big_a, p.c, p.top, p.r_hi) for p in pieces]).T
+        inner = r_hi[:-1]
 
         def value(r):
             i = np.searchsorted(inner, r)
-            return top[i] + b[i] * (x(r) - x_hi[i]) + c[i] * (r2_hi[i] - r * r)
+            return _slab(n, big_a[i], c[i], top[i], r_hi[i], r)
 
         def derivative(r):
             i = np.searchsorted(inner, r)
-            return -(big_a[i] * r ** (1.0 - n) + 2.0 * c[i] * r)
+            return _slab(n, big_a[i], c[i], top[i], r_hi[i], r, derivative=True)
 
         return value, derivative
 
@@ -238,33 +220,19 @@ def talenti_radial_solution(
     else:
         edges[-1] = s_ball
 
-    # Cumulative inner integral F at slab edges.
-    f_at_edges = [0.0]
-    for (lo, hi), v in zip(zip(edges[:-1], edges[1:]), slab_values):
-        f_at_edges.append(f_at_edges[-1] + v * (hi - lo))
-
-    # Accumulate the outer integral from the boundary inward.
-    pieces_rev: list[_ComparisonPiece] = []
-    tail_value = 0.0
-    for i in range(len(slab_values) - 1, -1, -1):
-        s_lo, s_hi = edges[i], edges[i + 1]
-        piece = _ComparisonPiece(
-            n=n,
-            omega=omega,
-            s_lo=s_lo,
-            s_hi=s_hi,
-            f_val=slab_values[i],
-            f_accum=f_at_edges[i],
-            tail_value=tail_value,
-        )
-        pieces_rev.append(piece)
-        tail_value += piece.outer(s_lo)
-
-    radii = [(s / omega) ** (1.0 / n) for s in edges]
-    radii[0] = 0.0
-    profile = PiecewiseProfile(
-        knots=tuple(radii), pieces=tuple(reversed(pieces_rev)), tail=None
-    )
+    # Slab coefficients, F(s_lo) the integral of the data inside each slab.
+    edges, f = np.array(edges), np.array(slab_values)
+    inner_integral = np.append(0.0, np.cumsum(f * np.diff(edges))[:-1])
+    big_a, c = (inner_integral - f * edges[:-1]) / (n * omega), f / (2.0 * n)
+    radii = np.array([(s / omega) ** (1.0 / n) for s in edges.tolist()])
+    radii[0], radii[-1] = 0.0, big_r  # exactly, so the profile spans [0, R]
+    # w(r_hi) from the boundary inward: the rises w(r_lo) - w(r_hi) of the
+    # slabs outside, summed.
+    rises = _slab(n, big_a, c, 0.0, radii[1:], radii[:-1])
+    tops = np.append(np.cumsum(rises[:0:-1])[::-1], 0.0)
+    slabs = zip(big_a.tolist(), c.tolist(), tops.tolist(), radii[1:].tolist())
+    pieces = tuple(_ComparisonPiece(n, *slab) for slab in slabs)
+    profile = PiecewiseProfile(knots=tuple(radii.tolist()), pieces=pieces, tail=None)
     return RadialProfile(radius=big_r, dimension=n, profile=profile)
 
 
@@ -296,11 +264,11 @@ def energy_change_of_variables(profile: RadialProfile, m: int) -> PiecewiseProfi
     """g(t) = beta0(m, n)^{(n-m)/n} w(R e^{-t/n}) on [0, infinity), one
     ``LogRadialRun`` tail.
 
-    The run's radii are the source's knots mapped to t-knots and back.  J
-    and the energy take w from ``_ComparisonPiece.gather`` when every piece
-    is a comparison slab, else from the pieces laid on the radii.  A source
-    built without its continuity check (``symmetrize``'s steps) is checked
-    on the radii.
+    The run's radii are the source's knots mapped to t-knots and back.  Its
+    w and w' are ``_ComparisonPiece.gather``'s when every piece is a
+    comparison slab, else those of the source's pieces laid on the radii.
+    A source built without its continuity check (``symmetrize``'s steps) is
+    checked on the radii.
     """
     n = profile.dimension
     params = AdamsParams(m, n)  # validates m < n
@@ -315,8 +283,8 @@ def energy_change_of_variables(profile: RadialProfile, m: int) -> PiecewiseProfi
     radii = np.array([big_r * math.exp(-t / n) for t in (math.inf, *reversed(t_knots))])
     on_radii = PiecewiseProfile(tuple(radii), pieces, check_continuity=not source.check_continuity)
     if all(type(piece) is _ComparisonPiece for piece in pieces):
-        w, dw = _ComparisonPiece.gather(pieces, radii)
+        w, dw = _ComparisonPiece.gather(pieces)
     else:
         w, dw = on_radii.value, on_radii.derivative
-    run = LogRadialRun(scale, big_r, n, t_knots, radii, on_radii, w, dw)
+    run = LogRadialRun(scale, big_r, n, t_knots, radii, w, dw)
     return PiecewiseProfile(knots=(0.0,), pieces=(), tail=run)

@@ -152,16 +152,25 @@ class TestEnergies:
         p = n / m
         g = energy_change_of_variables(radial, m)
         run = g.tail
+        # Per slab (f, a): the data value and a = F(s_lo) - f s_lo, F(s) the
+        # integral of the data inside volume s; a zero-data slab pads the
+        # data out to R.
+        slabs, s_lo, big_f = [], mpmath.mpf(0), mpmath.mpf(0)
+        for measure, value in cells:
+            f = mpmath.mpf(value)
+            slabs.append((f, big_f - f * s_lo))
+            s_lo += mpmath.mpf(measure)
+            big_f += f * mpmath.mpf(measure)
+        slabs += [(mpmath.mpf(0), big_f)] * (len(radial.profile.pieces) - len(cells))
+        omega = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
         t_knots = (*run.t_knots, math.inf)
-        for lo, hi, src in zip(t_knots, t_knots[1:], reversed(run.on_radii.pieces)):
+        for lo, hi, (f, a) in zip(t_knots, t_knots[1:], reversed(slabs)):
             # The whole profile clipped to one piece: the others add 0.
             got = abs_pow_integral(g, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)
-            omega, f, s_lo = (mpmath.mpf(x) for x in (src.omega, src.f_val, src.s_lo))
-            a = mpmath.mpf(src.f_accum) - f * s_lo
 
-            def integrand(t, omega=omega, f=f, a=a, scale=mpmath.mpf(run.scale)):
+            def integrand(t, f=f, a=a, scale=mpmath.mpf(run.scale)):
                 # g'(t) = -scale v'(r) r / n at r = R e^{-t/n}, with the comparison
-                # piece's closed-form v'(r) = -(a r^{1-n} + f omega r) / (n omega).
+                # solution's closed-form v'(r) = -(a r^{1-n} + f omega r) / (n omega).
                 r = mpmath.mpf(big_r) * mpmath.exp(-t / n)
                 dv = -(a * r ** (1 - n) + f * omega * r) / (n * omega)
                 return abs(scale * dv * r / n) ** p

@@ -4,13 +4,19 @@ are one integral on radii, against 30-digit mpmath references.
 ``energy_change_of_variables`` maps the radial comparison solution w to
 g(t) = scale w(R e^{-t/n}).  Its J and energy are compared with mpmath
 integrals over r of the closed-form solution, on the whole half line and on
-intervals that start or end inside the run.
+intervals that start or end inside the run.  The solution's own w and w',
+and the ``rearrange --mode talenti`` values pinned in ``cli_golden.json``,
+are checked against the same closed form.
 """
 
+import csv
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +34,7 @@ from adamskit.rearrange import (
 
 J_TOL = 1e-11
 ENERGY_TOL = 1e-12
+DATA = Path(__file__).parent / "data"
 
 
 class Radial:
@@ -170,6 +177,61 @@ class TestComparisonRuns:
             calls.update(moser1d=0, profiles=0)
             cc_functional(g, 2.0)
             assert calls == {"moser1d": 1, "profiles": 1}, cells
+
+
+class TestComparisonSolution:
+    """w and w' of ``talenti_radial_solution`` pointwise (the pieces) and in
+    batches (the run's ``w`` and ``dw``) against the 30-digit closed form."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_batch_is_finite_at_the_center(self, n):
+        g, _ref = comparison_profile(n, 1, 1.0, [3.0, 1.0], [1.0, 1.0], 0.8, 0.9)
+        r = np.array([0.0, 1e-300, 1e-5])
+        assert np.all(np.isfinite(g.tail.w(r))), g.tail.w(r)
+        assert np.all(np.isfinite(g.tail.dw(r))), g.tail.dw(r)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_knots_and_midpoints(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 5
+        values = sorted(rng.uniform(0.1, 5.0, size=1 + seed % 8), reverse=True)
+        shares = rng.uniform(0.05, 1.0, size=len(values))
+        fill = 1.0 if seed % 2 else rng.uniform(0.3, 0.95)
+        big_r = rng.uniform(0.5, 2.0)
+        ball = unit_ball_volume(n) * big_r**n
+        cells = [(fill * ball * share / shares.sum(), v) for share, v in zip(shares, values)]
+        radial = talenti_radial_solution(SampledFunction(cells=tuple(cells)), n, big_r)
+        g = energy_change_of_variables(radial, 1)
+        padded = len(radial.profile.pieces) > len(cells)
+        ref = talenti_reference(cells, n, 1, big_r, 1.0, padded)
+        knots = np.array(radial.profile.knots)
+        r = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2])
+        with mpmath.workdps(30):
+            w = np.array([float(ref.w(mpmath.mpf(x))) for x in r])
+            dw = np.array([-float(ref.minus_dw(mpmath.mpf(x))) if x > 0 else 0.0 for x in r])
+        tol = 1e-14 * np.abs(w).max()
+        for got_w, got_dw in ((radial.profile.value, radial.profile.derivative), (g.tail.w, g.tail.dw)):
+            assert np.abs(got_w(r) - w).max() <= tol
+            assert np.abs(got_dw(r) - dw).max() <= tol
+
+    def test_talenti_golden(self):
+        """Every radius and value that ``rearrange --mode talenti --n 3
+        --radius 1`` prints for ``cells.csv``, as pinned, within 1e-14 of
+        the 30-digit solution."""
+        pinned = json.loads((DATA / "cli_golden.json").read_text())
+        stdout = pinned["rearrange --input cells.csv --mode talenti --n 3 --radius 1"]["stdout"]
+        rows = [(float(r), float(v)) for r, v in list(csv.reader(stdout.splitlines()))[1:]]
+        with (DATA / "cells.csv").open(newline="") as handle:
+            cells = [(float(m), abs(float(v))) for m, v in list(csv.reader(handle))[1:]]
+        cells.sort(key=lambda cell: -cell[1])  # the decreasing rearrangement
+        ref = talenti_reference(cells, 3, 1, 1.0, 1.0, padded=True)
+        with mpmath.workdps(30):
+            radii = [mpmath.mpf(0), *ref.edges, mpmath.mpf(1)]
+            assert len(rows) == len(radii)
+            for (r, v), want_r in zip(rows, radii):
+                assert abs(r - want_r) <= 1e-15 * want_r, (r, want_r)
+                want = ref.w(mpmath.mpf(r))
+                assert abs(v - want) <= 1e-14 * abs(want), (r, v, want)
 
 
 class TestOtherSources:

@@ -181,6 +181,14 @@ class TestTalentiSolution:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         assert v.value(big_r) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("n, big_r", [(2, 0.637), (3, 3.103), (6, 3.103)])
+    def test_spans_exactly_to_the_radius(self, n, big_r):
+        # (omega R^n / omega)^{1/n} rounds below R at these radii; the last
+        # knot is R itself, so w evaluates at R.
+        v = talenti_radial_solution(SampledFunction(cells=((0.1, 2.0),)), n, big_r)
+        assert v.profile.knots[-1] == big_r
+        assert v.value(big_r) == pytest.approx(0.0, abs=1e-15)
+
     def test_rejects_increasing_data(self):
         data = SampledFunction(cells=((1.0, 1.0), (1.0, 2.0)))
         with pytest.raises(MonotonicityError):
