@@ -215,6 +215,8 @@ def build_parser() -> _Parser:
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "cc" and args.maximize and args.format == "csv":
+        parser.error("--maximize writes its profile as JSON only, got --format csv")
     if args.command == "cc" and args.maximize and args.q is not None and args.p > 1.0:
         # The maximizer's class is the unit p-energy one, so q is p's conjugate.
         conjugate = args.p / (args.p - 1.0)

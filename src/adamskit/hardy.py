@@ -8,8 +8,8 @@ over functions vanishing at 0 (left) or at R (right), the second-order
 radial inequality with its iterated constants, and randomized
 Rayleigh-quotient probes that certify the sandwich numerically.  A
 probe's weighted norm is one ``profiles.abs_pow_integral`` of the trial
-or its derivative, which breaks its quadrature at knots and roots (and
-evaluates a piecewise-linear trial by one gather per level).  The
+or its derivative, which breaks its quadrature at knots and roots (a
+polyline trial takes one gather of its coefficients per level).  The
 second-order trials' polynomials are plain coefficient arrays: products
 by ``np.convolve``, derivatives as k c_k, values by Horner's rule, each in
 ``numpy.polynomial``'s order of operations, so the ratios are bit for bit

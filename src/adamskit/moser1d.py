@@ -415,6 +415,8 @@ class MaximizerResult(NamedTuple):
 
 #: Width of the maximizer's fixed G15 panels.
 _PANEL_WIDTH = 4.0
+#: Seeded warm starts besides the Moser ramp, and most trials per start.
+_N_STARTS, _MAX_ITER = 6, 400
 
 _PANEL_BUDGET = 32_768
 """Most Gauss panels the maximizer may lay over [0, t_max].
@@ -443,9 +445,9 @@ Measured over 49 searches (seeds 0-39 at (p, A, epsilon, knots) =
 at most 1.0e-15, and one below 1e-8 by at most 6.3e-13.  All the steps a
 start accepted after its step first fell below 1e-8 added at most 9.3e-13
 to J, a hundredth of the rel_tol = 1e-10 to which ``cc_functional``
-certifies the returned J.  Searching on down to 1e-14 costs 60 J
-evaluations instead of 45 at (2, 5, 0.01, 48, seed 0), and 218 instead of
-143 at (4, 1, 0.499, 8, seed 11).
+certifies the returned J.  Searching on down to 1e-14 costs 53 J
+evaluations instead of 38 at (2, 5, 0.01, 48, seed 0), and 211 instead of
+136 at (4, 1, 0.499, 8, seed 11).
 """
 
 _GAIN_FLOOR = 1e-2
@@ -565,8 +567,6 @@ def concentration_maximizer(
     knot_count: int,
     seed: int,
     *,
-    n_starts: int = 6,
-    max_iter: int = 400,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> MaximizerResult:
     """Projected-gradient search for the largest J over the concentrated class.
@@ -577,24 +577,23 @@ def concentration_maximizer(
     beyond the window; a_M is left out of t_max where reaching it would
     exceed ``_PANEL_BUDGET``.  Deterministic given seed.
 
-    Starts: ``n_starts`` seeded warm ramps and, where the window has a
+    Starts: ``_N_STARTS`` = 6 seeded warm ramps and, where the window has a
     segment and t_max reaches a_M, the class's Moser ramp
     ``moser_family(a_M, p)`` (window energy epsilon/1.001).  Its kink falls
     on a knot: the geometric knot nearest a_M is moved onto it.  That
     layout is kept where the Moser ramp leads every start on it, or beats
     every start on the unmoved geometric knots; otherwise the search runs
     on the geometric knots (the ramp running on to the knot after a_M),
-    which a moved knot would only perturb.  Every start's J is evaluated
-    before any search, and the starts are searched in descending order of
-    that J.
+    which a moved knot would only perturb.  Every start's J and gradient
+    are evaluated before any search, and the starts are searched in
+    descending order of that J.
 
     Each trial step evaluates J alone and is kept only when J rises; the
-    gradient for the next step comes from the accepted step's node arrays
-    (a start is evaluated once more for its first gradient).  A step starts
-    at 0.1 (relative to the largest gradient entry), grows by 1.3 on
-    acceptance and shrinks by 0.4 on rejection.  A start ends after
-    ``max_iter`` trials or when its step falls below ``_STEP_FLOOR`` =
-    1e-8, below which accepted steps only add rounding noise to J.  Every
+    gradient for the next step comes from the accepted step's node arrays.
+    A step starts at 0.1 (relative to the largest gradient entry), grows by
+    1.3 on acceptance and shrinks by 0.4 on rejection.  A start ends after
+    ``_MAX_ITER`` = 400 trials or when its step falls below ``_STEP_FLOOR``
+    = 1e-8, below which accepted steps only add rounding noise to J.  Every
     start after the first also ends at its first rejected trial if it has
     accepted none, and at an accepted step that raises J by less than
     ``_GAIN_FLOOR`` = 1e-2 of J - 1 while its J trails the best so far.
@@ -633,16 +632,16 @@ def concentration_maximizer(
     k = int(np.count_nonzero(window[:-1] < big_a - 1e-12))
     # No Moser start without a window segment or where a_M is past the budget.
     moser = k > 0 and a_moser <= t_max
-    children = np.random.SeedSequence(seed).spawn(n_starts)
+    children = np.random.SeedSequence(seed).spawn(_N_STARTS)
 
     def layout(knots):
-        """The objective on ``knots`` and the starts' slopes there."""
+        """The objective on ``knots``, the starts there, their J and gradients."""
         dt = np.diff(knots)
         starts = []
         # Warm starts: ramps that spend the window allowance immediately and
         # the remaining energy linearly up to a trial scale; the integrand's
         # e^{-t} weighting makes cold random starts blind to the far region.
-        scales = np.geomspace(2.0 * big_a, 1.001 * t_max, n_starts)
+        scales = np.geomspace(2.0 * big_a, 1.001 * t_max, _N_STARTS)
         for scale, child in zip(scales, children):
             rng = np.random.default_rng(child)
             s0 = np.zeros(knots.size - 1)
@@ -658,7 +657,9 @@ def concentration_maximizer(
             s0 = np.where(knots[:-1] < a_moser, a_moser ** (-1.0 / p), 0.0)
             starts.append(_project(s0, dt, k, p, epsilon))
         objective = _SlopeObjective(knots, q)
-        return dt, objective, starts, [objective.value(s) for s in starts]
+        # Each start's gradient from the node arrays of its J.
+        values, grads = zip(*[(objective.value(s), objective.grad()) for s in starts])
+        return dt, objective, starts, values, grads
 
     geometric = np.concatenate((window, outer))
     knots = geometric.copy()
@@ -666,25 +667,22 @@ def concentration_maximizer(
         # The Moser ramp's kink on a segment edge: the geometric knot nearest
         # a_M moves onto it (the last knot stays t_max).
         knots[n_window + 1 + np.argmin(np.abs(outer[:-1] - a_moser))] = a_moser
-    dt, objective, starts, start_values = layout(knots)
+    dt, objective, starts, start_values, start_grads = layout(knots)
     evaluations = len(starts)
-    if not np.array_equal(knots, geometric) and np.argmax(start_values) != n_starts:
+    if not np.array_equal(knots, geometric) and np.argmax(start_values) != _N_STARTS:
         # A warm start leads.  Where one on the geometric knots also beats
         # the Moser ramp, the search runs there, unperturbed by the move.
         unmoved = layout(geometric)
         evaluations += len(unmoved[2])
-        if max(unmoved[3]) > start_values[n_starts]:
-            dt, objective, starts, start_values = unmoved
+        if max(unmoved[3]) > start_values[_N_STARTS]:
+            dt, objective, starts, start_values, start_grads = unmoved
             knots = geometric
 
     best_j, best_s = -math.inf, None
     for rank, i in enumerate(np.argsort(start_values, kind="stable")[::-1]):
-        s = starts[i]
-        j_val = objective.value(s)  # again: the node arrays of s, for its gradient
-        grad = objective.grad()
-        evaluations += 1
+        s, j_val, grad = starts[i], start_values[i], start_grads[i]
         step, accepted = 0.1, False
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             scale_free = step / max(float(np.max(np.abs(grad))), 1e-12)
             trial = _project(s + scale_free * grad, dt, k, p, epsilon)
             j_trial = objective.value(trial)

@@ -7,20 +7,20 @@ value and derivative.  ``abs_pow_integral`` is the one integral of
 ``moser1d`` and the weighted norms of ``hardy`` alike: it goes through the
 segments once, sums ``abs_pow_closed_form`` wherever the piece type has a
 closed form and integrates the remaining runs of segments with
-``abs_pow_quadrature``, breaking at their knots and roots.  The values of
-a profile whose segments are all linear (a Hardy trial) come from one
-gather of intercepts and slopes per engine level, not from the per-segment
-dispatch of ``PiecewiseProfile.value``; constructing a profile does no
-extra work for it.  A radial profile seen through r = R e^{-t/n} is one
-``LogRadialRun`` tail, whose energy is one integral on radii with the
-evaluators its builder supplies, so this module needs no import of the
-source's module.
+``abs_pow_quadrature``, breaking at their knots and roots.  A profile
+evaluates a batch of points by one gather of its segments' coefficients
+where they share a type with a ``Piece.gather`` (the Hardy trials and
+polylines, the radial comparison slabs), built on first use.  A radial
+profile seen through r = R e^{-t/n} is one ``LogRadialRun`` tail,
+whose energy is one integral on radii with the evaluators its builder
+supplies, so this module needs no import of the source's module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +36,9 @@ class Piece:
     """One analytic segment, in global coordinates."""
 
     kind = "abstract"
+    #: ``gather(pieces)``: (value(i, t), derivative(i, t)), piece i of the
+    #: ``pieces`` of one type at points t, by one gather of their coefficients.
+    gather = None
 
     def value(self, t):  # pragma: no cover - interface
         raise NotImplementedError
@@ -69,6 +72,20 @@ class LinearPiece(Piece):
 
     def params(self) -> dict:
         return {"intercept": self.intercept, "slope": self.slope}
+
+    @staticmethod
+    def gather(pieces):
+        """intercept + slope * t, ``value``'s arithmetic, so bit for bit."""
+        intercept = np.array([piece.intercept for piece in pieces], dtype=float)
+        slope = np.array([piece.slope for piece in pieces], dtype=float)
+
+        def value(i, t):
+            return intercept[i] + slope[i] * t
+
+        def derivative(i, _t):
+            return slope[i]
+
+        return value, derivative
 
 
 def constant_piece(value: float) -> LinearPiece:
@@ -225,14 +242,12 @@ class PiecewiseProfile:
     tail: Piece | None = None
     strict_interior: bool = False
     check_continuity: bool = True
-    _knots_arr: np.ndarray = field(init=False, repr=False, compare=False)
     _segments: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = tuple(float(k) for k in self.knots)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "_knots_arr", np.asarray(knots, dtype=float))
         tail = () if self.tail is None else (self.tail,)
         object.__setattr__(self, "_segments", self.pieces + tail)
         if len(knots) != len(self.pieces) + 1:
@@ -270,36 +285,54 @@ class PiecewiseProfile:
         if self.tail is not None:
             yield self.knots[-1], math.inf, self.tail
 
-    def _piece_index(self, t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._knots_arr, t, side="right") - 1
-        return np.clip(idx, 0, len(self._segments) - 1)
+    @cached_property
+    def _batch(self) -> tuple[Callable, Callable]:
+        """Unchecked (value, derivative) on arrays in the domain, for the
+        engine's integrands and behind ``value``/``derivative``.  A point takes
+        the segment of the last knot at or below it (the last past the last
+        knot), by one ``gather`` where all segments share a type with one."""
+        knots, last, segments = np.array(self.knots), len(self._segments) - 1, self._segments
+        kinds = set(map(type, segments))
+        gather = kinds.pop().gather if len(kinds) == 1 else None
+        value, derivative = gather(segments) if gather else (None, None)
 
-    def _apply(self, t, method: str):
+        def batch(method, at):
+            def evaluate(t):
+                i = np.minimum(np.searchsorted(knots, t, side="right") - 1, last)
+                if at is not None:
+                    return at(i, t)
+                out = np.empty_like(t)
+                for k in np.unique(i):
+                    mask = i == k
+                    out[mask] = getattr(segments[k], method)(t[mask])
+                return out
+
+            return evaluate
+
+        return batch("value", value), batch("derivative", derivative)
+
+    def _apply(self, t, derivative: bool):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         below = t_arr < self.knots[0]
         above = t_arr > self.knots[-1]
         if np.any(below) or (self.tail is None and np.any(above)):
             raise DomainError(f"evaluation outside profile domain [{self.knots[0]}, ...]")
         if self.strict_interior:
-            at_knot = np.isin(t_arr, self._knots_arr)
+            at_knot = np.isin(t_arr, self.knots)
             if np.any(at_knot):
                 raise NonSmoothError(
                     f"evaluation at knot(s) {t_arr[at_knot]} interior to no piece"
                 )
-        out = np.empty_like(t_arr)
-        idx = self._piece_index(t_arr)
-        for i in np.unique(idx):
-            mask = idx == i
-            out[mask] = getattr(self._segments[i], method)(t_arr[mask])
+        out = self._batch[derivative](t_arr)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return float(out[0])
         return out
 
     def value(self, t):
-        return self._apply(t, "value")
+        return self._apply(t, False)
 
     def derivative(self, t):
-        return self._apply(t, "derivative")
+        return self._apply(t, True)
 
     def to_json_obj(self) -> list[dict]:
         """Serialization as [{knot, value, piece_kind, params}, ...]."""
@@ -386,32 +419,11 @@ def abs_pow_integral(
             if a < root < b:
                 runs[-1].append(root)
         runs[-1].append(b)
-    fn = g.derivative if derivative else g.value
-    if runs and not derivative and all(isinstance(piece, LinearPiece) for piece in g._segments):
-        fn = _linear_value(g)
-    for edges in runs:
+    for edges in runs:  # g's batch evaluator is built on the first run
         total += abs_pow_quadrature(
-            fn, power, weight_pow, edges[0], edges[-1], spec, breaks=edges[1:-1]
+            g._batch[derivative], power, weight_pow, edges[0], edges[-1], spec, breaks=edges[1:-1]
         )
     return total
-
-
-def _linear_value(g: PiecewiseProfile) -> Callable[[np.ndarray], np.ndarray]:
-    """``g.value`` on the nodes of a profile whose segments are all linear,
-    by one gather: the segment of each node is picked as ``_piece_index``
-    picks it, then intercept + slope * r is ``LinearPiece.value``'s
-    arithmetic, so the values are bit for bit those of ``g.value``.  The
-    nodes lie in the domain by construction, so there is no bounds check,
-    and r >= knots[0] leaves only the clip to the last segment."""
-    knots, last = g._knots_arr, len(g._segments) - 1
-    intercept = np.array([piece.intercept for piece in g._segments], dtype=float)
-    slope = np.array([piece.slope for piece in g._segments], dtype=float)
-
-    def value(r):
-        i = np.minimum(np.searchsorted(knots, r, side="right") - 1, last)
-        return intercept[i] + slope[i] * r
-
-    return value
 
 
 def abs_pow_closed_form(

@@ -8,10 +8,10 @@ constant f, w(r) = w(r_hi) + b (x(r) - x(r_hi)) + c (r_hi^2 - r^2) with
 x = r^{2-n} (log r at n = 2).  ``_slab`` is that formula and its
 derivative, for one slab's coefficients or for arrays of them gathered per
 point.  It gives the slab tops at construction, the pointwise values and
-derivatives of the pieces, and ``_ComparisonPiece.gather``, which
-evaluates all slabs of a solution on a batch of radii, so the J and energy
-integrals of ``energy_change_of_variables``'s ``LogRadialRun`` take one
-gather per engine level.
+derivatives of the pieces, and ``_ComparisonPiece.gather``, with which a
+``PiecewiseProfile`` of slabs evaluates a batch of radii, so the J and
+energy integrals of ``energy_change_of_variables``'s ``LogRadialRun`` take
+one gather per engine level.
 """
 
 from __future__ import annotations
@@ -162,20 +162,14 @@ class _ComparisonPiece(Piece):
 
     @staticmethod
     def gather(pieces):
-        """w and w' of the adjacent slabs ``pieces`` on arrays of radii, by
-        one gather of their coefficients per call.  A point takes the slab
-        whose r_hi is the first at or above it, so w at a knot is that
-        slab's top, exactly."""
+        """``_slab`` on the gathered coefficients of the slabs ``pieces``."""
         n = pieces[0].n
         big_a, c, top, r_hi = np.array([(p.big_a, p.c, p.top, p.r_hi) for p in pieces]).T
-        inner = r_hi[:-1]
 
-        def value(r):
-            i = np.searchsorted(inner, r)
+        def value(i, r):
             return _slab(n, big_a[i], c[i], top[i], r_hi[i], r)
 
-        def derivative(r):
-            i = np.searchsorted(inner, r)
+        def derivative(i, r):
             return _slab(n, big_a[i], c[i], top[i], r_hi[i], r, derivative=True)
 
         return value, derivative
@@ -265,10 +259,9 @@ def energy_change_of_variables(profile: RadialProfile, m: int) -> PiecewiseProfi
     ``LogRadialRun`` tail.
 
     The run's radii are the source's knots mapped to t-knots and back.  Its
-    w and w' are ``_ComparisonPiece.gather``'s when every piece is a
-    comparison slab, else those of the source's pieces laid on the radii.
-    A source built without its continuity check (``symmetrize``'s steps) is
-    checked on the radii.
+    w and w' are the batch evaluator of the source's pieces laid on the
+    radii.  A source built without its continuity check (``symmetrize``'s
+    steps) is checked on the radii.
     """
     n = profile.dimension
     params = AdamsParams(m, n)  # validates m < n
@@ -282,9 +275,5 @@ def energy_change_of_variables(profile: RadialProfile, m: int) -> PiecewiseProfi
     t_knots = (0.0, *(n * math.log(big_r / r) for r in reversed(source.knots[1:-1])))
     radii = np.array([big_r * math.exp(-t / n) for t in (math.inf, *reversed(t_knots))])
     on_radii = PiecewiseProfile(tuple(radii), pieces, check_continuity=not source.check_continuity)
-    if all(type(piece) is _ComparisonPiece for piece in pieces):
-        w, dw = _ComparisonPiece.gather(pieces)
-    else:
-        w, dw = on_radii.value, on_radii.derivative
-    run = LogRadialRun(scale, big_r, n, t_knots, radii, w, dw)
+    run = LogRadialRun(scale, big_r, n, t_knots, radii, *on_radii._batch)
     return PiecewiseProfile(knots=(0.0,), pieces=(), tail=run)

@@ -125,6 +125,14 @@ class TestParsing:
         assert captured.out == ""
         assert "--maximize works at q = p/(p-1) = 2.0 for --p 2.0, got --q 3.0" in captured.err
 
+    def test_maximize_rejects_csv(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "csv", "cc", "--p", "2", "--maximize"])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--maximize writes its profile as JSON only, got --format csv" in captured.err
+
     def test_maximize_takes_the_conjugate_q(self, capsys):
         status, out, _ = run_cli(["cc", "--p", "2", "--q", "2", "--maximize", "--knots", "8"], capsys)
         assert status == 0

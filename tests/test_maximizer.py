@@ -172,14 +172,14 @@ def _counted_evaluations(case, monkeypatch) -> int:
 
 
 def test_search_evaluation_count(monkeypatch):
-    # The benchmark's parameters: 60 J evaluations with a 1e-14 floor.
-    assert _counted_evaluations((2.0, 5.0, 0.01, 48, 0), monkeypatch) == 45
+    # The benchmark's parameters: 53 J evaluations with a 1e-14 floor.
+    assert _counted_evaluations((2.0, 5.0, 0.01, 48, 0), monkeypatch) == 38
 
 
 def test_search_evaluation_count_weak_window(monkeypatch):
     # epsilon = 0.499: the first start searched takes most of the
-    # evaluations, 218 with a 1e-14 floor.
-    assert _counted_evaluations((4.0, 1.0, 0.499, 8, 11), monkeypatch) == 143
+    # evaluations, 211 with a 1e-14 floor.
+    assert _counted_evaluations((4.0, 1.0, 0.499, 8, 11), monkeypatch) == 136
 
 
 def _linspace_layout(knots: np.ndarray):
@@ -267,7 +267,7 @@ def test_gradient_only_on_accepted_steps(monkeypatch):
     def logged(name, f):
         def wrapper(*args, **kwargs):
             out = f(*args, **kwargs)
-            events.append((name, out))
+            events.append((name, args, out))
             return out
 
         return wrapper
@@ -275,46 +275,59 @@ def test_gradient_only_on_accepted_steps(monkeypatch):
     monkeypatch.setattr(_SlopeObjective, "value", logged("value", _SlopeObjective.value))
     monkeypatch.setattr(_SlopeObjective, "grad", logged("grad", _SlopeObjective.grad))
     monkeypatch.setattr(moser1d, "_project", logged("project", moser1d._project))
-    n_starts = 3
-    result = concentration_maximizer(2.0, 5.0, 0.01, 24, seed=3, n_starts=n_starts, max_iter=60)
+    result = concentration_maximizer(2.0, 5.0, 0.01, 24, seed=3)
 
-    names = [name for name, _ in events]
-    # Every start (the warm ones and the Moser ramp) is projected and
-    # evaluated before the first gradient.
-    first = names.index("grad") - 1
-    assert names[:first] == ["project"] * (n_starts + 1) + ["value"] * (n_starts + 1)
-    # Replay the search.  A start begins with a value that no projection
-    # precedes (its re-evaluation), followed by its gradient; a trial is a
-    # projection and a value, accepted when its J beats the incumbent.  An
-    # accepted trial is followed by a gradient unless its start (not the
-    # first searched) stalls there: it gains under _GAIN_FLOOR of J - 1 and
-    # trails the best J of the starts before it.  Then the next start's
-    # re-evaluation or the end of the log follows.  A rejected trial is never
-    # followed by a gradient.
+    names = [name for name, _, _ in events]
+    # Every start (the warm ones and the Moser ramp) is projected, then
+    # evaluated with its gradient, before the first trial.
+    n = moser1d._N_STARTS + 1
+    assert names[: 3 * n] == ["project"] * n + ["value", "grad"] * n
+    starts = [out for _, _, out in events[:n]]
+    start_values = [out for _, _, out in events[n : 3 * n : 2]]
+    start_grads = [out for _, _, out in events[n + 1 : 3 * n : 2]]
+    # The starts are searched in descending order of J, and a start's first
+    # trial is its own step of 0.1 along its scored gradient: the trial
+    # input that marks where the start begins.
+    order = list(np.argsort(start_values, kind="stable")[::-1])
+    first_trials = [
+        starts[i] + 0.1 / max(float(np.max(np.abs(start_grads[i]))), 1e-12) * start_grads[i]
+        for i in order
+    ]
+    # Replay the search.  Every later event is a trial, a projection and a
+    # value, accepted when its J beats the incumbent.  An accepted trial is
+    # followed by a gradient unless its start (not the first searched)
+    # stalls there: it gains under _GAIN_FLOOR of J - 1 and trails the best
+    # J of the starts before it.  Then the next start's first trial or the
+    # end of the log follows.  A rejected trial is never followed by a
+    # gradient.
     searched, accepted, stalled, incumbent, best = 0, 0, 0, None, -math.inf
-    window = zip(events[first - 1 :], events[first:], events[first + 1 :] + [("end", None)])
-    for (previous, _), (name, out), (following, _) in window:
-        if name != "value":
+    search = events[3 * n :]
+    following = [name for name, _, _ in search[1:]] + ["end"]
+    for k, ((name, args, out), after) in enumerate(zip(search, following)):
+        if name == "project":
+            if searched < n and np.array_equal(args[0], first_trials[searched]):
+                if incumbent is not None:
+                    best = max(best, incumbent)
+                searched, incumbent = searched + 1, start_values[order[searched]]
+            assert after == "value"
             continue
-        if previous != "project":
-            assert following == "grad"
-            if incumbent is not None:
-                best = max(best, incumbent)
-            searched, incumbent = searched + 1, out
-        elif out > incumbent:
+        if name == "grad":
+            continue
+        assert search[k - 1][0] == "project" and args[1] is search[k - 1][2]
+        if out > incumbent:
             gain = out - incumbent
             stall = searched > 1 and gain < moser1d._GAIN_FLOOR * (incumbent - 1.0) and out < best
-            assert (following != "grad") == stall
+            assert (after != "grad") == stall
             if stall:
-                assert following in ("value", "end")
+                assert after == "end" or np.array_equal(search[k + 1][1][0], first_trials[searched])
                 stalled += 1
             accepted, incumbent = accepted + 1, out
         else:
-            assert following != "grad"
-    assert searched == n_starts + 1
+            assert after != "grad"
+    assert searched == n
     assert accepted > stalled > 0
-    assert names.count("grad") == searched + accepted - stalled
-    assert names.count("project") == names.count("value") - searched
+    assert names.count("grad") == n + accepted - stalled
+    assert names.count("project") == names.count("value")
     assert names.count("value") > 2 * names.count("grad")
     assert names.count("value") == result.evaluations
 

@@ -639,8 +639,8 @@ class TestLargeP:
 
 class TestMaximizer:
     def test_deterministic_given_seed(self):
-        r1 = concentration_maximizer(2.0, 5.0, 0.01, 24, seed=3, n_starts=2, max_iter=60)
-        r2 = concentration_maximizer(2.0, 5.0, 0.01, 24, seed=3, n_starts=2, max_iter=60)
+        r1 = concentration_maximizer(2.0, 5.0, 0.01, 24, seed=3)
+        r2 = concentration_maximizer(2.0, 5.0, 0.01, 24, seed=3)
         assert r1.functional_value == r2.functional_value
         assert r1.profile.knots == r2.profile.knots
         v1 = [float(np.asarray(p.value(k))) for k, _h, p in r1.profile.segments()]
@@ -648,7 +648,7 @@ class TestMaximizer:
         assert v1 == v2
 
     def test_feasibility_of_incumbent(self):
-        res = concentration_maximizer(2.0, 5.0, 0.01, 24, seed=5, n_starts=2, max_iter=80)
+        res = concentration_maximizer(2.0, 5.0, 0.01, 24, seed=5)
         assert energy(res.profile, 2.0) == pytest.approx(1.0, abs=1e-10)
         assert energy(res.profile, 2.0, (0.0, 5.0)) <= 0.01 + 1e-12
         assert res.profile.value(0.0) == 0.0
@@ -670,7 +670,7 @@ class TestMaximizer:
     def test_weak_constraint_recorded_not_asserted(self):
         # With a weak window constraint the incumbent may exceed 1 + e;
         # the level only binds concentrating sequences.  Recorded as data.
-        res = concentration_maximizer(2.0, 5.0, 0.499, 24, seed=0, n_starts=3, max_iter=80)
+        res = concentration_maximizer(2.0, 5.0, 0.499, 24, seed=0)
         print(
             f"\nexploratory: weak-constraint incumbent J = {res.functional_value:.4f}"
             f" (1 + e = {1.0 + math.e:.4f})"

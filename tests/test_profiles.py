@@ -1,5 +1,6 @@
 """Piece machinery: evaluation, continuity validation, strict mode, serialization."""
 
+import bisect
 import math
 import os
 import subprocess
@@ -150,6 +151,62 @@ class TestPiecewiseProfile:
     def test_single_knot_must_be_finite(self):
         with pytest.raises(DomainError, match="finite"):
             PiecewiseProfile(knots=(math.nan,), pieces=(), tail=constant_piece(1.0))
+
+
+def per_piece(g, t, method):
+    """``method`` of each point's own segment, the one whose knot is the
+    last at or below the point (the last segment past the last knot)."""
+    segments = [piece for _lo, _hi, piece in g.segments()]
+    out = []
+    for x in t:
+        i = min(bisect.bisect_right(g.knots, x) - 1, len(segments) - 1)
+        out.append(float(getattr(segments[i], method)(x)))
+    return np.array(out)
+
+
+class TestBatchEvaluator:
+    """A batch of points goes through one evaluator per profile: one gather
+    of the segments' coefficients where they share a type that has one
+    (polylines here), else a loop over the segments the points fall in."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_polyline_equals_its_pieces(self, seed):
+        rng = np.random.default_rng(seed)
+        ts = np.cumsum(rng.uniform(0.05, 2.0, size=2 + seed % 9)) - 1.0
+        g = piecewise_linear(ts, rng.normal(size=ts.size), constant_tail=bool(seed % 2))
+        end = ts[-1] + 3.0 if seed % 2 else ts[-1]
+        t = np.concatenate((ts, rng.uniform(ts[0], end, size=200)))
+        assert np.array_equal(g.value(t), per_piece(g, t, "value"))
+        assert np.array_equal(g.derivative(t), per_piece(g, t, "derivative"))
+
+    def test_polyline_takes_the_gather(self, monkeypatch):
+        g = piecewise_linear([0.0, 1.0, 3.0], [0.0, 2.0, 1.0])
+        t = np.linspace(0.0, 5.0, 11)
+        want = g.value(t), g.derivative(t)
+
+        def refuse(self, t):
+            raise AssertionError("LinearPiece evaluated piece by piece")
+
+        monkeypatch.setattr(LinearPiece, "value", refuse)
+        monkeypatch.setattr(LinearPiece, "derivative", refuse)
+        assert np.array_equal(g.value(t), want[0])
+        assert np.array_equal(g.derivative(t), want[1])
+
+    # 5 - t on [1, 2] after t on [0, 1]: a jump at the knot 1.  The power
+    # piece makes the profile mixed, so it takes the per-segment loop.
+    SECOND = {"gather": LinearPiece(5.0, -1.0), "loop": PowerPiece(-1.0, 0.0, 1.0, 5.0)}
+
+    @pytest.mark.parametrize("second", list(SECOND.values()), ids=list(SECOND))
+    @pytest.mark.parametrize("tail", [False, True], ids=["piece", "tail"])
+    def test_knot_takes_the_right_hand_segment(self, second, tail):
+        pieces = (LinearPiece(0.0, 1.0),) if tail else (LinearPiece(0.0, 1.0), second)
+        knots = (0.0, 1.0) if tail else (0.0, 1.0, 2.0)
+        g = PiecewiseProfile(knots, pieces, tail=second if tail else None, check_continuity=False)
+        assert g.value(np.array([0.0, 1.0])).tolist() == [0.0, 4.0]
+        assert g.derivative(np.array([0.0, 1.0])).tolist() == [1.0, -1.0]
+        assert g.value(1.0) == 4.0 and g.derivative(1.0) == -1.0
+        if not tail:  # the last knot takes the last segment
+            assert g.value(2.0) == 3.0 and g.derivative(2.0) == -1.0
 
 
 class TestAdaptiveGauss:
