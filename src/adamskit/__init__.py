@@ -4,7 +4,7 @@ higher-order exponential Sobolev inequalities, verified at desk scale.
 Submodules
 ----------
 specfun    log-gamma, digamma, the Euler-Mascheroni constant
-constants  critical exponents, sphere constants, concentration level, threshold
+constants  critical exponents, sphere area and ball volume, concentration level, threshold
 hardy      power-weight Hardy sandwiches, probes, iterated constants
 rearrange  decreasing rearrangement, symmetrization, radial comparison solution
 moser1d    the 1-D exponential functional, tail certificate, maximizer
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 #: Public name -> submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(
-        ("AdamsParams", "SphereConstants", "beta0", "beta0_product_form", "concentration_level",
-         "eta_exponent", "t_zero", "unit_ball_volume", "unit_sphere_area"),
+        ("AdamsParams", "beta0", "beta0_product_form", "concentration_level", "eta_exponent",
+         "t_zero", "unit_ball_volume", "unit_sphere_area"),
         "constants",
     ),
     **dict.fromkeys(

@@ -156,7 +156,8 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
     parser.add_argument(
-        "--format", choices=("json", "csv"), default=None, help="output format"
+        "--format", choices=("json", "csv"), default=None,
+        help="output format (default json; csv for rearrange and extremal-sweep)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -212,11 +213,30 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: Formats each subcommand writes, its default first.
+_FORMATS = {
+    "constants": ("json", "csv"),
+    "level": ("json", "csv"),
+    "t0": ("json", "csv"),
+    "hardy": ("json", "csv"),
+    "rearrange": ("csv",),
+    "cc": ("json", "csv"),
+    "cc --maximize": ("json",),
+    "extremal-sweep": ("csv", "json"),
+}
+
+
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "cc" and args.maximize and args.format == "csv":
-        parser.error("--maximize writes its profile as JSON only, got --format csv")
+    command = "cc --maximize" if args.command == "cc" and args.maximize else args.command
+    formats = _FORMATS[command]
+    args.format = args.format or formats[0]
+    if args.format not in formats:
+        parser.error(
+            f"{command} writes its profile as {' or '.join(formats).upper()} only,"
+            f" got --format {args.format}"
+        )
     if args.command == "cc" and args.maximize and args.q is not None and args.p > 1.0:
         # The maximizer's class is the unit p-energy one, so q is p's conjugate.
         conjugate = args.p / (args.p - 1.0)
@@ -239,19 +259,18 @@ def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
 
 
 def _cmd_constants(args) -> int:
-    from .constants import AdamsParams, SphereConstants, beta0, beta0_product_form
+    from .constants import AdamsParams, beta0, beta0_product_form, unit_ball_volume, unit_sphere_area
 
     params = AdamsParams(args.m, args.n)
-    spheres = SphereConstants.for_dimension(args.n)
     record = {
         "m": args.m,
         "n": args.n,
         "beta0": beta0(params),
         "beta0_product_form": beta0_product_form(params),
-        "omega_sphere": spheres.omega_sphere,
-        "omega_ball": spheres.omega_ball,
+        "omega_sphere": unit_sphere_area(args.n),
+        "omega_ball": unit_ball_volume(args.n),
     }
-    _record_output(record, args.format or "json", args.output)
+    _record_output(record, args.format, args.output)
     return EXIT_OK
 
 
@@ -267,7 +286,7 @@ def _cmd_level(args) -> int:
         "level": concentration_level(params, args.measure),
         "psi_plus_gamma": digamma(args.n / args.m) + EULER_GAMMA,
     }
-    _record_output(record, args.format or "json", args.output)
+    _record_output(record, args.format, args.output)
     return EXIT_OK
 
 
@@ -276,7 +295,7 @@ def _cmd_t0(args) -> int:
 
     result = t_zero()
     record = {"raw": result.raw, "T0": result.integer, "n_threshold": 2 * result.integer}
-    _record_output(record, args.format or "json", args.output)
+    _record_output(record, args.format, args.output)
     return EXIT_OK
 
 
@@ -309,7 +328,7 @@ def _cmd_hardy(args) -> int:
             )
             # second_order_probe raises AssertionError (exit 4) past the constant.
             record["probe_ok"] = True
-        _record_output(record, args.format or "json", args.output)
+        _record_output(record, args.format, args.output)
         return EXIT_OK
     if args.p is None or args.q is None or args.alpha is None or args.theta is None:
         raise DomainError("hardy requires --p, --q, --alpha, --theta")
@@ -336,7 +355,7 @@ def _cmd_hardy(args) -> int:
         record["probe_ok"] = bool(result.max_ratio <= sw.upper * (1.0 + 1e-9))
         if not record["probe_ok"]:
             status = EXIT_ASSERTION
-    _record_output(record, args.format or "json", args.output)
+    _record_output(record, args.format, args.output)
     return status
 
 
@@ -415,7 +434,7 @@ def _cmd_cc(args) -> int:
             "window_energy": energy(result.profile, args.p, (0.0, args.A)),
             "profile": result.profile.to_json_obj(),
         }
-        _record_output(record, "json", args.output)
+        _record_output(record, args.format, args.output)
         return EXIT_OK
     if args.family != "moser" or args.a is None:
         raise DomainError("cc requires --family moser with --a (or --maximize)")
@@ -431,7 +450,7 @@ def _cmd_cc(args) -> int:
         "concentration_level": bound,
         "within_level": j <= bound,
     }
-    _record_output(record, args.format or "json", args.output)
+    _record_output(record, args.format, args.output)
     return EXIT_OK
 
 
@@ -452,7 +471,7 @@ def _cmd_extremal_sweep(args) -> int:
 
     spec = _quad_spec(args)
     rows = sweep(args.n_from, args.n_to, args.step, spec)
-    if (args.format or "csv") == "csv":
+    if args.format == "csv":
         table = [[row.n] + [getattr(row, attr) for attr in _SWEEP_FIELDS.values()] for row in rows]
         _emit(to_csv(("n", *_SWEEP_FIELDS), table), args.output)
         return EXIT_OK

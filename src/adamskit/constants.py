@@ -1,10 +1,12 @@
 """Closed-form constants of the sharp higher-order exponential inequality.
 
-The critical exponent beta0(m, n), its product re-expressions, unit-sphere
-and unit-ball constants, the concentration-level bound, the residual
-integrability exponent eta, and the dimension threshold T0 for the
-extremal construction.  All gamma ratios are assembled in log space and
-exponentiated once, so the formulas stay finite well past n = 64.
+The critical exponent beta0(m, n), its product re-expressions, the
+unit-sphere area and unit-ball volume, the concentration-level bound, the
+residual integrability exponent eta, and the dimension threshold T0 for
+the extremal construction.  Each constant has one formula: all gamma
+ratios are assembled in log space from ``specfun.log_gamma`` and
+exponentiated once, so the formulas stay finite well past n = 64, and the
+ball volume is the sphere area over n.
 """
 
 from __future__ import annotations
@@ -75,20 +77,6 @@ def unit_sphere_area(n: int) -> float:
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n (= sphere area / n)."""
     return unit_sphere_area(n) / n
-
-
-@dataclass(frozen=True)
-class SphereConstants:
-    """Unit-sphere area and unit-ball volume for one dimension."""
-
-    n: int
-    omega_sphere: float
-    omega_ball: float
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "SphereConstants":
-        area = unit_sphere_area(n)
-        return cls(n=n, omega_sphere=area, omega_ball=area / n)
 
 
 def _log_beta0(m: int, n: int) -> float:

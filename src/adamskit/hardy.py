@@ -88,7 +88,6 @@ class Sandwich:
 
     lower: float
     upper: float
-    b_value: float
     k_factor: float
 
 
@@ -190,7 +189,7 @@ def sandwich(setup: HardySetup) -> Sandwich:
     """Two-sided estimate [B, k(q,p) B] for the best constant."""
     b = b_constant(setup)
     k = k_factor(setup.q, setup.p)
-    return Sandwich(lower=b, upper=k * b, b_value=b, k_factor=k)
+    return Sandwich(lower=b, upper=k * b, k_factor=k)
 
 
 # ---------------------------------------------------------------------------

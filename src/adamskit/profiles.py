@@ -181,12 +181,12 @@ class FuncPiece(Piece):
 
 @dataclass(frozen=True, eq=False)
 class LogRadialRun(Piece):
-    """g(t) = scale * w(R e^{-t/n}) for t >= t_knots[0], a radial profile w
-    on [0, R] seen through r = R e^{-t/n}, where t = inf is r = 0
+    """g(t) = scale * w(R e^{-t/n}) for t >= 0, a radial profile w on
+    [0, R] seen through r = R e^{-t/n}, where t = inf is r = 0
     (``rearrange.energy_change_of_variables``).
 
-    ``radii`` are the t-knots mapped to r, increasing from 0 to R.  ``w``
-    and ``dw`` are w and w' on arrays of radii, the run's one evaluator:
+    ``radii`` are the knots of w, increasing from 0 to R.  ``w`` and
+    ``dw`` are w and w' on arrays of radii, the run's one evaluator:
     ``value`` and ``derivative`` are g and g' through them, and the
     integrands of J and the energy take them once per batch of radii, so
     each is one integral on radii, out to t = inf.
@@ -195,7 +195,6 @@ class LogRadialRun(Piece):
     scale: float
     big_r: float
     dim: int
-    t_knots: tuple[float, ...]
     radii: np.ndarray
     w: Callable[[np.ndarray], np.ndarray]
     dw: Callable[[np.ndarray], np.ndarray]

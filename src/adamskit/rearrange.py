@@ -258,22 +258,18 @@ def energy_change_of_variables(profile: RadialProfile, m: int) -> PiecewiseProfi
     """g(t) = beta0(m, n)^{(n-m)/n} w(R e^{-t/n}) on [0, infinity), one
     ``LogRadialRun`` tail.
 
-    The run's radii are the source's knots mapped to t-knots and back.  Its
-    w and w' are the batch evaluator of the source's pieces laid on the
-    radii.  A source built without its continuity check (``symmetrize``'s
-    steps) is checked on the radii.
+    The run's radii are the source's knots, and its w and w' the source's
+    batch evaluator.  A source built without its continuity check
+    (``symmetrize``'s steps) is checked here.
     """
     n = profile.dimension
     params = AdamsParams(m, n)  # validates m < n
     scale = beta0(params) ** ((n - m) / n)
     big_r = profile.radius
     source = profile.profile
-    if abs(source.knots[0]) > 1e-15 or abs(source.knots[-1] - big_r) > 1e-12 * big_r:
+    if source.knots[0] != 0.0 or abs(source.knots[-1] - big_r) > 1e-12 * big_r:
         raise DomainError("radial profile must span [0, R]")
-
-    pieces = source.pieces
-    t_knots = (0.0, *(n * math.log(big_r / r) for r in reversed(source.knots[1:-1])))
-    radii = np.array([big_r * math.exp(-t / n) for t in (math.inf, *reversed(t_knots))])
-    on_radii = PiecewiseProfile(tuple(radii), pieces, check_continuity=not source.check_continuity)
-    run = LogRadialRun(scale, big_r, n, t_knots, radii, *on_radii._batch)
+    if not source.check_continuity:
+        source._check_continuity()
+    run = LogRadialRun(scale, big_r, n, np.array(source.knots), *source._batch)
     return PiecewiseProfile(knots=(0.0,), pieces=(), tail=run)

@@ -163,7 +163,8 @@ class TestEnergies:
             big_f += f * mpmath.mpf(measure)
         slabs += [(mpmath.mpf(0), big_f)] * (len(radial.profile.pieces) - len(cells))
         omega = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
-        t_knots = (*run.t_knots, math.inf)
+        # The run's knots in t: t = n log(R/r) of its radii, R to 0.
+        t_knots = (0.0, *(n * math.log(big_r / r) for r in run.radii[-2:0:-1]), math.inf)
         for lo, hi, (f, a) in zip(t_knots, t_knots[1:], reversed(slabs)):
             # The whole profile clipped to one piece: the others add 0.
             got = abs_pow_integral(g, p, 0.0, lo, hi, DEFAULT_SPEC, derivative=True)

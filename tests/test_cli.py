@@ -11,10 +11,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from adamskit import extremal, hardy, moser1d
-from adamskit.cli import main, parse_args
+from adamskit.cli import _COMMANDS, _FORMATS, main, parse_args
 from adamskit.constants import AdamsParams, beta0
 
 #: Sweep outputs; the fields must agree to 1e-14 relative.  sweep_16_120.json
@@ -132,6 +133,26 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--maximize writes its profile as JSON only, got --format csv" in captured.err
+
+    def test_every_command_has_its_formats(self):
+        assert set(_FORMATS) == {*_COMMANDS, "cc --maximize"}
+
+    def test_format_defaults(self):
+        assert parse_args(["t0"]).format == "json"
+        assert parse_args(["rearrange", "--input", "cells.csv"]).format == "csv"
+        assert parse_args(["extremal-sweep", "--n-from", "104", "--n-to", "106"]).format == "csv"
+        assert parse_args(["cc", "--p", "2", "--maximize"]).format == "json"
+
+    @pytest.mark.parametrize("mode", ["rearrange", "symmetrize", "talenti"])
+    def test_rearrange_rejects_json(self, mode, capsys):
+        argv = ["--format", "json", "rearrange", "--input", str(DATA / "cells.csv"), "--mode", mode,
+                "--radius", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rearrange writes its profile as CSV only, got --format json" in captured.err
 
     def test_maximize_takes_the_conjugate_q(self, capsys):
         status, out, _ = run_cli(["cc", "--p", "2", "--q", "2", "--maximize", "--knots", "8"], capsys)
@@ -550,3 +571,58 @@ def test_golden_cli_output(invocation, monkeypatch, capsys):
     assert NUMBER.split(out) == NUMBER.split(want["stdout"])
     numbers = [[float(x) for x in NUMBER.findall(text)] for text in (out, want["stdout"])]
     assert_close(*numbers)
+
+
+def test_pinned_constants_against_mpmath():
+    """Every pinned beta0, sphere and ball constant, level and psi + gamma of
+    the ``constants``, ``level`` and ``cc`` entries, the radii of
+    ``rearrange --mode symmetrize`` and the sweep's levels, within 1e-15
+    relative of 30 digits, so that no re-pin keeps a wrong constant."""
+    mp = mpmath
+
+    def level(p):
+        return 1 + mp.exp(mp.digamma(mp.mpf(p)) + mp.euler)
+
+    def sphere(n):
+        return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+
+    def beta0_30(m, n):
+        m, n = mp.mpf(m), mp.mpf(n)
+        if m % 2:
+            ratio = mp.gamma((m + 1) / 2) / mp.gamma((n - m + 1) / 2)
+        else:
+            ratio = mp.gamma(m / 2) / mp.gamma((n - m) / 2)
+        return n / sphere(n) * (mp.pi ** (n / 2) * 2**m * ratio) ** (n / (n - m))
+
+    checked = []  # (where, field, pinned, 30-digit value)
+    with mp.workdps(30):
+        for invocation, pinned in CLI_GOLDEN.items():
+            args = parse_args(shlex.split(invocation))
+            stdout = pinned["stdout"]
+            if args.command == "rearrange" and args.mode == "symmetrize":
+                with (DATA / args.input).open(newline="") as handle:
+                    cells = [(float(m), abs(float(v))) for m, v in list(csv.reader(handle))[1:]]
+                measures = [m for m, _v in sorted(cells, key=lambda cell: -cell[1])]
+                radii = [(mp.fsum(measures[:i]) * args.n / sphere(args.n)) ** (mp.mpf(1) / args.n)
+                         for i in range(1, len(measures) + 1)]
+                got = [float(row[0]) for row in list(csv.reader(io.StringIO(stdout)))[1:]]
+                checked += [(invocation, i, *pair) for i, pair in enumerate(zip(got, radii, strict=True))]
+                continue
+            if pinned["exit"] != 0 or args.command not in ("constants", "level", "cc"):
+                continue
+            if args.command == "constants":
+                b = beta0_30(args.m, args.n)
+                want = {"beta0": b, "beta0_product_form": b, "omega_sphere": sphere(args.n),
+                        "omega_ball": sphere(args.n) / args.n}
+            elif args.command == "level":
+                p = args.n / args.m
+                want = {"level": args.measure * level(p), "psi_plus_gamma": mp.digamma(p) + mp.euler}
+            else:
+                want = {"concentration_level": level(args.p)}
+            got = json.loads(stdout) if stdout.startswith("{") else dict(zip(*csv.reader(io.StringIO(stdout))))
+            checked += [(invocation, key, float(got[key]), value) for key, value in want.items()]
+        for row in json.loads((DATA / "sweep_16_120.json").read_text()):
+            checked.append(("sweep_16_120.json", row["n"], row["level"], level(row["n"] / 2)))
+        off = [(where, key, got) for where, key, got, want in checked if abs(got - want) > 1e-15 * abs(want)]
+    assert len(checked) == 2 * 4 + 2 * 2 + 5 + 5 + 53
+    assert not off, off

@@ -10,7 +10,6 @@ import scipy.special as sps
 from adamskit.constants import (
     SIGMA,
     AdamsParams,
-    SphereConstants,
     beta0,
     beta0_product_form,
     concentration_level,
@@ -43,8 +42,7 @@ class TestSphereConstants:
 
     def test_area_is_n_times_volume(self):
         for n in range(2, 65):
-            c = SphereConstants.for_dimension(n)
-            assert c.omega_sphere == pytest.approx(n * c.omega_ball, rel=1e-13)
+            assert unit_sphere_area(n) == pytest.approx(n * unit_ball_volume(n), rel=1e-15)
 
     def test_against_scipy_gammaln(self):
         for n in range(2, 65):
@@ -108,10 +106,10 @@ class TestConcentrationLevel:
     def test_classical_value(self):
         # n/m = 2 gives psi(2) + gamma = 1, hence 1 + e per unit measure.
         assert concentration_level(AdamsParams(1, 2), 1.0) == pytest.approx(
-            1.0 + math.e, abs=1e-12
+            1.0 + math.e, rel=1e-15
         )
         assert concentration_level(AdamsParams(2, 4), 1.0) == pytest.approx(
-            1.0 + math.e, abs=1e-12
+            1.0 + math.e, rel=1e-15
         )
 
     def test_linear_in_measure(self):

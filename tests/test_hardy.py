@@ -236,7 +236,6 @@ class TestSandwich:
                 k_factor(setup.q, setup.p), rel=1e-13
             )
             assert sw.lower <= sw.upper
-            assert sw.b_value == sw.lower
 
 
 class TestRayleighProbe:

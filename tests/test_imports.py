@@ -89,7 +89,7 @@ assert set(adamskit.__all__) <= set(namespace)
 print(len(adamskit.__all__))
 """
     )
-    assert int(out) == 44
+    assert int(out) == 43
 
 
 def test_unknown_name_raises_attribute_error():

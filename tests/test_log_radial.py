@@ -131,6 +131,11 @@ def comparison_profile(n, m, big_r, values, shares, fill, target):
     return g, talenti_reference(cells, n, m, big_r, g.tail.scale, padded=fill < 1.0)
 
 
+def t_knots(run):
+    """The run's knots in t: t = n log(R/r) of its radii, from R inward."""
+    return (0.0, *(run.dim * math.log(run.big_r / r) for r in run.radii[-2:0:-1]))
+
+
 def assert_close(got, want, tol):
     assert abs(got / want - 1.0) <= tol, (got, want, got / want - 1.0)
 
@@ -155,7 +160,7 @@ class TestComparisonRuns:
         assert_close(cc_functional(g, q), ref.functional(), J_TOL)
         assert_close(energy(g, p), ref.energy(), ENERGY_TOL)
         # Intervals that start or end inside the run, between or at knots.
-        t_end = run.t_knots[-1] + 2.0
+        t_end = t_knots(run)[-1] + 2.0
         lo = data.draw(st.floats(0.0, t_end), label="lo")
         hi = data.draw(st.one_of(st.just(math.inf), st.floats(lo + 0.05, t_end + 5.0)), label="hi")
         assert_close(cc_integral(g, q, lo, hi), ref.functional(lo, hi), J_TOL)
@@ -175,7 +180,7 @@ class TestComparisonRuns:
         monkeypatch.setattr(profiles, "adaptive_gauss", counted("profiles"))
         for cells in (1, 4, 8):
             g, _ref = comparison_profile(4, 2, 1.0, [3.0 - 0.3 * i for i in range(cells)], [1.0] * cells, 0.8, 0.9)
-            assert len(g.tail.t_knots) == cells + 1  # cells + 1 pieces in one run
+            assert len(t_knots(g.tail)) == cells + 1  # cells + 1 pieces in one run
             calls.update(moser1d=0, profiles=0)
             cc_functional(g, 2.0)
             assert calls == {"moser1d": 1, "profiles": 1}, cells

@@ -192,19 +192,22 @@ class TestTailBranches:
     def test_log_radial_pullback(self):
         radial = talenti_radial_solution(SampledFunction(cells=((0.3, 2.0), (0.5, 1.0))), 4, 1.0)
         g = energy_change_of_variables(radial, 2)
-        want = t_space_reference(g.tail.t_knots, 2.0, lambda t: mpmath.mpf(g.value(float(t))))
+        t_knots = [0.0, *(4 * math.log(1.0 / r) for r in g.tail.radii[-2:0:-1])]  # t = n log(R/r)
+        want = t_space_reference(t_knots, 2.0, lambda t: mpmath.mpf(g.value(float(t))))
         assert want == pytest.approx(2.84157537857404, rel=1e-14)
         assert cc_functional(g, 2.0) == pytest.approx(want, rel=1e-12)
 
     def test_log_radial_bits_pinned(self):
         # Pinned with ==: a refactor of the log-radial run must not move a bit.
-        # J is 4.8e-15 from the 30-digit 2.84157537857402579517 of
-        # bench/oracle.py, the energy and value 3.4e-15 and 2.2e-15 from mpmath.
+        # Re-pinned once when the scale beta0^{1/2} took math.lgamma (J was
+        # 4.6e-15 off, the energy 3.5e-15 and the value 2.2e-15): J is 3.3e-15
+        # from the 30-digit 2.84157537857402625908 (mpmath.quad of the closed
+        # form), the energy and value 2.7e-16 and 3.9e-16 from mpmath.
         radial = talenti_radial_solution(SampledFunction(cells=((0.3, 2.0), (0.5, 1.0))), 4, 1.0)
         g = energy_change_of_variables(radial, 2)
-        assert cc_functional(g, 2.0) == 2.8415753785740394
-        assert energy(g, 2.0, (0.5, 3.0)) == 0.6503695670719579
-        assert g.value(1.0) == 0.3212298895572236
+        assert cc_functional(g, 2.0) == 2.8415753785740168
+        assert energy(g, 2.0, (0.5, 3.0)) == 0.6503695670719555
+        assert g.value(1.0) == 0.32122988955722276
 
     def test_hoelder_envelope(self):
         # Energy 0.64 on the ramp and 0.09 / 0.4 on the power tail.

@@ -2,13 +2,14 @@
 independent oracles.
 
 Oracles: exact rational harmonic sums, series partial sums with analytic
-tail brackets, Richardson extrapolation, half-integer quadrature, and
-scipy.special as an independently-coded reference.
+tail brackets, Richardson extrapolation, half-integer quadrature,
+scipy.special as an independently-coded reference, and 30-digit mpmath.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -29,21 +30,21 @@ class TestGamma:
     """Gamma(x) as exp(log_gamma(x)), and log_gamma itself."""
 
     def test_factorial_value(self):
-        assert math.exp(log_gamma(5.0)) == pytest.approx(24.0, rel=1e-13)
-        assert math.exp(log_gamma(1.0)) == pytest.approx(1.0, rel=1e-13)
+        assert math.exp(log_gamma(5.0)) == pytest.approx(24.0, rel=2e-15)
+        assert math.exp(log_gamma(1.0)) == pytest.approx(1.0, rel=2e-15)
 
     def test_half_integer_against_quadrature(self):
         # Independent oracle: Gamma(1/2) = int_0^inf t^{-1/2} e^{-t} dt,
         # integrated as 2 int_0^inf e^{-u^2} du (t = u^2 kills the singularity).
         oracle, err = quad(lambda u: 2.0 * math.exp(-u * u), 0.0, np.inf, limit=200)
         assert math.exp(log_gamma(0.5)) == pytest.approx(oracle, abs=max(1e-12, 2 * err))
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
+        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=2e-15)
 
     def test_against_scipy_grid(self):
         xs = np.linspace(0.5, 171.0, 700)
         ours = np.array([log_gamma(float(x)) for x in xs])
         ref = sps.gammaln(xs)
-        assert np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
+        assert np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))) < 1e-15
 
     def test_recurrence(self):
         # ln Gamma(x + 1) - ln Gamma(x) = ln x.
@@ -68,26 +69,26 @@ class TestGamma:
 class TestDigamma:
     def test_at_one(self):
         # psi(1) = -gamma.
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
+        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-15)
 
     def test_at_two_via_recurrence(self):
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-12)
+        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-15)
 
     def test_harmonic_bridge_exact_rational(self):
         h10 = Fraction(0)
         for j in range(1, 11):
             h10 += Fraction(1, j)
         assert h10 == Fraction(7381, 2520)
-        assert digamma(11.0) == pytest.approx(float(h10) - EULER_GAMMA, abs=1e-12)
+        assert digamma(11.0) == pytest.approx(float(h10) - EULER_GAMMA, abs=1e-15)
 
     def test_harmonic_bridge_up_to_200(self):
         for k in range(1, 201):
-            assert abs(digamma(k + 1.0) + EULER_GAMMA - harmonic(k)) <= 1e-12
+            assert abs(digamma(k + 1.0) + EULER_GAMMA - harmonic(k)) <= 2e-15
 
     def test_recurrence_invariant(self):
         for x in np.linspace(0.5, 100.0, 400):
             x = float(x)
-            assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) <= 1e-12
+            assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) <= 4e-15
 
     def test_series_partial_sums(self):
         # psi(x) - psi(1) = sum_k (1/(k+1) - 1/(x+k)); tail after K terms is
@@ -109,6 +110,23 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(DomainError):
             digamma(-1.0)
+
+
+class TestAgainstMpmath:
+    """30-digit references on a grid over [0.5, 500], near 0 and near the
+    root of ln Gamma at 1, relative to max(1, |reference|)."""
+
+    XS = [*map(float, np.linspace(0.5, 500.0, 2000)), 1e-3, 1.0 + 1e-9]
+
+    @pytest.mark.parametrize(
+        "fn, ref, tol", [(log_gamma, mpmath.loggamma, 1e-15), (digamma, mpmath.digamma, 5e-16)],
+        ids=["log_gamma", "digamma"],
+    )
+    def test_grid(self, fn, ref, tol):
+        with mpmath.workdps(30):
+            want = [ref(mpmath.mpf(x)) for x in self.XS]
+            worst = max(abs(fn(x) - w) / max(1, abs(w)) for x, w in zip(self.XS, want))
+        assert worst <= tol, worst
 
 
 class TestEulerGamma:
