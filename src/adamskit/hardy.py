@@ -8,13 +8,14 @@ over functions vanishing at 0 (left) or at R (right), the second-order
 radial inequality with its iterated constants, and randomized
 Rayleigh-quotient probes that certify the sandwich numerically.  A
 probe's weighted norm is one ``profiles.abs_pow_integral`` of the trial
-or its derivative, which breaks its quadrature at knots and roots (a
-polyline trial takes one gather of its coefficients per level).  The
-second-order trials' polynomials are plain coefficient arrays: products
-by ``np.convolve``, derivatives as k c_k, values by Horner's rule, each in
-``numpy.polynomial``'s order of operations, so the ratios are bit for bit
-those of ``polymul``/``polyder``/``polyval`` without their per-call
-wrappers; only the roots, which become the breaks, come from ``polyroots``.
+or its derivative, which breaks its quadrature at knots, and at roots
+unless the power is even (a polyline trial takes one gather of its
+coefficients per level).  The second-order trials' polynomials are plain
+coefficient arrays: products by ``np.convolve``, derivatives as k c_k,
+values by Horner's rule, each in ``numpy.polynomial``'s order of
+operations, so the ratios are bit for bit those of ``polymul``/``polyder``/
+``polyval`` without their per-call wrappers; only the breaks at the roots
+(none at the default p = 2) come from ``polyroots``.
 
 For pure power weights the product defining B is unimodal in the split
 point for every parameter choice (its log-derivative is C - G(x) with G
@@ -39,6 +40,7 @@ from .profiles import (
     PowerPiece,
     abs_pow_integral,
     abs_pow_quadrature,
+    kinks_at_roots,
     piecewise_linear,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
@@ -293,11 +295,13 @@ def _abs_pow_poly_integral(
     coef: np.ndarray, power: float, weight_pow: float, R: float, spec: QuadratureSpec
 ) -> float:
     """integral_0^R |poly(r)|^power r^weight_pow dr for the power-basis
-    coefficients ``coef``, with poly's real roots in (0, R) as breaks."""
-    roots = P.polyroots(coef)
-    real = roots.real[
-        (np.abs(roots.imag) < 1e-12) & (1e-12 < roots.real) & (roots.real < R * (1 - 1e-12))
-    ]
+    coefficients ``coef``, with poly's real roots in (0, R) as breaks where
+    ``kinks_at_roots(power)``."""
+    breaks = None
+    if kinks_at_roots(power):
+        roots = P.polyroots(coef)
+        keep = (np.abs(roots.imag) < 1e-12) & (1e-12 < roots.real) & (roots.real < R * (1 - 1e-12))
+        breaks = np.unique(roots.real[keep])
     top, rest = coef[-1], coef[-2::-1].tolist()
 
     def value(r):
@@ -307,7 +311,7 @@ def _abs_pow_poly_integral(
             y = c + y * r
         return y
 
-    return abs_pow_quadrature(value, power, weight_pow, 0.0, R, spec, breaks=np.unique(real))
+    return abs_pow_quadrature(value, power, weight_pow, 0.0, R, spec, breaks=breaks)
 
 
 def second_order_trial_ratio(

@@ -30,6 +30,9 @@ from .quadrature import QuadratureSpec, adaptive_gauss, power_integral
 
 _CONTINUITY_TOL = 1e-10
 _TINY = np.finfo(float).tiny
+#: 2^-1074, ..., 1/4, 1/2: ``abs_pow_quadrature``'s last k halvings are
+#: ``_HALVINGS[-k:]``, and k <= 1074 since rel_tol >= 2^-1074.
+_HALVINGS = 0.5 ** np.arange(1074, 0, -1)
 
 
 class Piece:
@@ -371,7 +374,14 @@ def piecewise_linear(ts: Sequence[float], ys: Sequence[float], *, constant_tail:
         slope = (ys[i + 1] - ys[i]) / (ts[i + 1] - ts[i])
         pieces.append(LinearPiece(intercept=ys[i] - slope * ts[i], slope=slope))
     tail = constant_piece(ys[-1]) if constant_tail else None
-    return PiecewiseProfile(knots=tuple(ts), pieces=tuple(pieces), tail=tail)
+    # Continuous by construction: its check could fail only by rounding.
+    return PiecewiseProfile(tuple(ts), tuple(pieces), tail, check_continuity=False)
+
+
+def kinks_at_roots(power: float) -> bool:
+    """Whether |h|^power stops being smooth where h has a simple root: at
+    every power but an even integer, where it is h^power."""
+    return power % 2.0 != 0.0
 
 
 def abs_pow_integral(
@@ -389,12 +399,14 @@ def abs_pow_integral(
     Each segment is clipped to [lo, hi].  ``abs_pow_closed_form`` gives the
     segments that have a closed form; each run of adjacent segments without
     one is one ``abs_pow_quadrature`` call of g (or g'), whose breaks are
-    the run's interior knots and the roots of its linear pieces' values.
+    the run's interior knots and, where ``kinks_at_roots(power)``, the roots
+    of its linear pieces' values.
     ``DomainError`` when such a segment reaches infinity.  A
     ``LogRadialRun`` is one integral on radii (``LogRadialRun.energy``), out
     to t = inf, and takes no request but its energy (g' at weight 0).
     """
     total = 0.0
+    root_breaks = not derivative and kinks_at_roots(power)
     runs: list[list[float]] = []  # the edges of each run, ends included
     for seg_lo, seg_hi, piece in g.segments():
         a, b = max(seg_lo, lo), min(seg_hi, hi)
@@ -412,8 +424,7 @@ def abs_pow_integral(
             raise DomainError(f"cannot integrate a {piece.kind} piece over an unbounded interval")
         if not runs or runs[-1][-1] != a:  # a closed-form segment ended the last run
             runs.append([a])
-        if not derivative and isinstance(piece, LinearPiece) and piece.slope != 0.0:
-            # |value|^power stops being smooth at the root.
+        if root_breaks and isinstance(piece, LinearPiece) and piece.slope != 0.0:
             root = -piece.intercept / piece.slope
             if a < root < b:
                 runs[-1].append(root)
@@ -513,7 +524,7 @@ def abs_pow_quadrature(
         # rel_tol of the mass x^kink has on [0, first] in [0, first 2^-K].
         first = top if breaks is None or not len(breaks) else float(breaks[0])
         k = math.ceil(-math.log2(spec.rel_tol) / (1.0 + kink))
-        graded = first * 0.5 ** np.arange(k, 0, -1)
+        graded = first * _HALVINGS[-k:]
         graded = graded[graded >= _TINY]  # below the normal range: dropped
         breaks = graded if breaks is None else np.concatenate((graded, breaks))
     # An overflow of |fn|^power ends in the engine's QuadratureError.

@@ -264,6 +264,23 @@ class TestCommands:
         assert status == 4
         assert json.loads(out)["probe_ok"] is False
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "15742", "hardy", "--alpha", "2", "--side", "right"],
+            ["--seed", "5294", "hardy", "--alpha", "0.5", "--side", "left"],
+        ],
+        ids=["right", "left"],
+    )
+    def test_hardy_trial_with_knots_1e9_apart(self, argv, capsys):
+        # Two of these trials' random knots fall about 1e-9 apart; building
+        # the polyline once exited 2 with "profile discontinuous at knot".
+        argv = argv + ["--p", "2", "--q", "3", "--theta", "0.5", "--R", "1.3", "--trials", "10"]
+        status, out, err = run_cli(argv, capsys)
+        assert (status, err) == (0, "")
+        payload = json.loads(out)
+        assert math.isfinite(payload["max_ratio"]) and payload["probe_ok"] is True
+
     def test_hardy_infeasible_is_domain_error(self, capsys):
         status, _out, err = run_cli(
             ["hardy", "--p", "2", "--q", "2", "--alpha", "3", "--theta", "0"], capsys

@@ -304,7 +304,8 @@ class TestRayleighProbe:
 
 class TestOneEngineCallPerNorm:
     """Each quadrature norm is one engine call whose first-level edges hold
-    every interior knot and root where its integrand stops being smooth."""
+    every interior knot and root where its integrand stops being smooth: the
+    roots only at a power that is no even integer."""
 
     @pytest.fixture
     def engine_calls(self, monkeypatch):
@@ -323,9 +324,12 @@ class TestOneEngineCallPerNorm:
         [
             HardySetup(p=2.0, q=3.0, alpha=0.0, theta=0.4, R=1.5, side=Side.LEFT_VANISHING),
             # theta in (-1, 0): the norm goes through r = R s^{1/(theta+1)}.
+            HardySetup(p=2.0, q=3.5, alpha=1.2, theta=-0.5, R=1.5, side=Side.RIGHT_VANISHING),
+            # |u|^q = u^q is smooth at the roots of u: they are no breaks.
+            HardySetup(p=2.0, q=2.0, alpha=0.0, theta=0.4, R=1.5, side=Side.LEFT_VANISHING),
             HardySetup(p=2.0, q=4.0, alpha=1.2, theta=-0.5, R=1.5, side=Side.RIGHT_VANISHING),
         ],
-        ids=["left", "right"],
+        ids=["left", "right", "left-q=2", "right-q=4"],
     )
     def test_trial_ratio(self, setup, engine_calls):
         u = hardy_module._random_trial(setup, np.random.default_rng(7))
@@ -340,6 +344,8 @@ class TestOneEngineCallPerNorm:
         i = np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
         assert i.size  # the trial has a root
         roots = knots[i] - ys[i] * (knots[i + 1] - knots[i]) / (ys[i + 1] - ys[i])
+        if setup.q in (2.0, 4.0):
+            roots = roots[:0]
         edges = np.sort(np.concatenate((knots[first + 1 : -1], roots)))
         if setup.side is Side.LEFT_VANISHING:
             assert (lo, hi) == (knots[1], setup.R)
@@ -349,7 +355,7 @@ class TestOneEngineCallPerNorm:
         np.testing.assert_allclose(breaks, edges, rtol=1e-12)
 
     def test_second_order_trial_ratio(self, engine_calls):
-        n, p, q, R = 8, 2.0, 2.0, 1.0
+        n, p, q, R = 8, 3.0, 2.0, 1.0
         poly = np.polynomial.Polynomial.fromroots([0.3, 0.65, 1.7])
         assert 0.0 < second_order_trial_ratio(n, p, q, R, poly) < math.inf
         assert len(engine_calls) == 2
@@ -360,6 +366,19 @@ class TestOneEngineCallPerNorm:
             roots = np.sort(roots[(roots.imag == 0.0) & (0.0 < roots.real) & (roots.real < R)].real)
             assert (lo, hi) == (0.0, R) and roots.size > 0
             np.testing.assert_allclose(breaks, roots, rtol=1e-12)
+
+    def test_second_order_even_p_solves_no_roots(self, engine_calls, monkeypatch):
+        # At p = 2 |poly|^2 is smooth at the roots, so none is solved for;
+        # the integer weights r^3 and r^5 leave the first level unbroken.
+        def refuse(*args, **kwargs):
+            raise AssertionError("polyroots called")
+
+        monkeypatch.setattr(P, "polyroots", refuse)
+        poly = np.polynomial.Polynomial.fromroots([0.3, 0.65, 1.7])
+        assert 0.0 < second_order_trial_ratio(8, 2.0, 2.0, 1.0, poly) < math.inf
+        assert len(engine_calls) == 2
+        for lo, hi, breaks in engine_calls:
+            assert (lo, hi) == (0.0, 1.0) and breaks.size == 0
 
 
 class TestGradedFirstLevel:
@@ -475,6 +494,48 @@ class TestSecondOrder:
         assert result.stdout.startswith("optimized probe ratio")
 
 
+def closed_form_p2_ratio(n, q, R, coeffs):
+    """The p = 2 second-order ratio of u = (R - r)^2 g(r) in mpmath: each
+    integral of poly(r)^2 r^w on (0, R) is sum_k a_k R^{k+w+1}/(k+w+1) over
+    the coefficients a of poly^2, summed at 60 digits (the terms cancel)."""
+    with mpmath.workdps(60):
+        R_, q_ = mpmath.mpf(R), mpmath.mpf(q)
+        u = [mpmath.mpf(0)] * (len(coeffs) + 2)
+        for i, c in enumerate(coeffs):
+            for j, b in enumerate((R_**2, -2 * R_, 1)):
+                u[i + j] += mpmath.mpf(c) * b
+        du = [k * c for k, c in enumerate(u)][1:]
+        lap = [(n - 1) * c for c in du]  # r u'' + (n-1) u'
+        for k, c in enumerate(du[1:], start=1):
+            lap[k] += k * c
+
+        def integral(poly, w):
+            square = [mpmath.mpf(0)] * (2 * len(poly) - 1)
+            for i, a in enumerate(poly):
+                for j, b in enumerate(poly):
+                    square[i + j] += a * b
+            return mpmath.fsum(a * R_ ** (k + w + 1) / (k + w + 1) for k, a in enumerate(square))
+
+        # Weights n p/q* - 1 and n p/q - 1 - p at p = 2, q* = nq/(n - 2q).
+        return mpmath.sqrt(integral(u, 2 * (n - 2 * q_) / q_ - 1) / integral(lap, 2 * n / q_ - 3))
+
+
+class TestSecondOrderClosedForm:
+    """At p = 2 both integrals are polynomials times a power of r, so every
+    ratio has a closed form; the quadrature must meet it to rel_tol."""
+
+    def test_seeded_trials(self):
+        rng = np.random.default_rng(2500)
+        for _ in range(240):
+            n = int(rng.choice([5, 6, 8, 12, 20, 50]))
+            q = 1.0 + (n / 2.0 - 1.0) * float(rng.uniform(0.05, 0.95))
+            R = float(10.0 ** rng.uniform(-2.0, 2.0))
+            coeffs = rng.uniform(-1.0, 1.0, size=4)
+            got = second_order_trial_ratio(n, 2.0, q, R, np.polynomial.Polynomial(coeffs))
+            want = closed_form_p2_ratio(n, q, R, coeffs)
+            assert abs(got - want) <= DEFAULT_SPEC.rel_tol * want, (n, q, R, coeffs)
+
+
 def reference_second_order_ratio(n, p, q, R, poly):
     """The second-order ratio through numpy.polynomial's polymul, polyder,
     polyadd, polymulx and polyval: the reference that the library's plain
@@ -485,13 +546,15 @@ def reference_second_order_ratio(n, p, q, R, poly):
     lap_times_r = P.polyadd(P.polymulx(P.polyder(u, 2)), (n - 1.0) * du)
 
     def integral(coef, weight_pow):
-        roots = P.polyroots(coef)
-        real = roots.real[
-            (np.abs(roots.imag) < 1e-12) & (1e-12 < roots.real) & (roots.real < R * (1 - 1e-12))
-        ]
+        breaks = None
+        if profiles_module.kinks_at_roots(p):
+            roots = P.polyroots(coef)
+            real = roots.real[
+                (np.abs(roots.imag) < 1e-12) & (1e-12 < roots.real) & (roots.real < R * (1 - 1e-12))
+            ]
+            breaks = np.unique(real)
         return profiles_module.abs_pow_quadrature(
-            lambda r: P.polyval(r, coef), p, weight_pow, 0.0, R, DEFAULT_SPEC,
-            breaks=np.unique(real),
+            lambda r: P.polyval(r, coef), p, weight_pow, 0.0, R, DEFAULT_SPEC, breaks=breaks
         )
 
     lhs = integral(u, n * p / q_star - 1.0)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adamskit import moser1d
+from adamskit import profiles as profiles_module
 from adamskit.errors import DomainError, NonSmoothError, QuadratureError
 from adamskit.extremal import verdict
 from adamskit.profiles import (
@@ -23,6 +24,7 @@ from adamskit.profiles import (
     PowerPiece,
     abs_pow_quadrature,
     constant_piece,
+    kinks_at_roots,
     piecewise_linear,
 )
 from adamskit.quadrature import (
@@ -128,6 +130,16 @@ class TestPiecewiseProfile:
     def test_monotone_knots_required(self):
         with pytest.raises(DomainError):
             piecewise_linear([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+
+    def test_polyline_with_knots_1e9_apart_builds(self):
+        # The steep piece's intercept + slope * t misses its left knot's value
+        # by 3e-9, which a continuity check took for a jump (a Hardy trial
+        # drew such knots).  A polyline is continuous by construction.
+        ts = [0.0, 0.4, 1.0102580363557867, 1.0102580363557867 + 1e-9, 1.3]
+        ys = [0.3, -0.5, 0.19245660002343357, -0.7, 0.0]
+        g = piecewise_linear(ts, ys, constant_tail=False)
+        assert g.knots == tuple(ts)
+        np.testing.assert_allclose(g.value(np.array(ts)), ys, rtol=0.0, atol=1e-8)
 
     BAD_KNOTS = {
         "nan": (0.0, math.nan, 2.0),
@@ -423,6 +435,20 @@ class TestAbsPowQuadrature:
         got = abs_pow_quadrature(fn, 1.5, 0.3, 0.0, 1.0, DEFAULT_SPEC, breaks=[1e-300, 0.5])
         want = abs_pow_quadrature(fn, 1.5, 0.3, 0.0, 1.0, DEFAULT_SPEC)
         assert got == pytest.approx(want, rel=DEFAULT_SPEC.rel_tol)
+
+    def test_graded_breaks_are_the_halvings(self):
+        # The table slice is 0.5 ** np.arange(k, 0, -1) to the bit, for
+        # every k that a rel_tol in (0, 1) can ask for.
+        for k in range(1, 1075):
+            want = 0.5 ** np.arange(k, 0, -1)
+            assert profiles_module._HALVINGS[-k:].tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize(
+        "power, kinks", [(2.0, False), (4.0, False), (-2.0, False), (1.0, True), (3.0, True),
+                         (2.5, True), (1.9999999999999998, True), (math.inf, True)]
+    )
+    def test_kinks_at_roots(self, power, kinks):
+        assert kinks_at_roots(power) is kinks
 
 
 class TestPowerIntegral:
