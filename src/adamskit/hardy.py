@@ -9,8 +9,11 @@ radial inequality with its iterated constants, and randomized
 Rayleigh-quotient probes that certify the sandwich numerically.  A
 probe's weighted norm is one ``profiles.abs_pow_integral`` of the trial
 or its derivative, which breaks its quadrature at knots, and at roots
-unless the power is even (a polyline trial takes one gather of its
-coefficients per level).  The second-order trials' polynomials are plain
+unless the power is even, and grades it toward r = 0 in quarter steps
+where the weight leaves a power of r there.  A polyline trial's knots
+are drawn sorted, and its value norm takes one gather of its
+coefficients per level and builds no derivative evaluator (the
+derivative norm is closed form).  The second-order trials' polynomials are plain
 coefficient arrays: products by ``np.convolve``, derivatives as k c_k,
 values by Horner's rule, each in ``numpy.polynomial``'s order of
 operations, so the ratios are bit for bit those of ``polymul``/``polyder``/
@@ -47,6 +50,8 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 _BOUNDARY_RTOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+#: A power whose log is below this stays finite (log of the float max: 709.8).
+_LOG_RANGE = 700.0
 #: The radii a setup accepts: the probes' norms carry powers of R such as
 #: R^(theta+1) and R^(alpha+1-p), and their first-level breaks are graded
 #: from the smallest knot toward 0, so R stays far from the float range's ends.
@@ -209,15 +214,14 @@ def _random_trial(setup: HardySetup, rng: np.random.Generator) -> PiecewiseProfi
     if setup.side is Side.LEFT_VANISHING:
         # Vanish identically near 0 to stay clear of the weight singularity.
         x0 = R * rng.uniform(0.08, 0.35)
-        interior = np.sort(rng.uniform(x0, R, size=n_knots))
-        knots = np.concatenate(([0.0, x0], interior, [R]))
-        values = np.concatenate(([0.0, 0.0], rng.uniform(-1.0, 1.0, size=n_knots + 1)))
+        knots = [0.0, x0, *sorted(rng.uniform(x0, R, size=n_knots).tolist()), R]
+        values = [0.0, 0.0, *rng.uniform(-1.0, 1.0, size=n_knots + 1).tolist()]
     else:
-        interior = np.sort(rng.uniform(0.0, R, size=n_knots))
-        knots = np.concatenate(([0.0], interior, [R]))
-        values = np.concatenate((rng.uniform(-1.0, 1.0, size=n_knots + 1), [0.0]))
-    knots, idx = np.unique(knots, return_index=True)
-    return piecewise_linear(knots, values[idx], constant_tail=False)
+        knots = [0.0, *sorted(rng.uniform(0.0, R, size=n_knots).tolist()), R]
+        values = [*rng.uniform(-1.0, 1.0, size=n_knots + 1).tolist(), 0.0]
+    # The knots are sorted: a knot drawn twice is dropped at its second place.
+    keep = [0] + [i for i in range(1, len(knots)) if knots[i] != knots[i - 1]]
+    return piecewise_linear([knots[i] for i in keep], [values[i] for i in keep], constant_tail=False)
 
 
 def trial_ratio(
@@ -296,7 +300,13 @@ def _abs_pow_poly_integral(
 ) -> float:
     """integral_0^R |poly(r)|^power r^weight_pow dr for the power-basis
     coefficients ``coef``, with poly's real roots in (0, R) as breaks where
-    ``kinks_at_roots(power)``."""
+    ``kinks_at_roots(power)``.
+
+    ``DomainError`` naming p where a node's |poly|^power and r^weight_pow
+    are 0 and inf, whose product is NaN.  The nodes are checked only where
+    a positive weight leaves a factor free to leave the float range: where
+    (1 + sum |c_k| R^k)^power or R^weight_pow reaches e^700.
+    """
     breaks = None
     if kinks_at_roots(power):
         roots = P.polyroots(coef)
@@ -311,7 +321,26 @@ def _abs_pow_poly_integral(
             y = c + y * r
         return y
 
-    return abs_pow_quadrature(value, power, weight_pow, 0.0, R, spec, breaks=breaks)
+    bound = abs(top)  # sum |c_k| R^k >= |poly| on [0, R]
+    for c in rest:
+        bound = abs(c) + bound * R
+    if weight_pow <= 0.0 or (
+        power * math.log1p(bound) < _LOG_RANGE and weight_pow * math.log(max(R, 1.0)) < _LOG_RANGE
+    ):
+        return abs_pow_quadrature(value, power, weight_pow, 0.0, R, spec, breaks=breaks)
+
+    def checked(r):
+        # The integrand's own factors, so this refuses exactly its NaNs.
+        y = value(r)
+        h, w = np.abs(y) ** power, r**weight_pow
+        if ((h == 0.0) & (w == math.inf) | (h == math.inf) & (w == 0.0)).any():
+            raise DomainError(
+                f"at p={power} a trial's |polynomial|^p and the weight r^{weight_pow:g} leave"
+                f" the float range together on (0, {R}), where their product is 0 * inf"
+            )
+        return y
+
+    return abs_pow_quadrature(checked, power, weight_pow, 0.0, R, spec, breaks=breaks)
 
 
 def second_order_trial_ratio(
@@ -329,6 +358,14 @@ def second_order_trial_ratio(
     basis (its domain differs from its window), the coefficients of u
     overflow, or either integral of a nonzero ``poly`` falls below the
     normal float range, where its digits are lost (R near 1e-40 and below).
+
+    Integrals far below 1 are governed by the engine's absolute floor
+    min(1e-13, rel_tol), not by rel_tol: at n = 20, p = 1.5, q = 1.1,
+    R = 1 and the third ``uniform(-1, 1, 4)`` draw of ``default_rng(7)``
+    the lhs, 4.598e-7, is 1.6e-9 off its 40-digit value at rel_tol 1e-10,
+    1e-12 and 1e-13 alike (2.8e-10 at 1e-14), and the ratio 1.1e-9.  Where
+    large weights put both integrals far below the floor (2e-292 and
+    2e-229 at n = 85, p = 17.7), the ratio can be 11 % off.
     """
     if not p >= 1.0:
         raise DomainError(f"need p >= 1, got p={p}")

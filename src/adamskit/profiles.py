@@ -30,8 +30,9 @@ from .quadrature import QuadratureSpec, adaptive_gauss, power_integral
 
 _CONTINUITY_TOL = 1e-10
 _TINY = np.finfo(float).tiny
-#: 2^-1074, ..., 1/4, 1/2: ``abs_pow_quadrature``'s last k halvings are
-#: ``_HALVINGS[-k:]``, and k <= 1074 since rel_tol >= 2^-1074.
+#: 2^-1074, ..., 1/4, 1/2: ``abs_pow_quadrature``'s graded breaks for K
+#: halvings are the even powers 4^-ceil(K/2), ..., 1/16, 1/4 of them,
+#: ``_HALVINGS[-K - K % 2::2]``, and K <= 1074 since rel_tol >= 2^-1074.
 _HALVINGS = 0.5 ** np.arange(1074, 0, -1)
 
 
@@ -288,30 +289,47 @@ class PiecewiseProfile:
             yield self.knots[-1], math.inf, self.tail
 
     @cached_property
-    def _batch(self) -> tuple[Callable, Callable]:
-        """Unchecked (value, derivative) on arrays in the domain, for the
+    def _gathered(self) -> tuple[np.ndarray, tuple[Callable, Callable] | None]:
+        """The knots as an array and, where all segments share a type with a
+        ``gather``, its (value, derivative) pair: one gather of the
+        coefficients, shared by both batch evaluators."""
+        kinds = set(map(type, self._segments))
+        gather = kinds.pop().gather if len(kinds) == 1 else None
+        return np.array(self.knots), gather(self._segments) if gather else None
+
+    def _evaluator(self, derivative: bool) -> Callable:
+        """Unchecked value (or derivative) on arrays in the domain, for the
         engine's integrands and behind ``value``/``derivative``.  A point takes
         the segment of the last knot at or below it (the last past the last
-        knot), by one ``gather`` where all segments share a type with one."""
-        knots, last, segments = np.array(self.knots), len(self._segments) - 1, self._segments
-        kinds = set(map(type, segments))
-        gather = kinds.pop().gather if len(kinds) == 1 else None
-        value, derivative = gather(segments) if gather else (None, None)
+        knot), by the gathered pair where there is one."""
+        (knots, gathered), segments = self._gathered, self._segments
+        at, last = gathered[derivative] if gathered else None, len(segments) - 1
+        method = "derivative" if derivative else "value"
 
-        def batch(method, at):
-            def evaluate(t):
-                i = np.minimum(np.searchsorted(knots, t, side="right") - 1, last)
-                if at is not None:
-                    return at(i, t)
-                out = np.empty_like(t)
-                for k in np.unique(i):
-                    mask = i == k
-                    out[mask] = getattr(segments[k], method)(t[mask])
-                return out
+        def evaluate(t):
+            i = np.minimum(np.searchsorted(knots, t, side="right") - 1, last)
+            if at is not None:
+                return at(i, t)
+            out = np.empty_like(t)
+            for k in np.unique(i):
+                mask = i == k
+                out[mask] = getattr(segments[k], method)(t[mask])
+            return out
 
-            return evaluate
+        return evaluate
 
-        return batch("value", value), batch("derivative", derivative)
+    # Each evaluator is built on its own first use: a Hardy value norm
+    # builds no derivative evaluator.
+    @cached_property
+    def _value_batch(self) -> Callable:
+        return self._evaluator(False)
+
+    @cached_property
+    def _derivative_batch(self) -> Callable:
+        return self._evaluator(True)
+
+    def _batch(self, derivative: bool) -> Callable:
+        return self._derivative_batch if derivative else self._value_batch
 
     def _apply(self, t, derivative: bool):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -325,7 +343,7 @@ class PiecewiseProfile:
                 raise NonSmoothError(
                     f"evaluation at knot(s) {t_arr[at_knot]} interior to no piece"
                 )
-        out = self._batch[derivative](t_arr)
+        out = self._batch(derivative)(t_arr)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return float(out[0])
         return out
@@ -431,7 +449,7 @@ def abs_pow_integral(
         runs[-1].append(b)
     for edges in runs:  # g's batch evaluator is built on the first run
         total += abs_pow_quadrature(
-            g._batch[derivative], power, weight_pow, edges[0], edges[-1], spec, breaks=edges[1:-1]
+            g._batch(derivative), power, weight_pow, edges[0], edges[-1], spec, breaks=edges[1:-1]
         )
     return total
 
@@ -490,14 +508,19 @@ def abs_pow_quadrature(
 
     ``abs_pow_integral``'s integral of a run of segments without a closed
     form, and the integral of integrands that are no profile.
-    ``breaks`` are the points of (lo, hi) where the integrand is not smooth
-    (knots, roots of fn); they become first-level panel edges.  Under the
-    substitution below a break b moves to s = (b/hi)^{weight_pow+1}, and
-    images that round together, or onto 0 or 1, are merged.  At lo = 0 a
+    ``breaks`` are the increasing points of (lo, hi) where the integrand is
+    not smooth (knots, roots of fn); they become first-level panel edges.
+    Under the substitution below a break b moves to s = (b/hi)^{weight_pow+1},
+    and images that round together, or onto 0 or 1, are merged.  At lo = 0 a
     non-integer weight leaves a power x^k at 0 (k = weight_pow, or
-    1/(weight_pow+1) in s), and the first level is graded toward 0 with
-    K = ceil(-log2(rel_tol)/(1+k)) halvings of the smallest break, so that
-    end converges without refinement.  Integer weights get no grading.
+    1/(weight_pow+1) in s), and the first level is graded toward 0 in
+    quarter steps: with K = ceil(-log2(rel_tol)/(1+k)), the breaks
+    first 4^-j, j = 1..ceil(K/2), in front of the smallest break (or the
+    top) ``first``.  The smallest, at most first 2^-K, leaves less than
+    rel_tol of the mass of x^k on [0, first] to the end panel, and G15
+    integrates x^k on each panel [d/4, d] to 7.8e-16 relative for every k
+    in (0, 13], so that end converges without refinement.  Integer weights
+    get no grading.
     """
     scale, top, kink = 1.0, hi, weight_pow
     if lo == 0.0 and -1.0 < weight_pow < 0.0:
@@ -505,8 +528,12 @@ def abs_pow_quadrature(
         # singularity of the weight; s^{1/(weight_pow+1)} is left as a kink.
         wp1 = weight_pow + 1.0
         if breaks is not None:
-            s = np.unique((np.asarray(breaks, dtype=float) / hi) ** wp1)
-            breaks = s[(0.0 < s) & (s < 1.0)]
+            # Increasing breaks have nondecreasing images: equal ones are
+            # neighbours.
+            s = (np.asarray(breaks, dtype=float) / hi) ** wp1
+            keep = (0.0 < s) & (s < 1.0)
+            keep[1:] &= s[1:] != s[:-1]
+            breaks = s[keep]
 
         def integrand(s):
             return np.abs(fn(hi * s ** (1.0 / wp1))) ** power
@@ -518,13 +545,13 @@ def abs_pow_quadrature(
             return np.abs(fn(r)) ** power * r**weight_pow
 
     if lo == 0.0 and kink > 0.0 and kink != math.floor(kink):
-        # The integrand behaves like x^kink at 0: put the breaks first 2^-K,
-        # ..., first/4, first/2 in front of the smallest break (or the top).
-        # On each panel [d/2, d] the power is smooth, and K leaves less than
-        # rel_tol of the mass x^kink has on [0, first] in [0, first 2^-K].
+        # The integrand behaves like x^kink at 0: put the breaks first 4^-J,
+        # ..., first/16, first/4, J = ceil(K/2), in front of the smallest
+        # break (or the top).  K leaves less than rel_tol of the mass x^kink
+        # has on [0, first] in [0, first 2^-K], which holds [0, first 4^-J].
         first = top if breaks is None or not len(breaks) else float(breaks[0])
         k = math.ceil(-math.log2(spec.rel_tol) / (1.0 + kink))
-        graded = first * _HALVINGS[-k:]
+        graded = first * _HALVINGS[-k - k % 2 :: 2]
         graded = graded[graded >= _TINY]  # below the normal range: dropped
         breaks = graded if breaks is None else np.concatenate((graded, breaks))
     # An overflow of |fn|^power ends in the engine's QuadratureError.

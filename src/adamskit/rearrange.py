@@ -271,5 +271,5 @@ def energy_change_of_variables(profile: RadialProfile, m: int) -> PiecewiseProfi
         raise DomainError("radial profile must span [0, R]")
     if not source.check_continuity:
         source._check_continuity()
-    run = LogRadialRun(scale, big_r, n, np.array(source.knots), *source._batch)
+    run = LogRadialRun(scale, big_r, n, np.array(source.knots), source._value_batch, source._derivative_batch)
     return PiecewiseProfile(knots=(0.0,), pieces=(), tail=run)

@@ -343,10 +343,11 @@ class TestWholeNorms:
                 want = reference(f, [0.0] + inner + [R])
                 assert got == pytest.approx(want, rel=rel)
 
-    @pytest.mark.parametrize("theta", [0.094, 0.42, 0.73, 1.4, -0.3, -0.8])
+    @pytest.mark.parametrize("theta", [0.05, 0.094, 0.3, 0.42, 0.73, 1.4, -0.3, -0.8])
     def test_graded_trial_ratio_numerator(self, theta):
         # A non-integer theta grades the first level toward r = 0; theta in
         # (-1, 0) goes through r = R s^{1/(theta+1)} and is graded in s.
+        # At theta = 0.05 and 0.3 the grading is deepest, K = 32 and 26.
         setup = HardySetup(p=2.0, q=2.5, alpha=1.05, theta=theta, R=1.5, side=Side.RIGHT_VANISHING)
         u = hardy._random_trial(setup, np.random.default_rng(11))
         got = abs_pow_integral(u, setup.q, setup.theta, 0.0, setup.R, DEFAULT_SPEC)

@@ -391,6 +391,18 @@ class TestCommands:
             "adamskit: quadrature failure: integrand is infinite on the panel [0.0, 1e+50]\n"
         )
 
+    def test_second_order_zero_times_inf_is_domain_error(self, capsys):
+        # At p = 1e300 |u|^p overflows where the weight r^{np/q - 1 - p}
+        # underflows: refused naming p before the engine sees their product.
+        argv = ["hardy", "--second-order", "--n-dim", "4", "--q", "1.7797377807599197",
+                "--p", "1e+300", "--trials", "1"]
+        status, out, err = run_cli(argv, capsys)
+        assert (status, out) == (2, "")
+        assert err.startswith(
+            "adamskit: domain error: at p=1e+300 a trial's |polynomial|^p and the weight r^"
+        )
+        assert err.endswith("where their product is 0 * inf\n")
+
     def test_cc_moser(self, capsys):
         status, out, _ = run_cli(
             ["cc", "--p", "2", "--family", "moser", "--a", "1000"], capsys

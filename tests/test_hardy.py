@@ -14,7 +14,7 @@ from numpy.polynomial import polynomial as P
 from adamskit.constants import AdamsParams, beta0_product_form, unit_sphere_area
 import adamskit.hardy as hardy_module
 import adamskit.profiles as profiles_module
-from adamskit.errors import DegenerateTrialError, DomainError, InfeasibleError
+from adamskit.errors import DegenerateTrialError, DomainError, InfeasibleError, QuadratureError
 from adamskit.hardy import (
     HardySetup,
     Side,
@@ -302,6 +302,76 @@ class TestRayleighProbe:
         assert a.max_ratio == b.max_ratio
 
 
+def unique_trial(setup, rng):
+    """``hardy._random_trial``'s draws, deduplicated by ``np.unique``."""
+    R = setup.R
+    n_knots = int(rng.integers(3, 7))
+    if setup.side is Side.LEFT_VANISHING:
+        x0 = R * rng.uniform(0.08, 0.35)
+        interior = np.sort(rng.uniform(x0, R, size=n_knots))
+        knots = np.concatenate(([0.0, x0], interior, [R]))
+        values = np.concatenate(([0.0, 0.0], rng.uniform(-1.0, 1.0, size=n_knots + 1)))
+    else:
+        interior = np.sort(rng.uniform(0.0, R, size=n_knots))
+        knots = np.concatenate(([0.0], interior, [R]))
+        values = np.concatenate((rng.uniform(-1.0, 1.0, size=n_knots + 1), [0.0]))
+    knots, idx = np.unique(knots, return_index=True)
+    return knots, values[idx]
+
+
+def knots_and_values(u):
+    """A polyline's knots and values at them, as bytes."""
+    knots = np.array(u.knots)
+    return knots.tobytes(), np.array([piece.value(k) for k, piece in zip(knots, u.pieces)]).tobytes()
+
+
+class ScriptedRng:
+    """A generator stub that returns given draws in order."""
+
+    def __init__(self, n_knots, *draws):
+        self.n_knots, self.draws = n_knots, list(draws)
+
+    def integers(self, lo, hi):
+        return self.n_knots
+
+    def uniform(self, lo, hi, size=None):
+        return self.draws.pop(0) if size is None else np.array(self.draws.pop(0), dtype=float)
+
+
+class TestRandomTrial:
+    LEFT = HardySetup(p=2.0, q=3.0, alpha=0.0, theta=0.4, R=1.5, side=Side.LEFT_VANISHING)
+    RIGHT = HardySetup(p=2.0, q=2.5, alpha=1.2, theta=0.42, R=1.5, side=Side.RIGHT_VANISHING)
+
+    @pytest.mark.parametrize("setup", [LEFT, RIGHT], ids=["left", "right"])
+    def test_equals_the_unique_construction(self, setup):
+        for seed in range(1000):
+            u = hardy_module._random_trial(setup, np.random.default_rng(seed))
+            knots, values = unique_trial(setup, np.random.default_rng(seed))
+            want = piecewise_linear(knots, values, constant_tail=False)
+            assert knots_and_values(u) == knots_and_values(want), seed
+
+    @pytest.mark.parametrize(
+        "setup, draws",
+        [
+            # x0 = 1.5 * 0.2 drawn again as an interior knot, and 0.9 twice.
+            (LEFT, (0.2, [0.9, 1.5 * 0.2, 0.9], [0.5, -0.25, 0.75, -1.0])),
+            # 0.0 drawn as an interior knot, and 0.6 twice.
+            (RIGHT, ([0.6, 0.0, 0.6], [0.5, -0.25, 0.75, -1.0])),
+        ],
+        ids=["left", "right"],
+    )
+    def test_repeated_knot_dropped(self, setup, draws):
+        u = hardy_module._random_trial(setup, ScriptedRng(3, *draws))
+        knots, values = unique_trial(setup, ScriptedRng(3, *draws))
+        assert len(u.knots) == len(knots) == 3 + (setup.side is Side.LEFT_VANISHING)
+        assert knots_and_values(u) == knots_and_values(piecewise_linear(knots, values, constant_tail=False))
+
+    def test_value_norm_builds_no_derivative_evaluator(self):
+        u = hardy_module._random_trial(self.RIGHT, np.random.default_rng(3))
+        assert 0.0 < trial_ratio(self.RIGHT, u) < math.inf
+        assert "_value_batch" in vars(u) and "_derivative_batch" not in vars(u)
+
+
 class TestOneEngineCallPerNorm:
     """Each quadrature norm is one engine call whose first-level edges hold
     every interior knot and root where its integrand stops being smooth: the
@@ -430,6 +500,31 @@ class TestGradedFirstLevel:
 
 
 class TestSecondOrder:
+    def test_zero_times_inf_refused_and_finite_ratios_kept(self, monkeypatch):
+        # At p = 300 and 1000, (1 + sum |c_k| R^k)^p leaves the float range,
+        # so the nodes are checked: a trial whose |poly|^p overflows where
+        # r^w underflows raises DomainError naming p, where the unchecked
+        # integrand is NaN; every other trial returns the unchecked ratio.
+        def ratios():
+            out = []
+            for p in (300.0, 1000.0):
+                for c in np.random.default_rng(1).uniform(-1.0, 1.0, size=(40, 4)):
+                    try:
+                        out.append(second_order_trial_ratio(4, p, 1.78, 1.0, np.polynomial.Polynomial(c)))
+                    except (DomainError, QuadratureError) as exc:
+                        out.append(str(exc))
+            return out
+
+        checked = ratios()
+        monkeypatch.setattr(hardy_module, "_LOG_RANGE", math.inf)
+        unchecked = ratios()
+        finite = [a for a in checked if isinstance(a, float)]
+        refused = [(a, b) for a, b in zip(checked, unchecked) if a != b]
+        assert len(finite) >= 20 and refused
+        assert finite == [b for b in unchecked if isinstance(b, float)]
+        for a, b in refused:
+            assert a.startswith("at p=1000.0 a trial's |polynomial|^p") and "is NaN" in b
+
     def test_constant_values(self):
         assert second_order_constant(8, 2.0) == pytest.approx(1.0 / 8.0, rel=1e-15)
         assert second_order_constant(12, 3.0) == pytest.approx(1.0 / 16.0, rel=1e-15)

@@ -254,6 +254,25 @@ class TestComparisonSolution:
         monkeypatch.setattr(_ComparisonPiece, "derivative", refuse)
         assert (cc_functional(g, 2.0), energy(g, 2.0)) == want
 
+    def test_one_gather_for_both_evaluators(self, monkeypatch):
+        # The run takes w and w' from its source, each evaluator built on its
+        # own first use over one shared gather of the slabs' coefficients.
+        calls = []
+        gather = _ComparisonPiece.gather
+
+        def counted(pieces):
+            calls.append(len(pieces))
+            return gather(pieces)
+
+        monkeypatch.setattr(_ComparisonPiece, "gather", staticmethod(counted))
+        cells = ((0.5, 3.0), (0.5, 2.0), (0.5, 1.0))
+        radial = talenti_radial_solution(SampledFunction(cells=cells), 4, 1.0)
+        g = energy_change_of_variables(radial, 2)
+        r = np.array([0.25, 0.5, 0.75])
+        assert np.isfinite(g.tail.w(r)).all() and np.isfinite(g.tail.dw(r)).all()
+        assert math.isfinite(energy(g, 2.0))
+        assert calls == [len(radial.profile.pieces)]
+
     def test_talenti_golden(self):
         """Every radius and value that ``rearrange --mode talenti --n 3
         --radius 1`` prints for ``cells.csv``, as pinned, within 1e-14 of

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from adamskit import moser1d
 from adamskit import profiles as profiles_module
+from adamskit import quadrature as quadrature_module
 from adamskit.errors import DomainError, NonSmoothError, QuadratureError
 from adamskit.extremal import verdict
 from adamskit.profiles import (
@@ -426,9 +427,10 @@ class TestAbsPowQuadrature:
 
     def test_grading_below_the_normal_range_dropped(self):
         # At lo = 0 and weight 0.3 the first level is graded toward 0 from
-        # the smallest break: from 1e-300 the last of the 26 halvings falls
-        # below the normal range and is dropped, without a DomainError.  The
-        # panel [1e-300, 0.5] then refines toward its left end.
+        # the smallest break, K = 26: from 1e-300 the last of the 13 quarter
+        # steps, 1e-300 4^-13, falls below the normal range and is dropped,
+        # without a DomainError.  The panel [1e-300, 0.5] then refines toward
+        # its left end.
         def fn(r):
             return np.cos(3.0 * r) + 2.0
 
@@ -442,6 +444,33 @@ class TestAbsPowQuadrature:
         for k in range(1, 1075):
             want = 0.5 ** np.arange(k, 0, -1)
             assert profiles_module._HALVINGS[-k:].tobytes() == want.tobytes(), k
+
+    def test_graded_breaks_are_powers_of_four(self, monkeypatch):
+        # rel_tol = 2^-K at a weight just above 0 asks for K halvings, for
+        # every K = 1..1074: the breaks are top 4^-j, j = ceil(K/2), ..., 1,
+        # to the bit, and the smallest is at most top 2^-K.
+        seen = []
+
+        def engine(f, lo, hi, spec, *, breaks=None):
+            seen.append(breaks)
+            return 0.0
+
+        monkeypatch.setattr(profiles_module, "adaptive_gauss", engine)
+        top = 2.0**1000  # keeps top 2^-1074 in the normal range
+        for k in range(1, 1075):
+            abs_pow_quadrature(np.cos, 1.5, 1e-9, 0.0, top, QuadratureSpec(rel_tol=2.0**-k))
+            want = top * 4.0 ** -np.arange((k + 1) // 2, 0, -1)
+            assert seen[-1].tobytes() == want.tobytes(), k
+            assert seen[-1][0] <= top * 2.0**-k, k
+
+    def test_g15_resolves_a_power_on_a_quarter_step(self):
+        # Each graded panel is [d/4, d], where x^k is d^{k+1} times its
+        # integral on [1/4, 1]: G15 has that to 1e-14 relative for every
+        # k up to 13, so the graded end converges at the first level.
+        for k in np.linspace(0.01, 13.0, 1300):
+            got = 0.375 * ((0.375 * quadrature_module._X15 + 0.625) ** k @ quadrature_module._W15)
+            want = (1.0 - 0.25 ** (k + 1.0)) / (k + 1.0)
+            assert abs(got - want) <= 1e-14 * want, k
 
     @pytest.mark.parametrize(
         "power, kinks", [(2.0, False), (4.0, False), (-2.0, False), (1.0, True), (3.0, True),
