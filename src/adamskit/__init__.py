@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("DomainError", "InfeasibleError", "EnergyBoundError", "MonotonicityError",
-         "NonSmoothError", "DegenerateTrialError", "QuadratureError"),
+         "DegenerateTrialError", "QuadratureError"),
         "errors",
     ),
     **dict.fromkeys(("VerdictRow", "eta_function", "make_params", "sweep", "verdict"), "extremal"),

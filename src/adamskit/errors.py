@@ -22,10 +22,6 @@ class MonotonicityError(DomainError):
     """Data that must be nonincreasing is not."""
 
 
-class NonSmoothError(DomainError):
-    """Evaluation point interior to no piece of a piecewise profile."""
-
-
 class DegenerateTrialError(RuntimeError):
     """Every probe trial was degenerate (zero or infinite derivative norm)."""
 

@@ -18,12 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .constants import SIGMA, unit_concentration_level
 from .errors import DomainError, QuadratureError
 from .moser1d import cc_functional
-from .profiles import ExpApproachPiece, FuncPiece, LinearPiece, PiecewiseProfile, PowerPiece
+from .profiles import ExpApproachPiece, LinearPiece, PiecewiseProfile, PowerPiece
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .specfun import EULER_GAMMA, digamma
 
@@ -106,40 +104,6 @@ def test_function(params: TestFnParams) -> PiecewiseProfile:
     )
     return PiecewiseProfile(
         knots=(0.0, n / 2.0, lam), pieces=(ramp, arc), tail=saturating
-    )
-
-
-def l_operator(params: TestFnParams) -> PiecewiseProfile:
-    """L(t) = (n/(n-2)) w''(t) - w'(t), in closed form per piece.
-
-    All three pieces are negative for the increasing concave w; their
-    magnitudes are the displayed constants: (n-2)/n ((n-2)/2)^{-2/n} on the
-    ramp, (1/n)[(n-2)(t-1)^{-2/n} + 2(t-1)^{-(n+2)/n}] on the arc, and
-    ((n+1)/n)(lambda-1)^{-2/n} e^{3(lambda-t)/n} on the saturating piece.
-    """
-    _require_admissible(params)
-    n, lam = params.n, params.lam
-
-    piece1 = LinearPiece(intercept=-params.ramp_slope, slope=0.0)
-
-    def arc_value(t):
-        t = np.asarray(t, dtype=float)
-        return -((n - 2.0) * (t - 1.0) ** (-2.0 / n) + 2.0 * (t - 1.0) ** (-(n + 2.0) / n)) / n
-
-    piece2 = FuncPiece(fn=arc_value)
-
-    tail_coeff = -(n + 1.0) / n * (lam - 1.0) ** (-2.0 / n)
-
-    def tail_value(t):
-        t = np.asarray(t, dtype=float)
-        return tail_coeff * np.exp(3.0 * (lam - t) / n)
-
-    piece3 = FuncPiece(fn=tail_value)
-    return PiecewiseProfile(
-        knots=(0.0, n / 2.0, lam),
-        pieces=(piece1, piece2),
-        tail=piece3,
-        check_continuity=False,
     )
 
 

@@ -354,10 +354,11 @@ def second_order_trial_ratio(
     """LHS/RHS of the second-order inequality for u = (R - r)^2 poly(r).
 
     The boundary conditions u(R) = 0 and u'(R) = 0 hold by construction.
-    Raises ``DomainError`` when p < 1, when ``poly`` is not in the power
-    basis (its domain differs from its window), the coefficients of u
-    overflow, or either integral of a nonzero ``poly`` falls below the
-    normal float range, where its digits are lost (R near 1e-40 and below).
+    Raises ``DomainError`` when p < 1, when either weight exponent
+    overflows (p near 1e308), when ``poly`` is not in the power basis (its
+    domain differs from its window), the coefficients of u overflow, or
+    either integral of a nonzero ``poly`` falls below the normal float
+    range, where its digits are lost (R near 1e-40 and below).
 
     Integrals far below 1 are governed by the engine's absolute floor
     min(1e-13, rel_tol), not by rel_tol: at n = 20, p = 1.5, q = 1.1,
@@ -372,6 +373,9 @@ def second_order_trial_ratio(
     if not (poly.domain == poly.window).all():
         raise DomainError(f"the trial polynomial must be in the power basis, got {poly!r}")
     q_star = n * q / (n - 2.0 * q)
+    lhs_weight, rhs_weight = n * p / q_star - 1.0, n * p / q - 1.0 - p
+    if not (math.isfinite(lhs_weight) and math.isfinite(rhs_weight)):
+        raise DomainError(f"the weight exponents overflow at p={p}")
     factor = np.array([R, -1.0])
     u = np.convolve(np.convolve(factor, factor), poly.coef)
     if not np.isfinite(u).all():
@@ -381,8 +385,8 @@ def second_order_trial_ratio(
     # |r u'' + (n-1) u'|^p r^{np/q - 1 - p} keeps the laplacian integrand
     # polynomial-times-power (no 1/r at the origin).
     lap_times_r = np.concatenate(([0.0], d2u)) + (n - 1.0) * du
-    lhs = _abs_pow_poly_integral(u, p, n * p / q_star - 1.0, R, spec)
-    rhs = _abs_pow_poly_integral(lap_times_r, p, n * p / q - 1.0 - p, R, spec)
+    lhs = _abs_pow_poly_integral(u, p, lhs_weight, R, spec)
+    rhs = _abs_pow_poly_integral(lap_times_r, p, rhs_weight, R, spec)
     if np.any(poly.coef) and not min(lhs, rhs) >= sys.float_info.min:
         raise DomainError(
             f"the trial's integrals ({lhs:.3g}, {rhs:.3g}) underflow the float range at R={R}"

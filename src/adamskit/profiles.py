@@ -2,18 +2,19 @@
 
 A profile is a list of increasing knots, one analytic piece per gap, and an
 optional tail piece on [last knot, infinity).  Pieces expose vectorized
-value and derivative.  ``abs_pow_integral`` is the one integral of
-|h|^power r^weight over a profile or its derivative, for the energies of
-``moser1d`` and the weighted norms of ``hardy`` alike: it goes through the
-segments once, sums ``abs_pow_closed_form`` wherever the piece type has a
-closed form and integrates the remaining runs of segments with
-``abs_pow_quadrature``, breaking at their knots and roots.  A profile
-evaluates a batch of points by one gather of its segments' coefficients
-where they share a type with a ``Piece.gather`` (the Hardy trials and
-polylines, the radial comparison slabs), built on first use.  A radial
-profile seen through r = R e^{-t/n} is one ``LogRadialRun`` tail,
-whose energy is one integral on radii with the evaluators its builder
-supplies, so this module needs no import of the source's module.
+value and derivative, all that the library evaluates of a profile.
+``abs_pow_integral`` is the one integral of |h|^power r^weight over a
+profile or its derivative, for the energies of ``moser1d`` and the weighted
+norms of ``hardy`` alike: it goes through the segments once, sums
+``abs_pow_closed_form`` wherever the piece type has a closed form and
+integrates the remaining runs of segments with ``abs_pow_quadrature``,
+breaking at their knots and roots.  A profile evaluates a batch of points
+by one gather of its segments' coefficients where they share a type with a
+``Piece.gather`` (the Hardy trials and polylines, the radial comparison
+slabs), built on first use.  A radial profile seen through r = R e^{-t/n}
+is one ``LogRadialRun`` tail, whose energy is one integral on radii with
+the evaluators its builder supplies, so this module needs no import of the
+source's module.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonSmoothError
+from .errors import DomainError
 from .quadrature import QuadratureSpec, adaptive_gauss, power_integral
 
 _CONTINUITY_TOL = 1e-10
@@ -50,9 +51,6 @@ class Piece:
     def derivative(self, t):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def second_derivative(self, t):
-        raise NonSmoothError(f"{self.kind} piece has no second derivative")
-
     def params(self) -> dict:
         return {}
 
@@ -70,9 +68,6 @@ class LinearPiece(Piece):
 
     def derivative(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.slope)
-
-    def second_derivative(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def params(self) -> dict:
         return {"intercept": self.intercept, "slope": self.slope}
@@ -112,10 +107,6 @@ class PowerPiece(Piece):
     def derivative(self, t):
         e = self.exponent
         return self.coeff * e * (np.asarray(t, dtype=float) - self.shift) ** (e - 1.0)
-
-    def second_derivative(self, t):
-        e = self.exponent
-        return self.coeff * e * (e - 1.0) * (np.asarray(t, dtype=float) - self.shift) ** (e - 2.0)
 
     def params(self) -> dict:
         return {
@@ -158,29 +149,6 @@ class ExpApproachPiece(Piece):
             "anchor": self.anchor,
             "offset": self.offset,
         }
-
-
-@dataclass(frozen=True)
-class FuncPiece(Piece):
-    """Callable-backed piece; derivatives must be supplied when needed."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    dfn: Callable[[np.ndarray], np.ndarray] | None = None
-    d2fn: Callable[[np.ndarray], np.ndarray] | None = None
-    kind = "callable"
-
-    def value(self, t):
-        return self.fn(np.asarray(t, dtype=float))
-
-    def derivative(self, t):
-        if self.dfn is None:
-            raise NonSmoothError("callable piece has no derivative attached")
-        return self.dfn(np.asarray(t, dtype=float))
-
-    def second_derivative(self, t):
-        if self.d2fn is None:
-            raise NonSmoothError("callable piece has no second derivative attached")
-        return self.d2fn(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,14 +204,13 @@ class LogRadialRun(Piece):
 class PiecewiseProfile:
     """Continuous piecewise function on [knots[0], knots[-1]] or [knots[0], inf).
 
-    ``strict_interior`` makes evaluation at knots (and outside the domain)
-    raise, for derived profiles that are only defined inside open pieces.
+    ``value`` and ``derivative`` take any point of the domain; at a knot
+    they take the segment that starts there (the last one at the last knot).
     """
 
     knots: tuple[float, ...]
     pieces: tuple[Piece, ...]
     tail: Piece | None = None
-    strict_interior: bool = False
     check_continuity: bool = True
     _segments: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
 
@@ -337,12 +304,6 @@ class PiecewiseProfile:
         above = t_arr > self.knots[-1]
         if np.any(below) or (self.tail is None and np.any(above)):
             raise DomainError(f"evaluation outside profile domain [{self.knots[0]}, ...]")
-        if self.strict_interior:
-            at_knot = np.isin(t_arr, self.knots)
-            if np.any(at_knot):
-                raise NonSmoothError(
-                    f"evaluation at knot(s) {t_arr[at_knot]} interior to no piece"
-                )
         out = self._batch(derivative)(t_arr)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return float(out[0])

@@ -23,13 +23,7 @@ import numpy as np
 
 from .constants import AdamsParams, beta0, unit_ball_volume
 from .errors import DomainError, MonotonicityError
-from .profiles import (
-    FuncPiece,
-    LogRadialRun,
-    Piece,
-    PiecewiseProfile,
-    constant_piece,
-)
+from .profiles import LogRadialRun, Piece, PiecewiseProfile, constant_piece
 
 
 @dataclass(frozen=True)
@@ -154,12 +148,6 @@ class _ComparisonPiece(Piece):
     def derivative(self, r):
         return _slab(self.n, self.big_a, self.c, self.top, self.r_hi, r, derivative=True)
 
-    def second_derivative(self, r):
-        # w'' = (n - 1) A r^{-n} - 2 c; A vanishes on the innermost slab.
-        r = np.asarray(r, dtype=float)
-        singular = self.big_a * r**-self.n if self.big_a != 0.0 else np.zeros_like(r)
-        return (self.n - 1.0) * singular - 2.0 * self.c
-
     @staticmethod
     def gather(pieces):
         """``_slab`` on the gathered coefficients of the slabs ``pieces``."""
@@ -228,30 +216,6 @@ def talenti_radial_solution(
     pieces = tuple(_ComparisonPiece(n, *slab) for slab in slabs)
     profile = PiecewiseProfile(knots=tuple(radii.tolist()), pieces=pieces, tail=None)
     return RadialProfile(radius=big_r, dimension=n, profile=profile)
-
-
-def radial_laplacian(profile: RadialProfile) -> PiecewiseProfile:
-    """r -> u''(r) + (n-1) u'(r)/r per piece, on open pieces only.
-
-    Evaluation at a knot (or outside the domain) raises, since the radial
-    laplacian may jump there.
-    """
-    n = profile.dimension
-
-    def make_piece(piece: Piece) -> FuncPiece:
-        def fn(r, piece=piece):
-            r = np.asarray(r, dtype=float)
-            return piece.second_derivative(r) + (n - 1.0) * piece.derivative(r) / r
-
-        return FuncPiece(fn=fn)
-
-    return PiecewiseProfile(
-        knots=profile.profile.knots,
-        pieces=tuple(make_piece(piece) for piece in profile.profile.pieces),
-        tail=None,
-        strict_interior=True,
-        check_continuity=False,
-    )
 
 
 def energy_change_of_variables(profile: RadialProfile, m: int) -> PiecewiseProfile:

@@ -45,16 +45,36 @@ from adamskit.moser1d import (
     energy,
     moser_family,
 )
-from adamskit.profiles import FuncPiece, PiecewiseProfile, piecewise_linear
+from adamskit.profiles import Piece, PiecewiseProfile, piecewise_linear
 from adamskit.rearrange import (
     RadialProfile,
     SampledFunction,
     decreasing_rearrangement,
     energy_change_of_variables,
-    radial_laplacian,
     talenti_radial_solution,
 )
 from adamskit.specfun import EULER_GAMMA, digamma
+
+
+class PolyPiece(Piece):
+    """A polynomial as a smooth piece: a profile evaluates only these two."""
+
+    def __init__(self, poly):
+        self.value, self.derivative = poly, poly.deriv()
+
+
+def radial_laplacian_fd(v, rs, h=0.02, levels=5):
+    """v'' + (n-1) v'/r at the radii ``rs`` from the values of v alone:
+    central differences at h, h/2, ..., h/16, Richardson-extrapolated in h^2.
+    Each stencil must lie inside one slab."""
+    rs, n = np.asarray(rs), v.dimension
+    table = []
+    for hk in h / 2.0 ** np.arange(levels):
+        lo, mid, hi = v.value(rs - hk), v.value(rs), v.value(rs + hk)
+        table.append((hi - 2.0 * mid + lo) / hk**2 + (n - 1.0) * (hi - lo) / (2.0 * hk * rs))
+    for j in range(1, levels):
+        table = [b + (b - a) / (4**j - 1) for a, b in zip(table, table[1:])]
+    return table[0]
 
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str) -> None:
@@ -347,12 +367,12 @@ def test_criterion_9_rearrangement():
         cells=((omega * 0.5**n, 4.0), (omega * (1.0 - 0.5**n), 1.5))
     )
     v2 = talenti_radial_solution(two_step, n, big_r)
-    lap = radial_laplacian(v2)
+    radii = (0.2, 0.45, 0.7, 0.95, 1.2)  # each stencil inside one slab
     worst_inverse = 0.0
-    for r in (0.2, 0.45, 0.7, 0.95, 1.2):
+    for r, lap in zip(radii, radial_laplacian_fd(v2, radii)):
         s = omega * r**n
         expected = -4.0 if s <= omega * 0.5**n else (-1.5 if s <= omega else 0.0)
-        worst_inverse = max(worst_inverse, abs(lap.value(r) - expected))
+        worst_inverse = max(worst_inverse, abs(lap - expected))
     elapsed = time.perf_counter() - start
     ok = (
         exact_failures == 0
@@ -379,8 +399,7 @@ def test_criterion_10_energy_identity():
         n = int(rng.choice([4, 6]))
         big_r = float(rng.uniform(0.5, 2.0))
         poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, size=4))
-        piece = FuncPiece(fn=poly, dfn=poly.deriv(), d2fn=poly.deriv(2))
-        prof = PiecewiseProfile(knots=(0.0, big_r), pieces=(piece,), tail=None)
+        prof = PiecewiseProfile(knots=(0.0, big_r), pieces=(PolyPiece(poly),), tail=None)
         rp = RadialProfile(radius=big_r, dimension=n, profile=prof)
         g = energy_change_of_variables(rp, 2)
         lhs = energy(g, n / 2.0, (0.0, math.inf))

@@ -18,10 +18,10 @@ from adamskit import extremal, hardy, moser1d
 from adamskit.cli import _COMMANDS, _FORMATS, main, parse_args
 from adamskit.constants import AdamsParams, beta0
 
-#: Sweep outputs; the fields must agree to 1e-14 relative.  sweep_16_120.json
-#: is from the heap-ordered engine; sweep_104_512.csv was re-pinned when the
-#: graded first level moved its nodes, after every J was checked against a
-#: 30-digit mpmath reference to 1e-12.
+#: Sweep outputs, printed byte for byte.  sweep_16_120.json is from the
+#: heap-ordered engine; sweep_104_512.csv was re-pinned when the graded
+#: first level moved its nodes, after every J was checked against a 30-digit
+#: mpmath reference to 1e-12.
 DATA = Path(__file__).parent / "data"
 #: Invocation -> stdout, stderr and exit code of the CLI (run from ``DATA``,
 #: which holds cells.csv); the ``cc`` cases were re-pinned with the graded
@@ -31,6 +31,18 @@ DATA = Path(__file__).parent / "data"
 #: each time after every hardy max_ratio was checked against a 30-digit
 #: mpmath reference to 1e-12.
 CLI_GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
+#: The entries whose numbers moved in their last digits since they were
+#: pinned: compared to 1e-14 relative until they are re-pinned.  Every other
+#: entry prints its pinned bytes.
+DRIFTED = {
+    "--rtol 1e-12 cc --p 2.5 --family moser --a 500",
+    "--seed 5 hardy --p 2 --q 4 --alpha 1.2 --theta -0.5 --side right --trials 40",
+    "--seed 2 hardy --p 2 --q 2 --alpha 2 --theta 0.5 --side right --R 3 --trials 30",
+    "hardy --p 2 --q 3 --alpha 0 --theta -0.5 --trials 20",
+    "--format csv hardy --p 1.5 --q 3 --alpha -0.8 --theta -0.2 --trials 25",
+    "hardy --second-order --n-dim 8 --q 2 --trials 50",
+    "--seed 3 hardy --second-order --n-dim 12 --q 2.5 --p 3 --R 2 --trials 20",
+}
 #: A number not glued to a word, e.g. "1e-10" and "-0.5" but not "beta0".
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
 
@@ -403,6 +415,17 @@ class TestCommands:
         )
         assert err.endswith("where their product is 0 * inf\n")
 
+    @pytest.mark.parametrize(
+        "q, p", [("1.5", "1e308"), ("1.7797377807599197", "1.7e308")]
+    )
+    def test_second_order_overflowing_weight_is_domain_error(self, q, p, capsys):
+        # n p / q* - 1 overflows to inf: this used to exit 2 with "cannot
+        # convert float infinity to integer", an OverflowError of the grading.
+        argv = ["hardy", "--second-order", "--n-dim", "4", "--q", q, "--p", p, "--trials", "1"]
+        status, out, err = run_cli(argv, capsys)
+        assert (status, out) == (2, "")
+        assert err == f"adamskit: domain error: the weight exponents overflow at p={float(p)!r}\n"
+
     def test_cc_moser(self, capsys):
         status, out, _ = run_cli(
             ["cc", "--p", "2", "--family", "moser", "--a", "1000"], capsys
@@ -552,54 +575,34 @@ class TestOutputContracts:
         assert "rounding error of the integrand" in err
 
 
-def assert_close(got, want, where=""):
-    """Numbers to 1e-14 relative, booleans and everything else exactly."""
-    if isinstance(want, dict):
-        assert list(got) == list(want), where
-        for key in want:
-            assert_close(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_close(g, w, f"{where}[{i}]")
-    elif isinstance(want, bool) or not isinstance(want, (int, float)):
-        assert got == want, where
-    else:
-        assert got == pytest.approx(want, rel=1e-14, abs=0.0), where
-
-
 class TestGoldenSweep:
     def test_csv_104_512(self, capsys):
         status, out, _ = run_cli(["extremal-sweep", "--n-from", "104", "--n-to", "512"], capsys)
         assert status == 0
-        got = list(csv.DictReader(io.StringIO(out)))
-        want = list(csv.DictReader((DATA / "sweep_104_512.csv").open(newline="")))
-        assert [list(row) for row in got] == [list(row) for row in want]
-        for g, w in zip(got, want, strict=True):
-            for key in w:
-                if key.startswith("gap_"):
-                    assert g[key] == w[key], (w["n"], key)
-                else:
-                    assert_close(float(g[key]), float(w[key]), f"n={w['n']} {key}")
+        assert out == (DATA / "sweep_104_512.csv").read_text()
 
     def test_json_16_120(self, capsys):
         argv = ["--format", "json", "extremal-sweep", "--n-from", "16", "--n-to", "120"]
         status, out, _ = run_cli(argv, capsys)
         assert status == 0
-        assert_close(json.loads(out), json.loads((DATA / "sweep_16_120.json").read_text()))
+        assert out == (DATA / "sweep_16_120.json").read_text()
 
 
 @pytest.mark.parametrize("invocation", list(CLI_GOLDEN))
 def test_golden_cli_output(invocation, monkeypatch, capsys):
-    """Text with the numbers cut out and stderr byte-identical; numbers to 1e-14."""
+    """Exit code, stderr and stdout byte-identical; a ``DRIFTED`` entry's
+    stdout with the numbers cut out, and its numbers to 1e-14 relative."""
     monkeypatch.delenv("ADAMS_QUAD_RTOL", raising=False)
     monkeypatch.chdir(DATA)
     want = CLI_GOLDEN[invocation]
     status, out, err = run_cli(shlex.split(invocation), capsys)
     assert (status, err) == (want["exit"], want["stderr"])
+    if invocation not in DRIFTED:
+        assert out == want["stdout"]
+        return
     assert NUMBER.split(out) == NUMBER.split(want["stdout"])
     numbers = [[float(x) for x in NUMBER.findall(text)] for text in (out, want["stdout"])]
-    assert_close(*numbers)
+    assert numbers[0] == pytest.approx(numbers[1], rel=1e-14, abs=0.0)
 
 
 def test_pinned_constants_against_mpmath():

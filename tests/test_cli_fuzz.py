@@ -199,6 +199,9 @@ def test_hardy_contract(argv):
 # |u|^p and the weight leave the float range together: exit 2, not a NaN panel.
 @example(["hardy", "--second-order", "--n-dim", "4", "--q", "1.7797377807599197",
           "--p", "1e+300", "--trials", "1"])
+# n p / q* - 1 overflows to an infinite weight: exit 2 naming p.
+@example(["hardy", "--second-order", "--n-dim", "4", "--q", "1.5", "--p", "1e+308",
+          "--trials", "1"])
 def test_hardy_second_order_contract(argv):
     check_contract(argv)
 

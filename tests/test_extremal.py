@@ -18,7 +18,6 @@ from adamskit.extremal import (
     eta_function,
     functional_lower_bound,
     functional_quadrature,
-    l_operator,
     make_params,
     norm_chain_bound,
     norm_quadrature,
@@ -112,19 +111,28 @@ class TestTestFunction:
             build_test_function(make_params(4))
 
 
+def displayed_l(params, t):
+    """L(t) = (n/(n-2)) w''(t) - w'(t) as displayed, one closed form per piece."""
+    n, lam = params.n, params.lam
+    if t < n / 2.0:
+        return -(n - 2.0) / n * ((n - 2.0) / 2.0) ** (-2.0 / n)
+    if t < lam:
+        return -((n - 2.0) * (t - 1.0) ** (-2.0 / n) + 2.0 * (t - 1.0) ** (-(n + 2.0) / n)) / n
+    return -(n + 1.0) / n * (lam - 1.0) ** (-2.0 / n) * math.exp(3.0 * (lam - t) / n)
+
+
 class TestLOperator:
     def test_ramp_piece_magnitude(self):
+        # w'' = 0 on the ramp, so L = -w'.
         for n in (16, 104):
             params = make_params(n)
-            lop = l_operator(params)
-            displayed = (n - 2.0) / n * ((n - 2.0) / 2.0) ** (-2.0 / n)
-            assert abs(lop.value(1.0)) == pytest.approx(displayed, rel=1e-13)
+            w = build_test_function(params)
+            assert displayed_l(params, 1.0) == pytest.approx(-w.derivative(1.0), rel=1e-13)
 
     def test_matches_finite_differences(self):
         params = make_params(104)
         n = params.n
         w = build_test_function(params)
-        lop = l_operator(params)
         rng = np.random.default_rng(0)
         points = np.concatenate(
             [
@@ -138,14 +146,16 @@ class TestLOperator:
             wpp = (w.value(t + h) - 2.0 * w.value(t) + w.value(t - h)) / h**2
             wp = (w.value(t + h) - w.value(t - h)) / (2.0 * h)
             fd = n / (n - 2.0) * wpp - wp
-            assert lop.value(float(t)) == pytest.approx(fd, abs=1e-6)
+            assert displayed_l(params, float(t)) == pytest.approx(fd, abs=1e-6)
 
     def test_saturating_piece_at_junction(self):
+        # The saturating piece has w'' = -rate w'.
         params = make_params(104)
-        n = params.n
-        lop = l_operator(params)
-        expected = (n + 1.0) / n * (params.lam - 1.0) ** (-2.0 / n)
-        assert abs(lop.value(params.lam + 1e-12)) == pytest.approx(expected, rel=1e-9)
+        n, t = params.n, params.lam + 1e-12
+        w = build_test_function(params)
+        wp = w.derivative(t)
+        expected = n / (n - 2.0) * (-w.tail.rate * wp) - wp
+        assert displayed_l(params, t) == pytest.approx(expected, rel=1e-9)
 
 
 class TestNorms:

@@ -1,4 +1,4 @@
-"""Piece machinery: evaluation, continuity validation, strict mode, serialization."""
+"""Piece machinery: evaluation, continuity validation, serialization."""
 
 import bisect
 import math
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from adamskit import moser1d
 from adamskit import profiles as profiles_module
 from adamskit import quadrature as quadrature_module
-from adamskit.errors import DomainError, NonSmoothError, QuadratureError
+from adamskit.errors import DomainError, QuadratureError
 from adamskit.extremal import verdict
 from adamskit.profiles import (
     ExpApproachPiece,
@@ -64,13 +64,11 @@ class TestPieces:
         piece = LinearPiece(intercept=1.0, slope=-2.0)
         assert piece.value(3.0) == -5.0
         assert piece.derivative(10.0) == -2.0
-        assert piece.second_derivative(1.0) == 0.0
 
     def test_power(self):
         piece = PowerPiece(coeff=2.0, shift=1.0, exponent=0.5, offset=3.0)
         assert piece.value(5.0) == pytest.approx(2.0 * 2.0 + 3.0)
         assert piece.derivative(5.0) == pytest.approx(0.5)
-        assert piece.second_derivative(5.0) == pytest.approx(-0.0625)
 
     def test_exp_approach(self):
         piece = ExpApproachPiece(amplitude=2.0, rate=0.5, anchor=1.0, offset=0.25)
@@ -109,17 +107,6 @@ class TestPiecewiseProfile:
             g.value(1.5)
         with pytest.raises(DomainError):
             g.value(-0.1)
-
-    def test_strict_interior_raises_at_knots(self):
-        g = PiecewiseProfile(
-            knots=(0.0, 1.0, 2.0),
-            pieces=(constant_piece(1.0), constant_piece(1.0)),
-            tail=None,
-            strict_interior=True,
-        )
-        with pytest.raises(NonSmoothError):
-            g.value(1.0)
-        assert g.value(0.5) == 1.0
 
     def test_serialization_shape(self):
         g = piecewise_linear([0.0, 2.0], [0.0, 1.0])
