@@ -40,6 +40,10 @@ class AdamsParams:
             raise DomainError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise DomainError(f"dimension n must be >= 2, got {self.n}")
+        if self.n > sys.float_info.max:  # n/m and n/2 are floats
+            raise DomainError(
+                f"dimension n must be at most {sys.float_info.max!r}, got an n of {len(str(self.n))} digits"
+            )
         if not 0 < self.m < self.n:
             raise DomainError(
                 f"derivative order must satisfy 0 < m < n, got m={self.m}, n={self.n}"
@@ -97,9 +101,21 @@ def _log_beta0(m: int, n: int) -> float:
     return math.log(n) - log_unit_sphere_area(n) + (n / (n - m)) * inner
 
 
+def _exp_beta0(log_value: float, params: AdamsParams) -> float:
+    """e^log_value for a form of beta0; DomainError naming m and n where
+    it overflows (m near n: beta0(19, 20) = e^{1.1e3})."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(
+            f"beta0 overflows double precision at m={params.m}, n={params.n}"
+            f" (ln beta0 = {log_value:.17g})"
+        ) from None
+
+
 def beta0(params: AdamsParams) -> float:
     """Critical exponent beta0(m, n) of the parity-split gamma-ratio formula."""
-    return math.exp(_log_beta0(params.m, params.n))
+    return _exp_beta0(_log_beta0(params.m, params.n), params)
 
 
 def beta0_product_form(params: AdamsParams) -> float:
@@ -125,7 +141,7 @@ def beta0_product_form(params: AdamsParams) -> float:
         + (m / n) * log_unit_sphere_area(n)
         + log_prod
     )
-    return math.exp((n / (n - m)) * log_base)
+    return _exp_beta0((n / (n - m)) * log_base, params)
 
 
 def unit_concentration_level(p: float) -> float:

@@ -11,8 +11,8 @@ probe's weighted norm is one ``profiles.abs_pow_integral`` of the trial
 or its derivative, which breaks its quadrature at knots, and at roots
 unless the power is even, and grades it toward r = 0 in quarter steps
 where the weight leaves a power of r there.  A polyline trial's knots
-are drawn sorted, and its value norm takes one gather of its
-coefficients per level and builds no derivative evaluator (the
+are drawn sorted, and its value norm takes one ``np.interp`` of its knots
+and values per level and builds no derivative evaluator (the
 derivative norm is closed form).  The second-order trials' polynomials are plain
 coefficient arrays: products by ``np.convolve``, derivatives as k c_k,
 values by Horner's rule, each in ``numpy.polynomial``'s order of

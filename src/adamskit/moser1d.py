@@ -8,16 +8,19 @@ J has a closed form on every piece whose g^q is affine in t
 infinity, and a power c (t - shift)^{1/q}, such as the extremal test
 function's arc, where w^q = t - 1.  A log-radial profile's tail
 (``profiles.LogRadialRun``, from ``rearrange.energy_change_of_variables``)
-is one engine call on radii for J and one for its energy.
-Every other piece is one engine call.  The improper upper end of J is
-handled exactly for constant and saturating tails, by the radial pullback
-for log-radial profiles, and by the sub-unit-energy majorant otherwise.
+is one engine call on radii for J and one for its energy.  A polyline
+(``profiles.Polyline``) is one engine call per run of adjacent non-constant
+segments, of its ``np.interp`` values, graded toward a knot where it is 0
+at a non-integer q; every other piece is one engine call.  The improper
+upper end of J is handled exactly for constant and saturating tails, by
+the radial pullback for log-radial profiles, and by the sub-unit-energy
+majorant otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,10 +31,12 @@ from .profiles import (
     LogRadialRun,
     Piece,
     PiecewiseProfile,
+    Polyline,
     PowerPiece,
     abs_pow_integral,
     constant_piece,
     piecewise_linear,
+    quarter_steps,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, _W15, _X15, adaptive_gauss
 from .specfun import EULER_GAMMA, digamma
@@ -88,15 +93,18 @@ def _cc_breaks(lo: float, hi: float) -> np.ndarray:
     return lo + width * _UNIT_EDGES[63 - grades : 62 + grades]
 
 
-def _cc_finite(piece: Piece, q: float, lo: float, hi: float, spec: QuadratureSpec) -> float:
-    """integral_lo^hi exp(piece^q - t) dt on one smooth piece.
+def _cc_finite(
+    value: Callable, q: float, lo: float, hi: float, spec: QuadratureSpec, breaks: np.ndarray | None = None
+) -> float:
+    """integral_lo^hi exp(value^q - t) dt by one engine call: on one smooth
+    piece, or on a polyline's run with the ``breaks`` of ``_cc_run_breaks``.
 
-    The first level is ``_cc_breaks``'s geometric grading toward both
-    ends, 2 ceil(log2(8 w)) panels on a piece of width w, so a piece whose
-    mass sits at its ends converges there without halving.  The exponent
-    g^q - t cancels terms as large as t, so the integrand carries a
-    relative rounding of about 2 u t (u = 2^-53).  When that rounding at
-    the piece's far end exceeds 100 rel_tol (or ``_MAX_ROUNDING``, where
+    On a piece the first level is ``_cc_breaks``'s geometric grading toward
+    both ends, 2 ceil(log2(8 w)) panels on a piece of width w, so a piece
+    whose mass sits at its ends converges there without halving.  The
+    exponent g^q - t cancels terms as large as t, so the integrand carries
+    a relative rounding of about 2 u t (u = 2^-53).  When that rounding at
+    the far end exceeds 100 rel_tol (or ``_MAX_ROUNDING``, where
     the graded panels would be as narrow as the float spacing),
     ``QuadratureError`` is raised before any integrand call.  Below that
     the engine's own stall check refuses what rounding leaves unresolved.
@@ -112,9 +120,32 @@ def _cc_finite(piece: Piece, q: float, lo: float, hi: float, spec: QuadratureSpe
         )
 
     def integrand(t):
-        return np.exp(piece.value(t) ** q - t)
+        return np.exp(value(t) ** q - t)
 
-    return adaptive_gauss(integrand, lo, hi, spec, breaks=_cc_breaks(lo, hi))
+    if breaks is None:
+        breaks = _cc_breaks(lo, hi)
+    return adaptive_gauss(integrand, lo, hi, spec, breaks=breaks)
+
+
+def _cc_run_breaks(g: Polyline, q: float, edges: list[float], spec: QuadratureSpec) -> np.ndarray:
+    """First-level breaks of J on a run of adjacent non-constant segments
+    of a polyline, ``edges`` their ends: each segment's ``_cc_breaks`` and
+    the edges inside the run.  Where g is 0 at an edge and q is not an
+    integer, g^q behaves like |t - edge|^q there, and each side of the edge
+    in the run is graded toward it by ``profiles.quarter_steps``, from its
+    nearest break.  Graded points that round onto an edge merge with it."""
+    zero = (g._value_batch(np.array(edges)) == 0.0) & (not float(q).is_integer())
+    parts = []
+    for a, b, zero_a, zero_b in zip(edges, edges[1:], zero, zero[1:]):
+        inner = _cc_breaks(a, b)
+        if zero_a:
+            parts.append(a + quarter_steps((inner[0] if inner.size else b) - a, q, spec.rel_tol))
+        parts.append(inner)
+        if zero_b:
+            parts.append(b - quarter_steps(b - (inner[-1] if inner.size else a), q, spec.rel_tol)[::-1])
+        parts.append([b])
+    points = np.unique(np.concatenate(parts))
+    return points[(edges[0] < points) & (points < edges[-1])]
 
 
 def _cc_closed_form(piece: Piece, q: float, lo: float, hi: float) -> float | None:
@@ -203,7 +234,7 @@ def _cc_tail(
     if isinstance(piece, ExpApproachPiece):
         cap = max(float(np.asarray(piece.value(lo))), piece.limit_value)
         hi = max(lo + 1.0, cap**q - math.log(eps))
-        return _cc_finite(piece, q, lo, hi, spec)
+        return _cc_finite(piece.value, q, lo, hi, spec)
     # Generic tail: majorize g by the Hoelder envelope
     # g(t) <= g(lo) + delta^{1/p} (t - lo)^{1/q}, delta the tail energy.
     p = q / (q - 1.0)
@@ -223,7 +254,7 @@ def _cc_tail(
         hi = 2.0 * hi + 1.0
         if hi > 1e12:
             raise DomainError("tail truncation point ran away; profile inadmissible")
-    return _cc_finite(piece, q, lo, hi, spec)
+    return _cc_finite(piece.value, q, lo, hi, spec)
 
 
 def cc_integral(
@@ -235,14 +266,19 @@ def cc_integral(
 ) -> float:
     """integral_lo^hi exp(g^q - t) dt along ``g.segments()``: one engine
     call on radii for a log-radial run (``_cc_log_radial``),
-    ``_cc_closed_form`` where a piece has one, else one engine call per
-    piece (``_cc_finite``, or ``_cc_tail`` out to infinity).
+    ``_cc_closed_form`` where a piece has one, ``_cc_tail`` for a tail out
+    to infinity without one, else one engine call (``_cc_finite``) per
+    piece.  A ``Polyline`` takes one engine call per run of adjacent
+    non-constant segments instead, of its ``np.interp`` values, laid out by
+    ``_cc_run_breaks``: one tolerance for the run, where its segments'
+    ends meet at shared knots.
 
     Unchecked: where g < 0 at a non-integer q, or exp overflows, the
     integrand is NaN or infinite and ``QuadratureError`` is raised
     (numpy's warnings for those values are silenced for the whole call).
     """
     total = 0.0
+    runs: list[list[float]] = []  # a polyline's runs, by their edges
     with np.errstate(over="ignore", invalid="ignore"):
         for seg_lo, seg_hi, piece in g.segments():
             a, b = max(seg_lo, lo), min(seg_hi, hi)
@@ -256,8 +292,15 @@ def cc_integral(
                 total += closed
             elif math.isinf(b):
                 total += _cc_tail(g, piece, q, a, spec)
+            elif not isinstance(g, Polyline):
+                total += _cc_finite(piece.value, q, a, b, spec)
+            elif runs and runs[-1][-1] == a:
+                runs[-1].append(b)
             else:
-                total += _cc_finite(piece, q, a, b, spec)
+                runs.append([a, b])
+        for edges in runs:
+            breaks = _cc_run_breaks(g, q, edges, spec)
+            total += _cc_finite(g._value_batch, q, edges[0], edges[-1], spec, breaks)
     return total
 
 

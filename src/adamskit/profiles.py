@@ -8,13 +8,18 @@ profile or its derivative, for the energies of ``moser1d`` and the weighted
 norms of ``hardy`` alike: it goes through the segments once, sums
 ``abs_pow_closed_form`` wherever the piece type has a closed form and
 integrates the remaining runs of segments with ``abs_pow_quadrature``,
-breaking at their knots and roots.  A profile evaluates a batch of points
-by one gather of its segments' coefficients where they share a type with a
-``Piece.gather`` (the Hardy trials and polylines, the radial comparison
-slabs), built on first use.  A radial profile seen through r = R e^{-t/n}
-is one ``LogRadialRun`` tail, whose energy is one integral on radii with
-the evaluators its builder supplies, so this module needs no import of the
-source's module.
+breaking at their knots and roots, and graded toward r = 0 by
+``quarter_steps`` where the weight leaves a power of r there.  A polyline
+(``piecewise_linear``, such as a Hardy trial or the maximizer's profile)
+keeps its knots and values as float arrays: its pieces are in point-slope
+form, anchored at their left knots, and a batch of its values is one
+``np.interp``, so every route gives the given value at each knot.  Any
+other profile evaluates a batch of points by one gather of its segments'
+coefficients where they share a type with a ``Piece.gather`` (the radial
+comparison slabs, a polyline's derivative), built on first use.  A radial
+profile seen through r = R e^{-t/n} is one ``LogRadialRun`` tail, whose
+energy is one integral on radii with the evaluators its builder supplies,
+so this module needs no import of the source's module.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .quadrature import QuadratureSpec, adaptive_gauss, power_integral
 
 _CONTINUITY_TOL = 1e-10
 _TINY = np.finfo(float).tiny
-#: 2^-1074, ..., 1/4, 1/2: ``abs_pow_quadrature``'s graded breaks for K
-#: halvings are the even powers 4^-ceil(K/2), ..., 1/16, 1/4 of them,
+#: 2^-1074, ..., 1/4, 1/2: ``quarter_steps``'s grading for K halvings is
+#: the even powers 4^-ceil(K/2), ..., 1/16, 1/4 of them,
 #: ``_HALVINGS[-K - K % 2::2]``, and K <= 1074 since rel_tol >= 2^-1074.
 _HALVINGS = 0.5 ** np.arange(1074, 0, -1)
 
@@ -57,29 +62,37 @@ class Piece:
 
 @dataclass(frozen=True)
 class LinearPiece(Piece):
-    """intercept + slope * t."""
+    """intercept + slope * (t - anchor), the line through (anchor, intercept).
+
+    At anchor 0 (the default) this is intercept + slope * t to the bit.  A
+    polyline's piece is anchored at its left knot, where it is exact.
+    """
 
     intercept: float
     slope: float
+    anchor: float = 0.0
     kind = "linear"
 
     def value(self, t):
-        return self.intercept + self.slope * np.asarray(t, dtype=float)
+        return self.intercept + self.slope * (np.asarray(t, dtype=float) - self.anchor)
 
     def derivative(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.slope)
 
     def params(self) -> dict:
-        return {"intercept": self.intercept, "slope": self.slope}
+        """intercept and slope, and the anchor where it is not 0."""
+        params = {"intercept": self.intercept, "slope": self.slope}
+        return params | {"anchor": self.anchor} if self.anchor else params
 
     @staticmethod
     def gather(pieces):
-        """intercept + slope * t, ``value``'s arithmetic, so bit for bit."""
+        """``value``'s arithmetic on the gathered coefficients, so bit for bit."""
         intercept = np.array([piece.intercept for piece in pieces], dtype=float)
         slope = np.array([piece.slope for piece in pieces], dtype=float)
+        anchor = np.array([piece.anchor for piece in pieces], dtype=float)
 
         def value(i, t):
-            return intercept[i] + slope[i] * t
+            return intercept[i] + slope[i] * (t - anchor[i])
 
         def derivative(i, _t):
             return slope[i]
@@ -341,20 +354,40 @@ def _check_knots(knots: Sequence[float]) -> None:
         raise DomainError("knots must be finite and strictly increasing")
 
 
-def piecewise_linear(ts: Sequence[float], ys: Sequence[float], *, constant_tail: bool = True) -> PiecewiseProfile:
+@dataclass(frozen=True)
+class Polyline(PiecewiseProfile):
+    """``piecewise_linear``'s profile, which keeps its knots ``ts`` and
+    values ``ys`` as float arrays.
+
+    Piece i is ys[i] + s_i (t - ts[i]), s_i = (ys[i+1] - ys[i]) /
+    (ts[i+1] - ts[i]), anchored at its left knot.  A batch of values is one
+    ``np.interp(t, ts, ys)``, which takes the same arithmetic and returns
+    ys[i] at ts[i], the last knot included, so every route gives the given
+    values at the knots.
+    """
+
+    ts: np.ndarray = field(kw_only=True, repr=False, compare=False)
+    ys: np.ndarray = field(kw_only=True, repr=False, compare=False)
+
+    @cached_property
+    def _value_batch(self) -> Callable:
+        ts, ys = self.ts, self.ys
+        return lambda t: np.interp(t, ts, ys)
+
+
+def piecewise_linear(ts: Sequence[float], ys: Sequence[float], *, constant_tail: bool = True) -> Polyline:
     """Polyline through (ts, ys), optionally continued as a constant."""
     ts = [float(x) for x in ts]
     ys = [float(y) for y in ys]
     if len(ts) != len(ys) or len(ts) < 2:
         raise DomainError("piecewise_linear needs matching arrays of length >= 2")
     _check_knots(ts)
-    pieces = []
-    for i in range(len(ts) - 1):
-        slope = (ys[i + 1] - ys[i]) / (ts[i + 1] - ts[i])
-        pieces.append(LinearPiece(intercept=ys[i] - slope * ts[i], slope=slope))
+    pieces = tuple(
+        LinearPiece(y0, (y1 - y0) / (t1 - t0), t0) for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:])
+    )
     tail = constant_piece(ys[-1]) if constant_tail else None
     # Continuous by construction: its check could fail only by rounding.
-    return PiecewiseProfile(tuple(ts), tuple(pieces), tail, check_continuity=False)
+    return Polyline(tuple(ts), pieces, tail, check_continuity=False, ts=np.array(ts), ys=np.array(ys))
 
 
 def kinks_at_roots(power: float) -> bool:
@@ -395,7 +428,11 @@ def abs_pow_integral(
             if a < b:
                 total += piece.energy(power, a, b, spec)
             continue
-        closed = abs_pow_closed_form(piece, power, weight_pow, a, b, derivative=derivative)
+        try:
+            closed = abs_pow_closed_form(piece, power, weight_pow, a, b, derivative=derivative)
+        except OverflowError:  # a float power such as |slope|^power
+            h = "g'" if derivative else "g"
+            raise DomainError(f"|{h}|^p on [{a!r}, {b!r}] leaves the float range at p={power!r}") from None
         if closed is not None:
             total += closed
             continue
@@ -404,7 +441,7 @@ def abs_pow_integral(
         if not runs or runs[-1][-1] != a:  # a closed-form segment ended the last run
             runs.append([a])
         if root_breaks and isinstance(piece, LinearPiece) and piece.slope != 0.0:
-            root = -piece.intercept / piece.slope
+            root = piece.anchor - piece.intercept / piece.slope
             if a < root < b:
                 runs[-1].append(root)
         runs[-1].append(b)
@@ -506,15 +543,26 @@ def abs_pow_quadrature(
             return np.abs(fn(r)) ** power * r**weight_pow
 
     if lo == 0.0 and kink > 0.0 and kink != math.floor(kink):
-        # The integrand behaves like x^kink at 0: put the breaks first 4^-J,
-        # ..., first/16, first/4, J = ceil(K/2), in front of the smallest
-        # break (or the top).  K leaves less than rel_tol of the mass x^kink
-        # has on [0, first] in [0, first 2^-K], which holds [0, first 4^-J].
+        # The integrand behaves like x^kink at 0: grade in front of the
+        # smallest break (or the top).
         first = top if breaks is None or not len(breaks) else float(breaks[0])
-        k = math.ceil(-math.log2(spec.rel_tol) / (1.0 + kink))
-        graded = first * _HALVINGS[-k - k % 2 :: 2]
-        graded = graded[graded >= _TINY]  # below the normal range: dropped
+        graded = quarter_steps(first, kink, spec.rel_tol)
         breaks = graded if breaks is None else np.concatenate((graded, breaks))
     # An overflow of |fn|^power ends in the engine's QuadratureError.
     with np.errstate(over="ignore", invalid="ignore"):
         return scale * adaptive_gauss(integrand, lo, top, spec, breaks=breaks)
+
+
+def quarter_steps(first: float, kink: float, rel_tol: float) -> np.ndarray:
+    """first 4^-J, ..., first/16, first/4, J = ceil(K/2), K =
+    ceil(-log2(rel_tol)/(1+kink)): the increasing distances from an end at
+    which an integrand that behaves like x^kink there (x the distance) is
+    graded toward it, ``first`` the distance of the nearest break.  K leaves
+    less than rel_tol of the mass x^kink has on [0, first] in
+    [0, first 2^-K], which holds [0, first 4^-J].  Distances below the
+    normal range are dropped.  ``abs_pow_quadrature`` grades toward r = 0
+    with it, ``moser1d`` a polyline's J toward a knot where it is 0.
+    """
+    k = math.ceil(-math.log2(rel_tol) / (1.0 + kink))
+    graded = first * _HALVINGS[-k - k % 2 :: 2]
+    return graded[graded >= _TINY]

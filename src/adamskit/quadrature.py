@@ -22,9 +22,10 @@ the callers break there (``profiles.abs_pow_integral`` at the knots and
 roots of a profile, such as a Hardy trial, graded geometrically toward an
 algebraic end at r = 0 by ``profiles.abs_pow_quadrature``, and a
 log-radial profile's energy at the radii of its ``LogRadialRun``;
-``moser1d`` by one call per log-radial profile at those radii, and one
-per other profile piece without a closed form, with edges at width/2,
-width/4, ... from both ends of the piece down to end panels in
+``moser1d`` by one call per log-radial profile at those radii, one per
+run of non-constant polyline segments at their knots, and one per other
+profile piece without a closed form, with edges at width/2, width/4, ...
+from both ends of each piece or segment down to end panels in
 (1/16, 1/8]).  The error estimate is blind to a jump that lies between a
 panel edge and that panel's outermost Gauss node, where G15 and G31 see
 the same side and agree on a wrong value;

@@ -261,17 +261,18 @@ NORM_CASES = {
 
 
 def mp_linear_profile(u):
-    """u's value in mpmath from its pieces' coefficients, and its knots and
-    interior roots in increasing order."""
+    """u's value in mpmath from its pieces' coefficients, c + s (r - a) on
+    the piece anchored at a, and its knots and interior roots in increasing
+    order."""
     knots = list(u.knots)
-    lines = [(mpmath.mpf(pc.intercept), mpmath.mpf(pc.slope)) for pc in u.pieces]
+    lines = [tuple(map(mpmath.mpf, (pc.intercept, pc.slope, pc.anchor))) for pc in u.pieces]
     roots = [
-        -c / s for (c, s), lo, hi in zip(lines, knots, knots[1:]) if s and lo < -c / s < hi
+        a - c / s for (c, s, a), lo, hi in zip(lines, knots, knots[1:]) if s and lo < a - c / s < hi
     ]
 
     def value(r):
-        c, s = lines[min(bisect.bisect_right(knots, r), len(lines)) - 1]
-        return c + s * r
+        c, s, a = lines[min(bisect.bisect_right(knots, r), len(lines)) - 1]
+        return c + s * (r - a)
 
     return value, sorted(knots + roots)
 
@@ -368,7 +369,7 @@ def run_breaks(u, lo, hi, power):
             continue
         if lo < a:
             breaks.append(a)
-        root = -piece.intercept / piece.slope
+        root = piece.anchor - piece.intercept / piece.slope
         if kinks_at_roots(power) and a < root < b:
             breaks.append(root)
     return breaks
@@ -382,27 +383,25 @@ GATHER_SETUPS = {
 }
 
 
-def per_piece_value(u):
-    """The values of ``u`` piece by piece: each node through its own
-    segment's ``LinearPiece.value`` (the segment whose knot is the last at or
-    below it, the last one past the last knot)."""
-    segments = [piece for _a, _b, piece in u.segments()]
-    knots = np.array(u.knots)
+def point_slope_value(u):
+    """The polyline ``u``'s values in point-slope form, ys[i] + s_i (r - ts[i])
+    with ts[i] the last knot at or below r and s_i = (ys[i+1] - ys[i]) /
+    (ts[i+1] - ts[i]) (0 from the last knot on), from its given knots and
+    values."""
+    ts, ys = u.ts, u.ys
+    slopes = np.append(np.diff(ys) / np.diff(ts), 0.0)
 
     def value(r):
-        i = np.minimum(np.searchsorted(knots, r, side="right") - 1, len(segments) - 1)
-        out = np.empty_like(r)
-        for k in np.unique(i):
-            out[i == k] = segments[k].value(r[i == k])
-        return out
+        i = np.searchsorted(ts, r, side="right") - 1
+        return ys[i] + slopes[i] * (r - ts[i])
 
     return value
 
 
 class TestLinearGather:
-    """A value run of linear pieces is integrated from one gather of their
-    intercepts and slopes.  It must give the bits of one
-    ``abs_pow_quadrature`` call of the pieces' own values over the run."""
+    """A polyline's value run is integrated from one ``np.interp`` of its
+    knots and values per level.  It must give the bits of one
+    ``abs_pow_quadrature`` call of the point-slope values over the run."""
 
     @pytest.mark.parametrize("setup", list(GATHER_SETUPS.values()), ids=list(GATHER_SETUPS))
     @pytest.mark.parametrize("seed", range(3))
@@ -421,7 +420,7 @@ class TestLinearGather:
         for trial in trials:
             start = next(a for a, _b, piece in trial.segments() if piece.slope != 0.0)
             want = abs_pow_quadrature(
-                per_piece_value(trial), setup.q, setup.theta, start, setup.R, DEFAULT_SPEC,
+                point_slope_value(trial), setup.q, setup.theta, start, setup.R, DEFAULT_SPEC,
                 breaks=run_breaks(trial, start, setup.R, setup.q),
             )
             got = abs_pow_integral(trial, setup.q, setup.theta, 0.0, setup.R, DEFAULT_SPEC)

@@ -38,8 +38,6 @@ DRIFTED = {
     "--rtol 1e-12 cc --p 2.5 --family moser --a 500",
     "--seed 5 hardy --p 2 --q 4 --alpha 1.2 --theta -0.5 --side right --trials 40",
     "--seed 2 hardy --p 2 --q 2 --alpha 2 --theta 0.5 --side right --R 3 --trials 30",
-    "hardy --p 2 --q 3 --alpha 0 --theta -0.5 --trials 20",
-    "--format csv hardy --p 1.5 --q 3 --alpha -0.8 --theta -0.2 --trials 25",
     "hardy --second-order --n-dim 8 --q 2 --trials 50",
     "--seed 3 hardy --second-order --n-dim 12 --q 2.5 --p 3 --R 2 --trials 20",
 }
@@ -239,6 +237,26 @@ class TestCommands:
         assert status == 2
         assert out == ""
         assert "log_unit_sphere_area" in err
+
+    HUGE_N = str(10**400)
+    FLOAT_RANGE = {
+        # beta0(19, 20) = e^752.
+        "beta0": (["constants", "--m", "19", "--n", "20"], "beta0 overflows double precision at m=19, n=20"),
+        "constants-n": (["constants", "--m", "2", "--n", HUGE_N], "dimension n must be at most 1.797"),
+        "level-n": (["level", "--m", "2", "--n", HUGE_N], "dimension n must be at most 1.797"),
+        # The ramp's slope (1e300)^(1/2.1), to the conjugate power 11 of q = 1.1.
+        "energy": (
+            ["cc", "--family", "moser", "--p", "2.1", "--a", "1e-300", "--q", "1.1"],
+            "|g'|^p on [0.0, 1e-300] leaves the float range at p=10.99",
+        ),
+    }
+
+    @pytest.mark.parametrize("argv, message", list(FLOAT_RANGE.values()), ids=list(FLOAT_RANGE))
+    def test_float_range_refusal_names_its_parameter(self, argv, message, capsys):
+        # Each used to exit 2 with Python's own OverflowError message.
+        status, out, err = run_cli(argv, capsys)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"adamskit: domain error: {message}")
 
     def test_cc_and_level_report_the_same_level(self, capsys):
         _status, out_cc, _ = run_cli(

@@ -164,20 +164,54 @@ def per_piece(g, t, method):
     return np.array(out)
 
 
+def point_slope(ts, ys, t):
+    """ys[i] + s_i (t - ts[i]), ts[i] the last knot at or below t and
+    s_i = (ys[i+1] - ys[i]) / (ts[i+1] - ts[i]), 0 from the last knot on."""
+    slopes = np.append(np.diff(ys) / np.diff(ts), 0.0)
+    i = np.searchsorted(ts, t, side="right") - 1
+    return ys[i] + slopes[i] * (t - ts[i])
+
+
 class TestBatchEvaluator:
-    """A batch of points goes through one evaluator per profile: one gather
-    of the segments' coefficients where they share a type that has one
-    (polylines here), else a loop over the segments the points fall in."""
+    """A batch of points goes through one evaluator per profile: a
+    polyline's values are one ``np.interp`` of its knots and values, and
+    otherwise one gather of the segments' coefficients where they share a
+    type that has one (a polyline's derivative here), else a loop over the
+    segments the points fall in."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_polyline_equals_its_pieces(self, seed):
         rng = np.random.default_rng(seed)
         ts = np.cumsum(rng.uniform(0.05, 2.0, size=2 + seed % 9)) - 1.0
-        g = piecewise_linear(ts, rng.normal(size=ts.size), constant_tail=bool(seed % 2))
+        ys = rng.normal(size=ts.size)
+        g = piecewise_linear(ts, ys, constant_tail=bool(seed % 2))
         end = ts[-1] + 3.0 if seed % 2 else ts[-1]
         t = np.concatenate((ts, rng.uniform(ts[0], end, size=200)))
-        assert np.array_equal(g.value(t), per_piece(g, t, "value"))
+        assert np.array_equal(g.value(t), point_slope(ts, ys, t))
         assert np.array_equal(g.derivative(t), per_piece(g, t, "derivative"))
+
+    KNOTS_1E9_APART = (
+        [0.0, 0.4, 1.0102580363557867, 1.0102580363557867 + 1e-9, 1.3],
+        [0.3, -0.5, 0.19245660002343357, -0.7, 0.0],
+    )
+
+    @pytest.mark.parametrize("seed", [None, *range(10)])
+    @pytest.mark.parametrize("tail", [False, True], ids=["no-tail", "tail"])
+    def test_polyline_gives_its_values_at_its_knots(self, seed, tail):
+        # Every route: the batch, a point, the pieces that start at the
+        # knots (what ``to_json_obj`` prints and the nonnegativity check
+        # reads) and the end.
+        if seed is None:
+            ts, ys = self.KNOTS_1E9_APART
+        else:
+            rng = np.random.default_rng(seed)
+            ts = np.cumsum(rng.uniform(1e-9, 10.0, size=12)).tolist()
+            ys = (rng.normal(size=12) * 10.0 ** rng.integers(-8, 8, size=12)).tolist()
+        g = piecewise_linear(ts, ys, constant_tail=tail)
+        assert g.value(np.array(ts)).tolist() == ys
+        assert [g.value(t) for t in ts] == ys
+        assert [entry["value"] for entry in g.to_json_obj()] == ys[: len(ys) - 1 + tail]
+        assert [float(piece.value(t)) for t, _hi, piece in g.segments()] == ys[: len(ys) - 1 + tail]
 
     def test_polyline_takes_the_gather(self, monkeypatch):
         g = piecewise_linear([0.0, 1.0, 3.0], [0.0, 2.0, 1.0])
