@@ -18,7 +18,11 @@ coefficient arrays: products by ``np.convolve``, derivatives as k c_k,
 values by Horner's rule, each in ``numpy.polynomial``'s order of
 operations, so the ratios are bit for bit those of ``polymul``/``polyder``/
 ``polyval`` without their per-call wrappers; only the breaks at the roots
-(none at the default p = 2) come from ``polyroots``.
+(none at the default p = 2) come from ``polyroots``.  Where no roots
+break them (an even p), a probe integrates all its trials' |u|^p r^w as
+one stacked engine call, rows of coefficients evaluated by Horner's rule
+on (k, 1) columns, and all their |r u'' + (n-1) u'|^p r^w as another;
+at other p each trial takes its own two calls.
 
 For pure power weights the product defining B is unimodal in the split
 point for every parameter choice (its log-derivative is C - G(x) with G
@@ -27,6 +31,7 @@ strictly increasing), so the supremum is located in closed form.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import sys
@@ -37,7 +42,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .constants import AdamsParams
-from .errors import DegenerateTrialError, DomainError, InfeasibleError
+from .errors import DegenerateTrialError, DomainError, InfeasibleError, QuadratureError
 from .profiles import (
     PiecewiseProfile,
     PowerPiece,
@@ -297,33 +302,41 @@ def second_order_constant(n: int, q: float) -> float:
 
 def _abs_pow_poly_integral(
     coef: np.ndarray, power: float, weight_pow: float, R: float, spec: QuadratureSpec
-) -> float:
+) -> float | np.ndarray:
     """integral_0^R |poly(r)|^power r^weight_pow dr for the power-basis
     coefficients ``coef``, with poly's real roots in (0, R) as breaks where
-    ``kinks_at_roots(power)``.
+    ``kinks_at_roots(power)``.  Coefficient rows (k, m) give the k integrals
+    by one stacked engine call on one first level, so there the power must
+    have no kinks at roots.
 
     ``DomainError`` naming p where a node's |poly|^power and r^weight_pow
     are 0 and inf, whose product is NaN.  The nodes are checked only where
     a positive weight leaves a factor free to leave the float range: where
-    (1 + sum |c_k| R^k)^power or R^weight_pow reaches e^700.
+    (1 + sum |c_k| R^k)^power or R^weight_pow reaches e^700, with each |c_k|
+    the largest over the rows.
     """
     breaks = None
     if kinks_at_roots(power):
         roots = P.polyroots(coef)
         keep = (np.abs(roots.imag) < 1e-12) & (1e-12 < roots.real) & (roots.real < R * (1 - 1e-12))
         breaks = np.unique(roots.real[keep])
-    top, rest = coef[-1], coef[-2::-1].tolist()
+    # Highest degree first, as floats or as (k, 1) columns of the rows, so
+    # that each row's values take the arithmetic of its own 1-D call.
+    if coef.ndim == 1:
+        columns, moduli = coef[::-1].tolist(), np.abs(coef)
+    else:
+        columns, moduli = coef.T[::-1, :, None], np.abs(coef).max(0)
 
     def value(r):
         # Horner's rule in ``P.polyval``'s order of operations.
-        y = top + r * 0.0
-        for c in rest:
+        y = columns[0] + r * 0.0
+        for c in columns[1:]:
             y = c + y * r
         return y
 
-    bound = abs(top)  # sum |c_k| R^k >= |poly| on [0, R]
-    for c in rest:
-        bound = abs(c) + bound * R
+    bound = 0.0  # sum |c_k| R^k >= |poly| on [0, R]
+    for c in moduli[::-1].tolist():
+        bound = c + bound * R
     if weight_pow <= 0.0 or (
         power * math.log1p(bound) < _LOG_RANGE and weight_pow * math.log(max(R, 1.0)) < _LOG_RANGE
     ):
@@ -343,6 +356,50 @@ def _abs_pow_poly_integral(
     return abs_pow_quadrature(checked, power, weight_pow, 0.0, R, spec, breaks=breaks)
 
 
+def _second_order_ratios(
+    n: int, p: float, q: float, R: float, coef: np.ndarray, spec: QuadratureSpec
+) -> float | list[float]:
+    """``second_order_trial_ratio`` of the power-basis coefficients ``coef``:
+    one ratio for a 1-D array, the list of ratios for rows (k, m), whose
+    integrals are one stacked engine call per side."""
+    if not p >= 1.0:
+        raise DomainError(f"need p >= 1, got p={p}")
+    q_star = n * q / (n - 2.0 * q)
+    lhs_weight, rhs_weight = n * p / q_star - 1.0, n * p / q - 1.0 - p
+    if not (math.isfinite(lhs_weight) and math.isfinite(rhs_weight)):
+        raise DomainError(f"the weight exponents overflow at p={p}")
+    factor = np.array([R, -1.0])
+    square = np.convolve(factor, factor)
+    if coef.ndim == 1:
+        u = np.convolve(square, coef)
+    else:
+        u = np.array([np.convolve(square, c) for c in coef])
+    if not np.isfinite(u).all():
+        raise DomainError(f"the trial's coefficients overflow at R={R}")
+    du = np.arange(1, u.shape[-1]) * u[..., 1:]
+    # |r u'' + (n-1) u'|^p r^{np/q - 1 - p} keeps the laplacian integrand
+    # polynomial-times-power (no 1/r at the origin).
+    lap_times_r = (n - 1.0) * du
+    lap_times_r[..., 1:] += np.arange(1, du.shape[-1]) * du[..., 1:]
+    lhs = _abs_pow_poly_integral(u, p, lhs_weight, R, spec)
+    rhs = _abs_pow_poly_integral(lap_times_r, p, rhs_weight, R, spec)
+    if coef.ndim == 1:
+        return _ratio(coef, lhs, rhs, p, R)
+    return [_ratio(*row, p, R) for row in zip(coef, lhs.tolist(), rhs.tolist())]
+
+
+def _ratio(coef: np.ndarray, lhs: float, rhs: float, p: float, R: float) -> float:
+    """(lhs / rhs)^{1/p}, NaN where rhs = 0; ``DomainError`` where an
+    integral of nonzero ``coef`` is below the normal float range."""
+    if np.any(coef) and not min(lhs, rhs) >= sys.float_info.min:
+        raise DomainError(
+            f"the trial's integrals ({lhs:.3g}, {rhs:.3g}) underflow the float range at R={R}"
+        )
+    if rhs == 0.0:
+        return math.nan
+    return lhs ** (1.0 / p) / rhs ** (1.0 / p)
+
+
 def second_order_trial_ratio(
     n: int,
     p: float,
@@ -354,9 +411,9 @@ def second_order_trial_ratio(
     """LHS/RHS of the second-order inequality for u = (R - r)^2 poly(r).
 
     The boundary conditions u(R) = 0 and u'(R) = 0 hold by construction.
-    Raises ``DomainError`` when p < 1, when either weight exponent
-    overflows (p near 1e308), when ``poly`` is not in the power basis (its
-    domain differs from its window), the coefficients of u overflow, or
+    Raises ``DomainError`` when ``poly`` is not in the power basis (its
+    domain differs from its window), when p < 1, when either weight
+    exponent overflows (p near 1e308), the coefficients of u overflow, or
     either integral of a nonzero ``poly`` falls below the normal float
     range, where its digits are lost (R near 1e-40 and below).
 
@@ -368,32 +425,9 @@ def second_order_trial_ratio(
     large weights put both integrals far below the floor (2e-292 and
     2e-229 at n = 85, p = 17.7), the ratio can be 11 % off.
     """
-    if not p >= 1.0:
-        raise DomainError(f"need p >= 1, got p={p}")
     if not (poly.domain == poly.window).all():
         raise DomainError(f"the trial polynomial must be in the power basis, got {poly!r}")
-    q_star = n * q / (n - 2.0 * q)
-    lhs_weight, rhs_weight = n * p / q_star - 1.0, n * p / q - 1.0 - p
-    if not (math.isfinite(lhs_weight) and math.isfinite(rhs_weight)):
-        raise DomainError(f"the weight exponents overflow at p={p}")
-    factor = np.array([R, -1.0])
-    u = np.convolve(np.convolve(factor, factor), poly.coef)
-    if not np.isfinite(u).all():
-        raise DomainError(f"the trial's coefficients overflow at R={R}")
-    du = np.arange(1, u.size) * u[1:]
-    d2u = np.arange(1, du.size) * du[1:]
-    # |r u'' + (n-1) u'|^p r^{np/q - 1 - p} keeps the laplacian integrand
-    # polynomial-times-power (no 1/r at the origin).
-    lap_times_r = np.concatenate(([0.0], d2u)) + (n - 1.0) * du
-    lhs = _abs_pow_poly_integral(u, p, lhs_weight, R, spec)
-    rhs = _abs_pow_poly_integral(lap_times_r, p, rhs_weight, R, spec)
-    if np.any(poly.coef) and not min(lhs, rhs) >= sys.float_info.min:
-        raise DomainError(
-            f"the trial's integrals ({lhs:.3g}, {rhs:.3g}) underflow the float range at R={R}"
-        )
-    if rhs == 0.0:
-        return math.nan
-    return lhs ** (1.0 / p) / rhs ** (1.0 / p)
+    return _second_order_ratios(n, p, q, R, poly.coef, spec)
 
 
 def second_order_probe(
@@ -406,19 +440,29 @@ def second_order_probe(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Max LHS/RHS over random polynomial trials; must stay below
-    second_order_constant(n, q) (up to 1e-6 relative)."""
+    second_order_constant(n, q) (up to 1e-6 relative).
+
+    Where |h|^p has no kinks at roots, every trial's integrals share one
+    first level, and all trials take one stacked engine call per side.
+    Should that pass raise, the trials rerun one at a time, so a refusal
+    is the first trial's own, as where each trial takes its own calls."""
     constant = second_order_constant(n, q)  # validates n - 2q > 0
     if not 0.0 < R < math.inf:
         raise DomainError(f"interval endpoint must be positive and finite, got R={R}")
     if trial_count < 1:
         raise DomainError(f"trial_count must be >= 1, got {trial_count}")
     rng = np.random.default_rng(seed)
+    coefs = np.array([rng.uniform(-1.0, 1.0, size=4) for _ in range(trial_count)])
+    ratios = None
+    if not kinks_at_roots(p):
+        # A refusal is rerun below, so that it is the trial-by-trial one.
+        with contextlib.suppress(ArithmeticError, DomainError, QuadratureError):
+            ratios = _second_order_ratios(n, p, q, R, coefs, spec)
+    if ratios is None:
+        polys = map(np.polynomial.Polynomial, coefs)
+        ratios = [second_order_trial_ratio(n, p, q, R, poly, spec) for poly in polys]
     best = -math.inf
-    for _ in range(trial_count):
-        coeffs = rng.uniform(-1.0, 1.0, size=4)
-        ratio = second_order_trial_ratio(
-            n, p, q, R, np.polynomial.Polynomial(coeffs), spec
-        )
+    for ratio in ratios:
         if not math.isnan(ratio):
             best = max(best, ratio)
     if best == -math.inf:

@@ -323,13 +323,17 @@ def _far_value(g: PiecewiseProfile) -> float:
 
 def _check_nonnegative(g: PiecewiseProfile) -> None:
     # Knot values plus the far value; a cheap guard, not a proof of positivity.
-    values = [_far_value(g)]
-    for k, _hi, piece in g.segments():
-        if isinstance(piece, LogRadialRun):  # its knots are radii[1:]
-            values.append(float((piece.scale * piece.w(piece.radii[1:])).min()))
-        else:
-            values.append(float(np.asarray(piece.value(k))))
-    if min(values) < -1e-12:
+    if isinstance(g, Polyline):  # its knot values; a tail is constant at ys[-1]
+        low = float(g.ys.min())
+    else:
+        values = [_far_value(g)]
+        for k, _hi, piece in g.segments():
+            if isinstance(piece, LogRadialRun):  # its knots are radii[1:]
+                values.append(float((piece.scale * piece.w(piece.radii[1:])).min()))
+            else:
+                values.append(float(np.asarray(piece.value(k))))
+        low = min(values)
+    if low < -1e-12:
         raise DomainError("profile must be nonnegative")
 
 

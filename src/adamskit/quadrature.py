@@ -15,7 +15,20 @@ share (b - a)/(hi - lo) of the tolerance, and the rest are halved; a panel
 at machine resolution is frozen.  ``QuadratureError`` (with the achieved
 error, the interval and the panel count) is raised on a NaN or infinite
 panel value, when the splits would exceed ``MAX_SUBDIVISIONS``, or when
-only frozen panels fail their share.
+only frozen panels fail their share.  A call whose first level meets
+the tolerance returns there; ``_refine`` keeps the bookkeeping of the
+later levels.
+
+An integrand may also return a stack, shape (k, x.size): k integrals on
+one panel layout, which the call returns as an array of k floats.  Each
+row must meet its own tolerance, and is done at the level where it does;
+each later level is one call of ``f`` on the union of the panels that
+the still-open rows split, and each row reads only its own panels.  So
+every row is its own 1-D call to the bit, its errors included: its sums
+and its BLAS matrix-vector products (whose rounding depends on the
+number of rows) run over exactly its panels, and a finished row is never
+refined again.  A 1-D integrand keeps its float bookkeeping.  An empty
+interval (hi <= lo) is 0.0 without a call of ``f``, stacked or not.
 
 Each first-level panel must lie within one smooth piece of its integrand:
 the callers break there (``profiles.abs_pow_integral`` at the knots and
@@ -26,9 +39,11 @@ log-radial profile's energy at the radii of its ``LogRadialRun``;
 run of non-constant polyline segments at their knots, and one per other
 profile piece without a closed form, with edges at width/2, width/4, ...
 from both ends of each piece or segment down to end panels in
-(1/16, 1/8]).  The error estimate is blind to a jump that lies between a
-panel edge and that panel's outermost Gauss node, where G15 and G31 see
-the same side and agree on a wrong value;
+(1/16, 1/8]; ``hardy`` stacks the norms of all of a second-order probe's
+polynomial trials where their power is even, so no roots break them).
+The error estimate is blind to a jump that lies between a panel edge
+and that panel's outermost Gauss node, where G15 and G31 see the same
+side and agree on a wrong value;
 ``tests/test_profiles.py::TestAdaptiveGauss::test_jump_next_to_panel_edge``
 pins such a case as a strict xfail.
 """
@@ -84,9 +99,10 @@ def adaptive_gauss(
     spec: QuadratureSpec = DEFAULT_SPEC,
     *,
     breaks: np.ndarray | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Integral of ``f`` on the finite interval [lo, hi], starting from the
-    panels between ``breaks`` (see the module docstring)."""
+    panels between ``breaks`` (see the module docstring); the array of the
+    k integrals where ``f`` returns a stack of shape (k, x.size)."""
     if not math.isfinite(lo) or not math.isfinite(hi):
         raise DomainError("adaptive_gauss requires a finite interval")
     if hi <= lo:
@@ -106,16 +122,48 @@ def adaptive_gauss(
                 f"breaks must be finite, strictly increasing and strictly inside"
                 f" ({lo}, {hi}); the panel [{a[i]}, {b[i]}] is empty or not finite"
             )
-    abs_tol = min(1e-13, spec.rel_tol)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    x = np.multiply.outer(half, _NODES) + mid[:, None]
+    y = np.asarray(f(x.ravel()), dtype=float)
+    if y.ndim == 2:
+        return _stack(f, lo, hi, spec, a, b, half, mid, y.reshape(len(y), *x.shape))
+    g15, g31, err = _rules(half, y.reshape(x.shape))
+    active_err = float(err.sum())
+    # A call whose first level meets the tolerance returns here.
+    if active_err <= _tolerance(spec, float(g31.sum())) and math.isfinite(active_err):
+        return math.fsum(g31)
+    refine = _refine(lo, hi, spec, a, b, half, mid, g15, g31, err)
+    try:
+        _, half, mid = next(refine)
+        while True:
+            x = np.multiply.outer(half, _NODES) + mid[:, None]
+            y = np.asarray(f(x.ravel()), dtype=float)
+            _, half, mid = refine.send(y.reshape(x.shape))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _rules(half: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G15, G31 and their difference |G31 - G15| on each panel (the last
+    axis but one) from the values ``y`` at its 15 + 31 nodes."""
+    g15, g31 = half * (y[..., :15] @ _W15), half * (y[..., 15:] @ _W31)
+    return g15, g31, np.abs(g31 - g15)
+
+
+def _tolerance(spec: QuadratureSpec, total: float) -> float:
+    """max(min(1e-13, rel_tol), rel_tol |total|)."""
+    return max(min(1e-13, spec.rel_tol), spec.rel_tol * abs(total))
+
+
+def _refine(lo, hi, spec, a, b, half, mid, g15, g31, err):
+    """One integral's refinement from its first level, the panels [a, b]
+    with rule values g15, g31 and err: a generator that yields the
+    (a, half, mid) of each next level's panels, is sent their values
+    (panels x 46) and returns the integral."""
     done: list[np.ndarray] = []  # G31 values of accepted and frozen panels
     done_sum = done_err = 0.0
     splits, frozen = 0, False
     while True:
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        x = np.multiply.outer(half, _NODES) + mid[:, None]
-        y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-        g15, g31 = half * (y[:, :15] @ _W15), half * (y[:, 15:] @ _W31)
-        err = np.abs(g31 - g15)
         active_err = float(err.sum())
         if not math.isfinite(active_err) and (bad := ~(np.isfinite(g15) & np.isfinite(g31))).any():
             i = bad.argmax()
@@ -125,16 +173,13 @@ def adaptive_gauss(
                 interval=(lo, hi),
                 panels=sum(v.size for v in done) + a.size,
             )
-        tol = max(abs_tol, spec.rel_tol * abs(done_sum + float(g31.sum())))
-        # A one-panel call that converges returns here, with no bookkeeping.
+        tol = _tolerance(spec, done_sum + float(g31.sum()))
         # With a frozen panel only the summed estimate can end the loop.
         converged = done_err + active_err <= tol
         if not converged:
             split = err * (hi - lo) > 2.0 * tol * half  # outside the length share
             converged = not (split.any() or frozen)
         if converged:
-            if not done:
-                return math.fsum(g31)
             done.append(g31)
             return math.fsum(np.concatenate(done))
         halvable = (a < mid) & (mid < b)
@@ -162,6 +207,43 @@ def adaptive_gauss(
             )
         splits += a.size
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        g15, g31, err = _rules(half, (yield a, half, mid))
+
+
+def _stack(f, lo, hi, spec, a, b, half, mid, y) -> np.ndarray:
+    """``adaptive_gauss`` of a stacked ``f`` from the values ``y`` (k x
+    panels x 46) of the shared first level [a, b].  A row whose first
+    level meets its tolerance is done there; each other row refines by
+    ``_refine`` as its own 1-D call would, and each later level is one call
+    of ``f`` on the union of the panels that the open rows split."""
+    g15, g31, err = _rules(half, y)
+    active_err = err.sum(1)
+    tol = np.maximum(min(1e-13, spec.rel_tol), spec.rel_tol * np.abs(g31.sum(1)))
+    done = (active_err <= tol) & np.isfinite(active_err)
+    values = [math.fsum(row) if ok else None for ok, row in zip(done.tolist(), g31.tolist())]
+    refining = {
+        r: _refine(lo, hi, spec, a, b, half, mid, g15[r], g31[r], err[r]) for r in np.flatnonzero(~done)
+    }
+    sent = dict.fromkeys(refining)  # a new generator is sent None
+    while refining:
+        requests = {}
+        for r, refine in refining.items():
+            try:
+                requests[r] = refine.send(sent[r])
+            except StopIteration as stop:
+                values[r] = stop.value
+        if not requests:
+            break
+        refining = {r: refining[r] for r in requests}
+        # Panels of one level are equal or disjoint, so a left edge names one.
+        a, half, mid = (np.concatenate(v) for v in zip(*requests.values()))
+        a, first, inverse = np.unique(a, return_index=True, return_inverse=True)
+        x = np.multiply.outer(half[first], _NODES) + mid[first, None]
+        y = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape)
+        ends = np.cumsum([request[0].size for request in requests.values()])[:-1]
+        sent = {r: y[r][i] for r, i in zip(requests, np.split(inverse, ends))}
+    return np.array(values)
 
 
 def power_integral(c: float, w1: float, a: float, b: float) -> float:
