@@ -362,11 +362,13 @@ def _cmd_hardy(args) -> int:
 def _read_cells(rows: Sequence[Sequence[str]]) -> SampledFunction:
     from .rearrange import SampledFunction
 
+    # Blank rows are skipped, and a "measure,..." header as the first non-blank row.
+    numbered = [(number, row) for number, row in enumerate(rows, start=1) if any(c.strip() for c in row)]
+    if numbered and numbered[0][1][0].strip().lower() == "measure":
+        del numbered[0]
     cells = []
-    for number, row in enumerate(rows, start=1):
-        if not row or row[0].strip().lower() in ("measure", ""):
-            continue
-        if len(row) < 2:
+    for number, row in numbered:
+        if len(row) < 2 or any(c.strip() for c in row[2:]):
             raise DomainError(f"row {number} {row!r}: expected measure,value")
         try:
             cell = (float(row[0]), float(row[1]))

@@ -20,15 +20,16 @@ the tolerance returns there; ``_refine`` keeps the bookkeeping of the
 later levels.
 
 An integrand may also return a stack, shape (k, x.size): k integrals on
-one panel layout, which the call returns as an array of k floats.  Each
-row must meet its own tolerance, and is done at the level where it does;
-each later level is one call of ``f`` on the union of the panels that
-the still-open rows split, and each row reads only its own panels.  So
-every row is its own 1-D call to the bit, its errors included: its sums
-and its BLAS matrix-vector products (whose rounding depends on the
-number of rows) run over exactly its panels, and a finished row is never
-refined again.  A 1-D integrand keeps its float bookkeeping.  An empty
-interval (hi <= lo) is 0.0 without a call of ``f``, stacked or not.
+one panel layout, which the call returns as an array of k floats.  The
+rows share the first level, one (k, panels, 46) evaluation whose rows'
+rule sums match their own (panels, 15) and (panels, 31) products, and a
+row that meets its own tolerance there is done.  Each other row r then
+refines, in row order, as its own 1-D call of ``f(x)[r]``: every later
+level of it evaluates all k rows of ``f`` on its panels and reads its own.
+So every row is its own 1-D call to the bit, its errors included, and a
+stack raises the error of its first refusing row.  A 1-D integrand keeps
+its float bookkeeping.  An empty interval (hi <= lo) is 0.0 without a
+call of ``f``, stacked or not.
 
 Each first-level panel must lie within one smooth piece of its integrand:
 the callers break there (``profiles.abs_pow_integral`` at the knots and
@@ -132,15 +133,7 @@ def adaptive_gauss(
     # A call whose first level meets the tolerance returns here.
     if active_err <= _tolerance(spec, float(g31.sum())) and math.isfinite(active_err):
         return math.fsum(g31)
-    refine = _refine(lo, hi, spec, a, b, half, mid, g15, g31, err)
-    try:
-        _, half, mid = next(refine)
-        while True:
-            x = np.multiply.outer(half, _NODES) + mid[:, None]
-            y = np.asarray(f(x.ravel()), dtype=float)
-            _, half, mid = refine.send(y.reshape(x.shape))
-    except StopIteration as stop:
-        return stop.value
+    return _refine(f, lo, hi, spec, a, b, half, mid, g15, g31, err)
 
 
 def _rules(half: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,11 +148,10 @@ def _tolerance(spec: QuadratureSpec, total: float) -> float:
     return max(min(1e-13, spec.rel_tol), spec.rel_tol * abs(total))
 
 
-def _refine(lo, hi, spec, a, b, half, mid, g15, g31, err):
+def _refine(f, lo, hi, spec, a, b, half, mid, g15, g31, err) -> float:
     """One integral's refinement from its first level, the panels [a, b]
-    with rule values g15, g31 and err: a generator that yields the
-    (a, half, mid) of each next level's panels, is sent their values
-    (panels x 46) and returns the integral."""
+    with rule values g15, g31 and err: each later level is one call of
+    ``f`` on the panels that level splits."""
     done: list[np.ndarray] = []  # G31 values of accepted and frozen panels
     done_sum = done_err = 0.0
     splits, frozen = 0, False
@@ -208,42 +200,25 @@ def _refine(lo, hi, spec, a, b, half, mid, g15, g31, err):
         splits += a.size
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        g15, g31, err = _rules(half, (yield a, half, mid))
+        x = np.multiply.outer(half, _NODES) + mid[:, None]
+        g15, g31, err = _rules(half, np.asarray(f(x.ravel()), dtype=float).reshape(x.shape))
 
 
 def _stack(f, lo, hi, spec, a, b, half, mid, y) -> np.ndarray:
     """``adaptive_gauss`` of a stacked ``f`` from the values ``y`` (k x
     panels x 46) of the shared first level [a, b].  A row whose first
-    level meets its tolerance is done there; each other row refines by
-    ``_refine`` as its own 1-D call would, and each later level is one call
-    of ``f`` on the union of the panels that the open rows split."""
+    level meets its tolerance is done there; each other row r refines by
+    ``_refine`` as its own 1-D call of ``f(x)[r]`` would, so each of its
+    later levels evaluates all k rows of ``f`` on its own panels."""
     g15, g31, err = _rules(half, y)
     active_err = err.sum(1)
     tol = np.maximum(min(1e-13, spec.rel_tol), spec.rel_tol * np.abs(g31.sum(1)))
     done = (active_err <= tol) & np.isfinite(active_err)
-    values = [math.fsum(row) if ok else None for ok, row in zip(done.tolist(), g31.tolist())]
-    refining = {
-        r: _refine(lo, hi, spec, a, b, half, mid, g15[r], g31[r], err[r]) for r in np.flatnonzero(~done)
-    }
-    sent = dict.fromkeys(refining)  # a new generator is sent None
-    while refining:
-        requests = {}
-        for r, refine in refining.items():
-            try:
-                requests[r] = refine.send(sent[r])
-            except StopIteration as stop:
-                values[r] = stop.value
-        if not requests:
-            break
-        refining = {r: refining[r] for r in requests}
-        # Panels of one level are equal or disjoint, so a left edge names one.
-        a, half, mid = (np.concatenate(v) for v in zip(*requests.values()))
-        a, first, inverse = np.unique(a, return_index=True, return_inverse=True)
-        x = np.multiply.outer(half[first], _NODES) + mid[first, None]
-        y = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape)
-        ends = np.cumsum([request[0].size for request in requests.values()])[:-1]
-        sent = {r: y[r][i] for r, i in zip(requests, np.split(inverse, ends))}
-    return np.array(values)
+    return np.array([
+        math.fsum(g31[r]) if done[r]
+        else _refine(lambda x, r=r: f(x)[r], lo, hi, spec, a, b, half, mid, g15[r], g31[r], err[r])
+        for r in range(len(y))
+    ])
 
 
 def power_integral(c: float, w1: float, a: float, b: float) -> float:

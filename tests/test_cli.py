@@ -478,6 +478,25 @@ class TestCommands:
         assert out == ""
         assert "row 2" in err
 
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("0.5,2\n,3\n0.25,1\n", 2),
+            ("measure,value\n0.5,2\nMeasure,3\n", 3),
+            ("0.5,2,7\n", 1),
+        ],
+        ids=["blank-measure", "second-header", "third-cell"],
+    )
+    def test_rearrange_row_that_is_not_a_pair_exits_2(self, text, row, tmp_path, capsys):
+        # Only blank rows and a leading header are skipped; no row is
+        # dropped or cut short without a word.
+        src = tmp_path / "cells.csv"
+        src.write_text(text, encoding="utf-8")
+        status, out, err = run_cli(["rearrange", "--input", str(src)], capsys)
+        assert status == 2
+        assert out == ""
+        assert f"row {row}" in err
+
     def test_rearrange_unreadable_input_exits_64(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
         status, _out, err = run_cli(["rearrange", "--input", missing], capsys)

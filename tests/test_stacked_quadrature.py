@@ -50,19 +50,20 @@ class TestStackedEngine:
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-13])
     def test_rows_equal_their_own_calls(self, breaks, rel_tol):
         spec = QuadratureSpec(rel_tol=rel_tol)
-        levels, alone = [], []
+        own, alone = [], []
         for row in ROWS.values():
             calls = []
             alone.append(adaptive_gauss(counting(row, calls), 0.0, 1.0, spec, breaks=breaks))
-            levels.append(len(calls))
+            own.append(calls)
+        levels = [len(calls) for calls in own]
         calls = []
         got = adaptive_gauss(counting(stacked(ROWS.values()), calls), 0.0, 1.0, spec, breaks=breaks)
         assert isinstance(got, np.ndarray) and got.shape == (len(ROWS),)
         assert got.tolist() == alone
-        # The cubic finishes on level 1 while sqrt refines on: one integrand
-        # call per level of the deepest row, each on the panels open rows split.
+        # The cubic finishes on level 1 while sqrt refines on: the shared
+        # first level, then each refining row's own later calls in row order.
         assert levels[0] == 1 and levels[1] > 3
-        assert len(calls) == max(levels)
+        assert calls == own[0][:1] + [size for row_calls in own for size in row_calls[1:]]
 
     def test_later_levels_evaluate_only_split_panels(self):
         # The cubic and the damped row finish on level 1; after that the
