@@ -13,16 +13,13 @@ unless the power is even, and grades it toward r = 0 in quarter steps
 where the weight leaves a power of r there.  A polyline trial's knots
 are drawn sorted, and its value norm takes one ``np.interp`` of its knots
 and values per level and builds no derivative evaluator (the
-derivative norm is closed form).  The second-order trials' polynomials are plain
-coefficient arrays: products by ``np.convolve``, derivatives as k c_k,
-values by Horner's rule, each in ``numpy.polynomial``'s order of
-operations, so the ratios are bit for bit those of ``polymul``/``polyder``/
-``polyval`` without their per-call wrappers; only the breaks at the roots
-(none at the default p = 2) come from ``polyroots``.  Where no roots
-break them (an even p), a probe integrates all its trials' |u|^p r^w as
-one stacked engine call, rows of coefficients evaluated by Horner's rule
-on (k, 1) columns, and all their |r u'' + (n-1) u'|^p r^w as another;
-at other p each trial takes its own two calls.
+derivative norm is closed form).  A second-order trial u = (R - r)^2
+poly(r) at an even p up to ``_CLOSED_FORM_MAX_P`` has both norms in
+closed form on [0, 1], in the scaled Bernstein basis (Farouki & Rajan
+1987), for all of a probe's trials at once.  At any other p each norm is
+one engine call on plain coefficient arrays, in ``numpy.polynomial``'s
+order of operations, so those ratios are bit for bit those of
+``polymul``/``polyder``/``polyval``; ``polyroots`` breaks a kinked |h|^p.
 
 For pure power weights the product defining B is unimodal in the split
 point for every parameter choice (its log-derivative is C - G(x) with G
@@ -31,7 +28,6 @@ strictly increasing), so the supremum is located in closed form.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 import sys
@@ -42,7 +38,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .constants import AdamsParams
-from .errors import DegenerateTrialError, DomainError, InfeasibleError, QuadratureError
+from .errors import DegenerateTrialError, DomainError, InfeasibleError
 from .profiles import (
     PiecewiseProfile,
     PowerPiece,
@@ -61,6 +57,13 @@ _LOG_RANGE = 700.0
 #: R^(theta+1) and R^(alpha+1-p), and their first-level breaks are graded
 #: from the smallest knot toward 0, so R stays far from the float range's ends.
 _R_RANGE = (1e-100, 1e100)
+#: The largest even p whose second-order norms take the closed form.  On
+#: seeded draws with n in [5, 200] and R in [1e-2, 1e2], against an exact
+#: mpmath expansion, its worst ratios were 3.3e-15 off at p = 2 and 6.3e-14
+#: at p = 4 (5 000 draws each), but 1.7e-12 at p = 6 (4 of 3 000 above
+#: 1e-13) and 2.4e-12 at p = 8 (9 of 1 000): the Bernstein coefficients of
+#: (s v'' + (n-1) v')^p cancel by factors up to 7e5 there.
+_CLOSED_FORM_MAX_P = 4
 
 
 class Side(enum.Enum):
@@ -302,102 +305,137 @@ def second_order_constant(n: int, q: float) -> float:
 
 def _abs_pow_poly_integral(
     coef: np.ndarray, power: float, weight_pow: float, R: float, spec: QuadratureSpec
-) -> float | np.ndarray:
+) -> float:
     """integral_0^R |poly(r)|^power r^weight_pow dr for the power-basis
-    coefficients ``coef``, with poly's real roots in (0, R) as breaks where
-    ``kinks_at_roots(power)``.  Coefficient rows (k, m) give the k integrals
-    by one stacked engine call on one first level, so there the power must
-    have no kinks at roots.
+    coefficients ``coef``, by one engine call, with poly's real roots in
+    (0, R) as breaks where ``kinks_at_roots(power)``.
 
     ``DomainError`` naming p where a node's |poly|^power and r^weight_pow
     are 0 and inf, whose product is NaN.  The nodes are checked only where
     a positive weight leaves a factor free to leave the float range: where
-    (1 + sum |c_k| R^k)^power or R^weight_pow reaches e^700, with each |c_k|
-    the largest over the rows.
+    (1 + sum |c_k| R^k)^power or R^weight_pow reaches e^700.
     """
     breaks = None
     if kinks_at_roots(power):
         roots = P.polyroots(coef)
         keep = (np.abs(roots.imag) < 1e-12) & (1e-12 < roots.real) & (roots.real < R * (1 - 1e-12))
         breaks = np.unique(roots.real[keep])
-    # Highest degree first, as floats or as (k, 1) columns of the rows, so
-    # that each row's values take the arithmetic of its own 1-D call.
-    if coef.ndim == 1:
-        columns, moduli = coef[::-1].tolist(), np.abs(coef)
-    else:
-        columns, moduli = coef.T[::-1, :, None], np.abs(coef).max(0)
+    columns = coef[::-1].tolist()  # highest degree first
+    bound = 0.0  # sum |c_k| R^k >= |poly| on [0, R]
+    for c in np.abs(coef[::-1]).tolist():
+        bound = c + bound * R
+    largest = max(power * math.log1p(bound), weight_pow * math.log(max(R, 1.0)))
+    check = weight_pow > 0.0 and largest >= _LOG_RANGE
 
     def value(r):
         # Horner's rule in ``P.polyval``'s order of operations.
         y = columns[0] + r * 0.0
         for c in columns[1:]:
             y = c + y * r
+        if check:  # the integrand's own factors, so this refuses exactly its NaNs
+            h, w = np.abs(y) ** power, r**weight_pow
+            if ((h == 0.0) & (w == math.inf) | (h == math.inf) & (w == 0.0)).any():
+                raise DomainError(
+                    f"at p={power} a trial's |polynomial|^p and the weight r^{weight_pow:g} leave"
+                    f" the float range together on (0, {R}), where their product is 0 * inf"
+                )
         return y
 
-    bound = 0.0  # sum |c_k| R^k >= |poly| on [0, R]
-    for c in moduli[::-1].tolist():
-        bound = c + bound * R
-    if weight_pow <= 0.0 or (
-        power * math.log1p(bound) < _LOG_RANGE and weight_pow * math.log(max(R, 1.0)) < _LOG_RANGE
-    ):
-        return abs_pow_quadrature(value, power, weight_pow, 0.0, R, spec, breaks=breaks)
+    return abs_pow_quadrature(value, power, weight_pow, 0.0, R, spec, breaks=breaks)
 
-    def checked(r):
-        # The integrand's own factors, so this refuses exactly its NaNs.
-        y = value(r)
-        h, w = np.abs(y) ** power, r**weight_pow
-        if ((h == 0.0) & (w == math.inf) | (h == math.inf) & (w == 0.0)).any():
-            raise DomainError(
-                f"at p={power} a trial's |polynomial|^p and the weight r^{weight_pow:g} leave"
-                f" the float range together on (0, {R}), where their product is 0 * inf"
-            )
-        return y
 
-    return abs_pow_quadrature(checked, power, weight_pow, 0.0, R, spec, breaks=breaks)
+def _power_basis(n: int, R: float, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The power-basis coefficients of u = (R - r)^2 poly(r) and of
+    r u'' + (n-1) u', which keeps the laplacian integrand
+    polynomial-times-power (no 1/r at the origin)."""
+    factor = np.array([R, -1.0])
+    u = np.convolve(np.convolve(factor, factor), coef)
+    if not np.isfinite(u).all():
+        raise DomainError(f"the trial's coefficients overflow at R={R}")
+    du = np.arange(1, u.size) * u[1:]
+    lap_times_r = (n - 1.0) * du
+    lap_times_r[1:] += np.arange(1, du.size) * du[1:]
+    return u, lap_times_r
+
+
+def _bernstein_integral(beta: np.ndarray, power: int, weight_pow: float) -> np.ndarray:
+    """integral_0^1 h(s)^power s^weight_pow ds for each row of ``beta``, the
+    coefficients of h in the scaled Bernstein basis s^j (1-s)^(d-j):
+    h^power is a plain convolution there, and s^j (1-s)^(D-j) integrates
+    to B(w+j+1, D-j+1), by the recurrence B_{j-1} = B_j (D-j+1)/(w+j)
+    from B_D = 1/(w+D+1)."""
+    rows, width = beta.shape
+    h = beta
+    for _ in range(power - 1):
+        # The products beta_i h_j with row i shifted i places, summed over i
+        # in the same order whatever the row count.
+        top = width + h.shape[1] - 1
+        skewed = np.zeros((rows, width, top + 1))
+        skewed[:, :, : h.shape[1]] = beta[:, :, None] * h[:, None, :]
+        h = skewed.reshape(rows, -1)[:, : width * top].reshape(rows, width, top).sum(1)
+    top = h.shape[1] - 1
+    betas = [1.0 / (weight_pow + top + 1.0)]
+    for j in range(top, 0, -1):
+        betas.append(betas[-1] * (top - j + 1) / (weight_pow + j))
+    return (h * np.array(betas[::-1])).sum(-1)
+
+
+def _closed_form_integrals(n: int, p: int, weights: tuple, R: float, coefs: np.ndarray) -> list:
+    """Both second-order integrals of each trial row of ``coefs`` on
+    [0, 1], exact but for rounding at an even p.  With r = R s, v(s) =
+    (1 - s)^2 poly(R s), whose coefficients c_k R^k are scaled by a power
+    of 2 to a largest modulus in [1/2, 1), the integrals are those of v^p
+    and (s v'' + (n-1) v')^p at the two ``weights``: the powers of R and of
+    the scale cancel in the ratio, as the weights differ by -p."""
+    m = coefs.shape[1]
+    k = np.arange(m)
+    mantissa, exponent = math.frexp(R)
+    scaled = coefs * mantissa**k  # c_k R^k / 2^(k exponent), rounded as c_k R^k
+    shift = np.where(scaled != 0.0, np.frexp(scaled)[1] + exponent * k, -(2**20))
+    scaled = np.ldexp(scaled, exponent * k - shift.max(1, keepdims=True))
+    # s^k = s^k (s + 1 - s)^(m-1-k), and (1 - s)^2 appends two zero coefficients.
+    to_v = [[math.comb(m - 1 - i, j - i) if i <= j else 0 for i in range(m)] for j in range(m + 2)]
+    v = (scaled[:, None, :] * np.array(to_v)).sum(-1)
+
+    def derivative(b):
+        d = b.shape[1] - 1
+        return np.arange(1, d + 1) * b[:, 1:] - np.arange(d, 0, -1) * b[:, :-1]
+
+    lap = (n - 1.0) * derivative(v)
+    lap[:, 1:] += derivative(derivative(v))  # s v'' is v'' shifted one place up
+    return [_bernstein_integral(h, p, w).tolist() for h, w in zip((v, lap), weights)]
 
 
 def _second_order_ratios(
-    n: int, p: float, q: float, R: float, coef: np.ndarray, spec: QuadratureSpec
-) -> float | list[float]:
-    """``second_order_trial_ratio`` of the power-basis coefficients ``coef``:
-    one ratio for a 1-D array, the list of ratios for rows (k, m), whose
-    integrals are one stacked engine call per side."""
+    n: int, p: float, q: float, R: float, coefs: np.ndarray, spec: QuadratureSpec
+) -> list[float]:
+    """``second_order_trial_ratio`` of each row of the power-basis
+    coefficients ``coefs`` (k, m): every integral in closed form at an even
+    p up to ``_CLOSED_FORM_MAX_P``, else by one engine call, row by row, so
+    a refusal is the first refusing row's own."""
+    if not 0.0 < R < math.inf:
+        raise DomainError(f"interval endpoint must be positive and finite, got R={R}")
     if not p >= 1.0:
         raise DomainError(f"need p >= 1, got p={p}")
     q_star = n * q / (n - 2.0 * q)
-    lhs_weight, rhs_weight = n * p / q_star - 1.0, n * p / q - 1.0 - p
-    if not (math.isfinite(lhs_weight) and math.isfinite(rhs_weight)):
+    weights = (n * p / q_star - 1.0, n * p / q - 1.0 - p)
+    if not all(map(math.isfinite, weights)):
         raise DomainError(f"the weight exponents overflow at p={p}")
-    factor = np.array([R, -1.0])
-    square = np.convolve(factor, factor)
-    if coef.ndim == 1:
-        u = np.convolve(square, coef)
-    else:
-        u = np.array([np.convolve(square, c) for c in coef])
-    if not np.isfinite(u).all():
-        raise DomainError(f"the trial's coefficients overflow at R={R}")
-    du = np.arange(1, u.shape[-1]) * u[..., 1:]
-    # |r u'' + (n-1) u'|^p r^{np/q - 1 - p} keeps the laplacian integrand
-    # polynomial-times-power (no 1/r at the origin).
-    lap_times_r = (n - 1.0) * du
-    lap_times_r[..., 1:] += np.arange(1, du.shape[-1]) * du[..., 1:]
-    lhs = _abs_pow_poly_integral(u, p, lhs_weight, R, spec)
-    rhs = _abs_pow_poly_integral(lap_times_r, p, rhs_weight, R, spec)
-    if coef.ndim == 1:
-        return _ratio(coef, lhs, rhs, p, R)
-    return [_ratio(*row, p, R) for row in zip(coef, lhs.tolist(), rhs.tolist())]
-
-
-def _ratio(coef: np.ndarray, lhs: float, rhs: float, p: float, R: float) -> float:
-    """(lhs / rhs)^{1/p}, NaN where rhs = 0; ``DomainError`` where an
-    integral of nonzero ``coef`` is below the normal float range."""
-    if np.any(coef) and not min(lhs, rhs) >= sys.float_info.min:
-        raise DomainError(
-            f"the trial's integrals ({lhs:.3g}, {rhs:.3g}) underflow the float range at R={R}"
+    if p <= _CLOSED_FORM_MAX_P and not kinks_at_roots(p):
+        integrals = zip(*_closed_form_integrals(n, int(p), weights, R, coefs))
+    else:  # lazily, row by row
+        integrals = (
+            [_abs_pow_poly_integral(h, p, w, R, spec) for h, w in zip(_power_basis(n, R, c), weights)]
+            for c in coefs
         )
-    if rhs == 0.0:
-        return math.nan
-    return lhs ** (1.0 / p) / rhs ** (1.0 / p)
+    ratios = []
+    for coef, (lhs, rhs) in zip(coefs, integrals):
+        if np.any(coef) and not min(lhs, rhs) >= sys.float_info.min:
+            raise DomainError(
+                f"the trial's integrals ({lhs:.3g}, {rhs:.3g}) underflow the float range at R={R}"
+            )
+        ratios.append(math.nan if rhs == 0.0 else lhs ** (1.0 / p) / rhs ** (1.0 / p))
+    return ratios
 
 
 def second_order_trial_ratio(
@@ -413,21 +451,26 @@ def second_order_trial_ratio(
     The boundary conditions u(R) = 0 and u'(R) = 0 hold by construction.
     Raises ``DomainError`` when ``poly`` is not in the power basis (its
     domain differs from its window), when p < 1, when either weight
-    exponent overflows (p near 1e308), the coefficients of u overflow, or
-    either integral of a nonzero ``poly`` falls below the normal float
-    range, where its digits are lost (R near 1e-40 and below).
+    exponent overflows (p near 1e308), unless 0 < R < inf, or when either
+    integral of a nonzero ``poly`` falls below the normal float range,
+    where its digits are lost (R near 1e-40 and below on the engine's
+    route); on the engine's route also when the coefficients of u
+    overflow (R near 1e200).
 
-    Integrals far below 1 are governed by the engine's absolute floor
-    min(1e-13, rel_tol), not by rel_tol: at n = 20, p = 1.5, q = 1.1,
-    R = 1 and the third ``uniform(-1, 1, 4)`` draw of ``default_rng(7)``
-    the lhs, 4.598e-7, is 1.6e-9 off its 40-digit value at rel_tol 1e-10,
-    1e-12 and 1e-13 alike (2.8e-10 at 1e-14), and the ratio 1.1e-9.  Where
-    large weights put both integrals far below the floor (2e-292 and
-    2e-229 at n = 85, p = 17.7), the ratio can be 11 % off.
+    An even p up to ``_CLOSED_FORM_MAX_P`` takes the closed form, exact to
+    rounding (within 1e-13) whatever ``spec.rel_tol``.  Elsewhere the
+    engine's absolute floor min(1e-13, rel_tol), not rel_tol, governs
+    integrals far below 1: at n = 20, p = 1.5, q = 1.1, R = 1 and the
+    third ``uniform(-1, 1, 4)`` draw of ``default_rng(7)`` the lhs,
+    4.598e-7, is 1.6e-9 off its 40-digit value at rel_tol 1e-10, 1e-12 and
+    1e-13 alike (2.8e-10 at 1e-14), and the ratio 1.1e-9.  Where large
+    weights put both integrals far below the floor (an lhs of 1.4567e-291
+    at n = 85, p = 17.7, which the engine returns as 1.3219e-291), the
+    ratio, 3.1027e-4 against 3.1200005e-4, is 0.55 % off.
     """
     if not (poly.domain == poly.window).all():
         raise DomainError(f"the trial polynomial must be in the power basis, got {poly!r}")
-    return _second_order_ratios(n, p, q, R, poly.coef, spec)
+    return _second_order_ratios(n, p, q, R, poly.coef[None, :], spec)[0]
 
 
 def second_order_probe(
@@ -442,29 +485,15 @@ def second_order_probe(
     """Max LHS/RHS over random polynomial trials; must stay below
     second_order_constant(n, q) (up to 1e-6 relative).
 
-    Where |h|^p has no kinks at roots, every trial's integrals share one
-    first level, and all trials take one stacked engine call per side.
-    Should that pass raise, the trials rerun one at a time, so a refusal
-    is the first trial's own, as where each trial takes its own calls."""
+    The trials' ratios are those of ``second_order_trial_ratio`` to the
+    bit, and a refusal is the first refusing trial's own."""
     constant = second_order_constant(n, q)  # validates n - 2q > 0
-    if not 0.0 < R < math.inf:
-        raise DomainError(f"interval endpoint must be positive and finite, got R={R}")
     if trial_count < 1:
         raise DomainError(f"trial_count must be >= 1, got {trial_count}")
     rng = np.random.default_rng(seed)
     coefs = np.array([rng.uniform(-1.0, 1.0, size=4) for _ in range(trial_count)])
-    ratios = None
-    if not kinks_at_roots(p):
-        # A refusal is rerun below, so that it is the trial-by-trial one.
-        with contextlib.suppress(ArithmeticError, DomainError, QuadratureError):
-            ratios = _second_order_ratios(n, p, q, R, coefs, spec)
-    if ratios is None:
-        polys = map(np.polynomial.Polynomial, coefs)
-        ratios = [second_order_trial_ratio(n, p, q, R, poly, spec) for poly in polys]
-    best = -math.inf
-    for ratio in ratios:
-        if not math.isnan(ratio):
-            best = max(best, ratio)
+    ratios = _second_order_ratios(n, p, q, R, coefs, spec)
+    best = max((r for r in ratios if not math.isnan(r)), default=-math.inf)
     if best == -math.inf:
         raise DegenerateTrialError("every polynomial trial degenerated")
     if not best <= constant * (1.0 + 1e-6):

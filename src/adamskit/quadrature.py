@@ -19,17 +19,7 @@ only frozen panels fail their share.  A call whose first level meets
 the tolerance returns there; ``_refine`` keeps the bookkeeping of the
 later levels.
 
-An integrand may also return a stack, shape (k, x.size): k integrals on
-one panel layout, which the call returns as an array of k floats.  The
-rows share the first level, one (k, panels, 46) evaluation whose rows'
-rule sums match their own (panels, 15) and (panels, 31) products, and a
-row that meets its own tolerance there is done.  Each other row r then
-refines, in row order, as its own 1-D call of ``f(x)[r]``: every later
-level of it evaluates all k rows of ``f`` on its panels and reads its own.
-So every row is its own 1-D call to the bit, its errors included, and a
-stack raises the error of its first refusing row.  A 1-D integrand keeps
-its float bookkeeping.  An empty interval (hi <= lo) is 0.0 without a
-call of ``f``, stacked or not.
+An empty interval (hi <= lo) is 0.0 without a call of ``f``.
 
 Each first-level panel must lie within one smooth piece of its integrand:
 the callers break there (``profiles.abs_pow_integral`` at the knots and
@@ -40,8 +30,8 @@ log-radial profile's energy at the radii of its ``LogRadialRun``;
 run of non-constant polyline segments at their knots, and one per other
 profile piece without a closed form, with edges at width/2, width/4, ...
 from both ends of each piece or segment down to end panels in
-(1/16, 1/8]; ``hardy`` stacks the norms of all of a second-order probe's
-polynomial trials where their power is even, so no roots break them).
+(1/16, 1/8]; ``hardy`` by one call per second-order norm outside its
+closed form, at the polynomial's roots where the power kinks there).
 The error estimate is blind to a jump that lies between a panel edge
 and that panel's outermost Gauss node, where G15 and G31 see the same
 side and agree on a wrong value;
@@ -100,10 +90,9 @@ def adaptive_gauss(
     spec: QuadratureSpec = DEFAULT_SPEC,
     *,
     breaks: np.ndarray | None = None,
-) -> float | np.ndarray:
+) -> float:
     """Integral of ``f`` on the finite interval [lo, hi], starting from the
-    panels between ``breaks`` (see the module docstring); the array of the
-    k integrals where ``f`` returns a stack of shape (k, x.size)."""
+    panels between ``breaks`` (see the module docstring)."""
     if not math.isfinite(lo) or not math.isfinite(hi):
         raise DomainError("adaptive_gauss requires a finite interval")
     if hi <= lo:
@@ -125,10 +114,7 @@ def adaptive_gauss(
             )
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     x = np.multiply.outer(half, _NODES) + mid[:, None]
-    y = np.asarray(f(x.ravel()), dtype=float)
-    if y.ndim == 2:
-        return _stack(f, lo, hi, spec, a, b, half, mid, y.reshape(len(y), *x.shape))
-    g15, g31, err = _rules(half, y.reshape(x.shape))
+    g15, g31, err = _rules(half, np.asarray(f(x.ravel()), dtype=float).reshape(x.shape))
     active_err = float(err.sum())
     # A call whose first level meets the tolerance returns here.
     if active_err <= _tolerance(spec, float(g31.sum())) and math.isfinite(active_err):
@@ -137,9 +123,9 @@ def adaptive_gauss(
 
 
 def _rules(half: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G15, G31 and their difference |G31 - G15| on each panel (the last
-    axis but one) from the values ``y`` at its 15 + 31 nodes."""
-    g15, g31 = half * (y[..., :15] @ _W15), half * (y[..., 15:] @ _W31)
+    """G15, G31 and their difference |G31 - G15| on each panel (each row)
+    from the values ``y`` at its 15 + 31 nodes."""
+    g15, g31 = half * (y[:, :15] @ _W15), half * (y[:, 15:] @ _W31)
     return g15, g31, np.abs(g31 - g15)
 
 
@@ -202,23 +188,6 @@ def _refine(f, lo, hi, spec, a, b, half, mid, g15, g31, err) -> float:
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
         x = np.multiply.outer(half, _NODES) + mid[:, None]
         g15, g31, err = _rules(half, np.asarray(f(x.ravel()), dtype=float).reshape(x.shape))
-
-
-def _stack(f, lo, hi, spec, a, b, half, mid, y) -> np.ndarray:
-    """``adaptive_gauss`` of a stacked ``f`` from the values ``y`` (k x
-    panels x 46) of the shared first level [a, b].  A row whose first
-    level meets its tolerance is done there; each other row r refines by
-    ``_refine`` as its own 1-D call of ``f(x)[r]`` would, so each of its
-    later levels evaluates all k rows of ``f`` on its own panels."""
-    g15, g31, err = _rules(half, y)
-    active_err = err.sum(1)
-    tol = np.maximum(min(1e-13, spec.rel_tol), spec.rel_tol * np.abs(g31.sum(1)))
-    done = (active_err <= tol) & np.isfinite(active_err)
-    return np.array([
-        math.fsum(g31[r]) if done[r]
-        else _refine(lambda x, r=r: f(x)[r], lo, hi, spec, a, b, half, mid, g15[r], g31[r], err[r])
-        for r in range(len(y))
-    ])
 
 
 def power_integral(c: float, w1: float, a: float, b: float) -> float:

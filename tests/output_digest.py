@@ -6,8 +6,9 @@ per invocation: the exit code, the sha256 of stdout, the sha256 of stderr
 and the invocation; then a total over those lines.  The list covers every
 ``cli_golden.json`` entry (whose drifted entries the suite compares only
 to 1e-14), both sweep files, the maximizer goldens, Talenti profiles and a
-grid of second-order Hardy probes, some of whose stacked rows refine past
-their first level.  Usage, from the repository root::
+grid of second-order Hardy probes: closed-form norms at p = 2, 4 and 6,
+engine calls at p = 3 (some of which refine past their first level), and
+p = 2 and 3 at radii where p = 3 refuses.  Usage, from the repository root::
 
     PYTHONPATH=<tree>/src python tests/output_digest.py > digest.txt
 
@@ -45,12 +46,17 @@ def _maximizer_invocations() -> list[str]:
 
 def _second_order_invocations() -> list[str]:
     shapes = [(8, 2.0, 1.0), (12, 2.5, 2.0), (40, 3.0, 2.0)]  # (n, q, R); n = 40 refines
-    return [
+    grid = [
         f"--seed {seed} hardy --second-order --n-dim {n} --q {q} --p {p} --R {R} --trials {trials}"
-        for p in (2, 3, 4)
+        for p in (2, 3, 4, 6)
         for trials in (3, 20, 50)
         for n, q, R in shapes
         for seed in (0, 1)
+    ]
+    return grid + [
+        f"hardy --second-order --n-dim 8 --q 2 --p {p} --R {R} --trials 5"
+        for p in (2, 3)
+        for R in ("1e-41", "1e200")
     ]
 
 

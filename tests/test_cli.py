@@ -29,7 +29,9 @@ DATA = Path(__file__).parent / "data"
 #: Rayleigh probe when each Hardy norm became one engine call and again when
 #: the first level was graded toward r = 0 (its error went 1.9e-13 -> 1.1e-15),
 #: each time after every hardy max_ratio was checked against a 30-digit
-#: mpmath reference to 1e-12.
+#: mpmath reference to 1e-12.  ``hardy --second-order --n-dim 8 --q 2
+#: --trials 50`` was re-pinned when even-p norms became closed form, after
+#: its max_ratio was checked against the 60-digit closed form to 7.7e-17.
 CLI_GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 #: The entries whose numbers moved in their last digits since they were
 #: pinned: compared to 1e-14 relative until they are re-pinned.  Every other
@@ -38,7 +40,6 @@ DRIFTED = {
     "--rtol 1e-12 cc --p 2.5 --family moser --a 500",
     "--seed 5 hardy --p 2 --q 4 --alpha 1.2 --theta -0.5 --side right --trials 40",
     "--seed 2 hardy --p 2 --q 2 --alpha 2 --theta 0.5 --side right --R 3 --trials 30",
-    "hardy --second-order --n-dim 8 --q 2 --trials 50",
     "--seed 3 hardy --second-order --n-dim 12 --q 2.5 --p 3 --R 2 --trials 20",
 }
 #: A number not glued to a word, e.g. "1e-10" and "-0.5" but not "beta0".
@@ -328,12 +329,40 @@ class TestCommands:
         ],
     )
     def test_second_order_bad_radius_is_domain_error(self, radius, message, capsys):
+        # The engine's route (p = 3); an even p keeps its digits there.
         argv = ["hardy", "--second-order", "--n-dim", "8", "--q", "2", "--trials", "5",
-                "--R", radius]
+                "--R", radius, "--p", "3"]
         status, out, err = run_cli(argv, capsys)
         assert status == 2
         assert out == ""
         assert err == f"adamskit: domain error: {message}\n"
+
+    @pytest.mark.parametrize("radius", ["1e200", "1e50", "1e-41"])
+    def test_second_order_even_p_at_extreme_radius(self, radius, capsys):
+        # Where p = 3 refuses, p = 2's closed form returns the max of its
+        # trials' 60-digit ratios.
+        from test_hardy import closed_form_p2_ratio, draws
+
+        argv = ["hardy", "--second-order", "--n-dim", "8", "--q", "2", "--trials", "5",
+                "--R", radius]
+        status, out, err = run_cli(argv, capsys)
+        assert (status, err) == (0, "")
+        want = max(closed_form_p2_ratio(8, 2.0, float(radius), c) for c in draws(5, 0))
+        assert json.loads(out)["max_ratio"] == pytest.approx(float(want), rel=1e-13)
+
+    def test_second_order_weight_beyond_the_float_range(self, capsys):
+        # r^{np/q* - 1} ~ r^391 leaves the float range at r = 7.4, where the
+        # engine's route exited 3 "integrand is infinite"; the closed form
+        # on [0, 1] meets the exact expansion.
+        from test_hardy import closed_form_ratio, draws
+
+        n, q, R = 100, 1.0000000001, 7.437213197232482
+        argv = ["hardy", "--second-order", "--n-dim", str(n), "--q", repr(q), "--p", "4",
+                "--R", repr(R), "--trials", "1"]
+        status, out, err = run_cli(argv, capsys)
+        assert (status, err) == (0, "")
+        want = closed_form_ratio(n, 4, q, R, draws(1, 0)[0])
+        assert json.loads(out)["max_ratio"] == pytest.approx(float(want), rel=1e-13)
 
     @pytest.mark.parametrize("p", ["-1", "0", "1e-300"])
     def test_second_order_p_below_one_is_domain_error(self, p, capsys):
@@ -409,10 +438,10 @@ class TestCommands:
         )
 
     def test_second_order_overflow_is_quadrature_failure(self, capsys):
-        # |u|^p overflows on (0, R): the engine names the panel, and numpy
-        # prints no warning.
+        # |u|^p overflows on (0, R) on the engine's route (p = 3): the engine
+        # names the panel, and numpy prints no warning.
         argv = ["hardy", "--second-order", "--n-dim", "8", "--q", "2", "--trials", "5",
-                "--R", "1e50"]
+                "--R", "1e50", "--p", "3"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             status, out, err = run_cli(argv, capsys)

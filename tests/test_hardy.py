@@ -438,17 +438,16 @@ class TestOneEngineCallPerNorm:
             np.testing.assert_allclose(breaks, roots, rtol=1e-12)
 
     def test_second_order_even_p_solves_no_roots(self, engine_calls, monkeypatch):
-        # At p = 2 |poly|^2 is smooth at the roots, so none is solved for;
-        # the integer weights r^3 and r^5 leave the first level unbroken.
+        # An even p up to the cap takes the closed form: no roots are
+        # solved for, and the engine is not called.
         def refuse(*args, **kwargs):
             raise AssertionError("polyroots called")
 
         monkeypatch.setattr(P, "polyroots", refuse)
         poly = np.polynomial.Polynomial.fromroots([0.3, 0.65, 1.7])
-        assert 0.0 < second_order_trial_ratio(8, 2.0, 2.0, 1.0, poly) < math.inf
-        assert len(engine_calls) == 2
-        for lo, hi, breaks in engine_calls:
-            assert (lo, hi) == (0.0, 1.0) and breaks.size == 0
+        for p in (2.0, 4.0):
+            assert 0.0 < second_order_trial_ratio(8, p, 2.0, 1.0, poly) < math.inf
+        assert engine_calls == []
 
 
 class TestGradedFirstLevel:
@@ -489,12 +488,15 @@ class TestGradedFirstLevel:
         "n, q", [(8, 2.6), (6, 2.6)], ids=["weights-1.15-3.15", "weights-(-0.38)-1.62"]
     )
     def test_second_order_trial_ratio(self, n, q, integrand_calls):
-        # p = 2 keeps |poly|^p smooth at its roots; a weight in (-1, 0)
-        # goes through the substitution and is graded in s.
+        # The engine's route of the second-order norms: p = 2 keeps |poly|^p
+        # smooth at its roots; a weight in (-1, 0) goes through the
+        # substitution and is graded in s.
+        weights = (2.0 * (n - 2.0 * q) / q - 1.0, 2.0 * n / q - 3.0)
         for seed in range(3):
             coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=4)
-            poly = np.polynomial.Polynomial(coeffs)
-            assert 0.0 < second_order_trial_ratio(n, 2.0, q, 1.0, poly) < math.inf
+            for poly, weight in zip(hardy_module._power_basis(n, 1.0, coeffs), weights):
+                value = hardy_module._abs_pow_poly_integral(poly, 2.0, weight, 1.0, DEFAULT_SPEC)
+                assert 0.0 < value < math.inf
         assert len(integrand_calls) == 6
         assert max(integrand_calls) <= 2
 
@@ -545,12 +547,65 @@ class TestSecondOrder:
             second_order_trial_ratio(8, 2.0, 2.0, 1.0, poly)
 
     def test_subnormal_integrals_rejected(self):
-        # At R = 1e-40 both integrals are subnormal and the ratio read 0.0995.
-        poly = np.polynomial.Polynomial(np.random.default_rng(0).uniform(-1.0, 1.0, 4))
-        ratio = second_order_trial_ratio(8, 2.0, 2.0, 1e-30, poly)
-        assert ratio == pytest.approx(0.07319250547113967, rel=1e-12)
+        # On the engine's route (p = 3) both integrals, of order R^12, are
+        # subnormal at R = 1e-40, where the p = 2 ratio once read 0.0995.  At
+        # R = 1e-10 poly(r) is c_0 to about 1e-10, so the ratio is that of
+        # (1 - s)^2 on [0, 1] to about 1e-10.
+        coeffs = np.random.default_rng(0).uniform(-1.0, 1.0, 4)
+        poly = np.polynomial.Polynomial(coeffs)
+        with mpmath.workdps(30):
+            # r u'' + (n - 1) u' = 2 (8 s - 7) for u = (1 - s)^2 at n = 8.
+            lhs = mpmath.beta(6, 7)  # |u|^3 = (1 - s)^6 at the weight n p/q* - 1 = 5
+            rhs = mpmath.quad(lambda s: abs(2 * (8 * s - 7)) ** 3 * s**8, [0, mpmath.mpf(7) / 8, 1])
+            want = float((lhs / rhs) ** (mpmath.mpf(1) / 3))
+        assert second_order_trial_ratio(8, 3.0, 2.0, 1e-10, poly) == pytest.approx(want, rel=1e-9)
         with pytest.raises(DomainError, match=r"underflow the float range at R=1e-40"):
-            second_order_trial_ratio(8, 2.0, 2.0, 1e-40, poly)
+            second_order_trial_ratio(8, 3.0, 2.0, 1e-40, poly)
+
+    @pytest.mark.parametrize("R", [1e-41, 1e-40, 1e-30, 1e200, 1e300])
+    def test_even_p_keeps_its_digits_at_extreme_radii(self, R):
+        # The closed form scales the coefficients c_k R^k by a power of 2,
+        # so no radius in the float range overflows them or underflows the
+        # integrals; as R -> 0 the ratio tends to sqrt(3/560), that of
+        # (1 - r)^2 at n = 8, p = q = 2.
+        coeffs = np.random.default_rng(0).uniform(-1.0, 1.0, 4)
+        got = second_order_trial_ratio(8, 2.0, 2.0, R, np.polynomial.Polynomial(coeffs))
+        assert got == pytest.approx(float(closed_form_p2_ratio(8, 2.0, R, coeffs)), rel=1e-13)
+        if R <= 1e-30:
+            assert got == pytest.approx(math.sqrt(3.0 / 560.0), rel=1e-14)
+
+    def test_zero_polynomial_is_nan_in_closed_form(self):
+        zero = np.polynomial.Polynomial([0.0, 0.0, 0.0, 0.0])
+        assert math.isnan(second_order_trial_ratio(8, 2.0, 2.0, 1.0, zero))
+
+    @pytest.mark.parametrize("trial_count", [3, 50])
+    def test_probe_is_the_max_of_its_trial_ratios(self, trial_count):
+        # The closed form integrates all trials as rows, each to the bits of
+        # its own one-row call.
+        for n in (6, 8, 12, 20):
+            for q in (1.0 + 0.2 * (n / 2.0 - 1.0), 1.0 + 0.8 * (n / 2.0 - 1.0)):
+                for p in (2.0, 4.0, 6.0):
+                    for R, seed in ((0.5, 0), (2.0, 1)):
+                        ratios = [
+                            second_order_trial_ratio(n, p, q, R, np.polynomial.Polynomial(c))
+                            for c in draws(trial_count, seed)
+                        ]
+                        want = max(r for r in ratios if not math.isnan(r))
+                        assert second_order_probe(n, p, q, R, trial_count, seed) == want
+
+    def test_refusal_is_the_first_refusing_trials_own(self):
+        # At p = 1000 some trials' |poly|^p overflow where the weight
+        # underflows: the probe names the first of them, as trial by trial.
+        n, p, q, R, seed = 4, 1000.0, 1.78, 1.0, 1
+        for c in draws(40, seed):
+            try:
+                second_order_trial_ratio(n, p, q, R, np.polynomial.Polynomial(c))
+            except DomainError as exc:
+                want = str(exc)
+                break
+        with pytest.raises(DomainError) as info:
+            second_order_probe(n, p, q, R, 40, seed)
+        assert str(info.value) == want
 
     def test_boundary_conditions_by_construction(self):
         poly = np.polynomial.Polynomial([0.3, -1.2, 0.7])
@@ -589,11 +644,23 @@ class TestSecondOrder:
         assert result.stdout.startswith("optimized probe ratio")
 
 
+def draws(trial_count, seed):
+    """The coefficient draws of ``second_order_probe``'s trials."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-1.0, 1.0, size=4) for _ in range(trial_count)]
+
+
 def closed_form_p2_ratio(n, q, R, coeffs):
-    """The p = 2 second-order ratio of u = (R - r)^2 g(r) in mpmath: each
-    integral of poly(r)^2 r^w on (0, R) is sum_k a_k R^{k+w+1}/(k+w+1) over
-    the coefficients a of poly^2, summed at 60 digits (the terms cancel)."""
-    with mpmath.workdps(60):
+    """The p = 2 second-order ratio of u = (R - r)^2 g(r), at 60 digits."""
+    return closed_form_ratio(n, 2, q, R, coeffs, dps=60)
+
+
+def closed_form_ratio(n, p, q, R, coeffs, dps=None):
+    """The second-order ratio of u = (R - r)^2 g(r) at an even p in mpmath:
+    each integral of poly(r)^p r^w on (0, R) is sum_k a_k R^{k+w+1}/(k+w+1)
+    over the coefficients a of poly^p, summed at ``dps`` digits, 80 + 4p by
+    default (the terms cancel)."""
+    with mpmath.workdps(dps or 80 + 4 * p):
         R_, q_ = mpmath.mpf(R), mpmath.mpf(q)
         u = [mpmath.mpf(0)] * (len(coeffs) + 2)
         for i, c in enumerate(coeffs):
@@ -605,14 +672,18 @@ def closed_form_p2_ratio(n, q, R, coeffs):
             lap[k] += k * c
 
         def integral(poly, w):
-            square = [mpmath.mpf(0)] * (2 * len(poly) - 1)
-            for i, a in enumerate(poly):
-                for j, b in enumerate(poly):
-                    square[i + j] += a * b
-            return mpmath.fsum(a * R_ ** (k + w + 1) / (k + w + 1) for k, a in enumerate(square))
+            power = poly
+            for _ in range(p - 1):
+                product = [mpmath.mpf(0)] * (len(power) + len(poly) - 1)
+                for i, a in enumerate(power):
+                    for j, b in enumerate(poly):
+                        product[i + j] += a * b
+                power = product
+            return mpmath.fsum(a * R_ ** (k + w + 1) / (k + w + 1) for k, a in enumerate(power))
 
-        # Weights n p/q* - 1 and n p/q - 1 - p at p = 2, q* = nq/(n - 2q).
-        return mpmath.sqrt(integral(u, 2 * (n - 2 * q_) / q_ - 1) / integral(lap, 2 * n / q_ - 3))
+        # Weights n p/q* - 1 and n p/q - 1 - p, q* = nq/(n - 2q).
+        lhs, rhs = integral(u, p * (n - 2 * q_) / q_ - 1), integral(lap, p * n / q_ - 1 - p)
+        return mpmath.root(lhs / rhs, p)
 
 
 class TestSecondOrderClosedForm:
@@ -629,6 +700,24 @@ class TestSecondOrderClosedForm:
             got = second_order_trial_ratio(n, 2.0, q, R, np.polynomial.Polynomial(coeffs))
             want = closed_form_p2_ratio(n, q, R, coeffs)
             assert abs(got - want) <= DEFAULT_SPEC.rel_tol * want, (n, q, R, coeffs)
+
+    def test_even_p_grid(self):
+        # Every even p up to the cap is exact to rounding: within 1e-13 of the
+        # 60-digit closed form at p = 2 and of the exact expansion above it.
+        rng = np.random.default_rng(3100)
+        powers = range(2, hardy_module._CLOSED_FORM_MAX_P + 1, 2)
+        for _ in range(60):
+            for p in powers:
+                n = int(rng.integers(5, 201))
+                q = 1.0 + (n / 2.0 - 1.0) * float(rng.uniform(0.05, 0.95))
+                R = float(10.0 ** rng.uniform(-2.0, 2.0))
+                coeffs = rng.uniform(-1.0, 1.0, size=4)
+                got = second_order_trial_ratio(n, float(p), q, R, np.polynomial.Polynomial(coeffs))
+                if p == 2:
+                    want = closed_form_p2_ratio(n, q, R, coeffs)
+                else:
+                    want = closed_form_ratio(n, p, q, R, coeffs)
+                assert abs(got - want) <= 1e-13 * want, (n, p, q, R, coeffs)
 
 
 def reference_second_order_ratio(n, p, q, R, poly):
@@ -660,13 +749,18 @@ def reference_second_order_ratio(n, p, q, R, poly):
 
 
 class TestCoefficientArithmetic:
-    """``second_order_trial_ratio`` forms its polynomials on plain arrays and
-    must return the bits of the numpy.polynomial route."""
+    """``second_order_trial_ratio`` forms its polynomials on plain arrays
+    where it takes the engine's route, and must return the bits of the
+    numpy.polynomial route; at an even p the cap is lowered to 0 to take it."""
+
+    @pytest.fixture
+    def engine_route(self, monkeypatch):
+        monkeypatch.setattr(hardy_module, "_CLOSED_FORM_MAX_P", 0)
 
     @pytest.mark.parametrize("n", [6, 8, 12])
     @pytest.mark.parametrize("k", range(3))
     @pytest.mark.parametrize("p", [2.0, 1.5])
-    def test_equals_the_numpy_polynomial_route(self, n, k, p):
+    def test_equals_the_numpy_polynomial_route(self, n, k, p, engine_route):
         q = float(np.linspace(1.2, n / 2.0 - 0.4, 3)[k])
         rng = np.random.default_rng(100 * n + k)
         for _ in range(3):
@@ -675,7 +769,7 @@ class TestCoefficientArithmetic:
             want = reference_second_order_ratio(n, p, q, R, poly)
             assert second_order_trial_ratio(n, p, q, R, poly) == want
 
-    def test_constant_and_zero_polynomials(self):
+    def test_constant_and_zero_polynomials(self, engine_route):
         one = np.polynomial.Polynomial([1.0])
         assert second_order_trial_ratio(8, 2.0, 2.0, 1.0, one) == reference_second_order_ratio(
             8, 2.0, 2.0, 1.0, one

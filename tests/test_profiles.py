@@ -248,6 +248,13 @@ class TestAdaptiveGauss:
         value = adaptive_gauss(lambda x: x**6 - 3 * x**2, 0.0, 2.0)
         assert value == pytest.approx(2.0**7 / 7 - 2.0**3, rel=1e-14)
 
+    def test_returns_a_float(self):
+        # One or many first-level panels, and a call that refines: a float.
+        rows = (lambda x: x**3 - 2.0 * x, np.sqrt, lambda x: np.sin(40.0 * x))
+        for f in rows:
+            assert type(adaptive_gauss(f, 0.0, 1.0)) is float
+            assert type(adaptive_gauss(f, 0.0, 1.0, breaks=[0.5])) is float
+
     def test_oscillatory_against_closed_form(self):
         spec = QuadratureSpec(rel_tol=1e-12)
         value = adaptive_gauss(lambda x: np.sin(40.0 * x), 0.0, 1.0, spec)
