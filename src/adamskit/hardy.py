@@ -10,10 +10,12 @@ Rayleigh-quotient probes that certify the sandwich numerically.  A
 probe's weighted norm is one ``profiles.abs_pow_integral`` of the trial
 or its derivative, which breaks its quadrature at knots, and at roots
 unless the power is even, and grades it toward r = 0 in quarter steps
-where the weight leaves a power of r there.  A polyline trial's knots
-are drawn sorted, and its value norm takes one ``np.interp`` of its knots
-and values per level and builds no derivative evaluator (the
-derivative norm is closed form).  A second-order trial u = (R - r)^2
+where the weight leaves a power of r there.  A random probe builds no
+profile per trial, only the witness: a trial is drawn as its sorted knots
+and its values, two float lists, and its norms are ``abs_pow_integral``'s
+terms for that polyline, added up in the same order from the lists, the
+derivative norm in closed form per segment and the value norm by one
+``np.interp`` of the knots and values per level.  A second-order trial u = (R - r)^2
 poly(r) at an even p up to ``_CLOSED_FORM_MAX_P`` has both norms in
 closed form on [0, 1], in the scaled Bernstein basis (Farouki & Rajan
 1987), for all of a probe's trials at once.  At any other p each norm is
@@ -47,7 +49,7 @@ from .profiles import (
     kinks_at_roots,
     piecewise_linear,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, power_integral
 
 _BOUNDARY_RTOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -216,7 +218,10 @@ class ProbeResult(NamedTuple):
     witness: PiecewiseProfile
 
 
-def _random_trial(setup: HardySetup, rng: np.random.Generator) -> PiecewiseProfile:
+def _random_knots(setup: HardySetup, rng: np.random.Generator) -> tuple[list[float], list[float]]:
+    """A random trial's knots ``ts`` and values ``ys`` in the vanishing class
+    of the setup, drawn sorted: a knot drawn twice is dropped at its second
+    place."""
     R = setup.R
     n_knots = int(rng.integers(3, 7))
     if setup.side is Side.LEFT_VANISHING:
@@ -227,9 +232,8 @@ def _random_trial(setup: HardySetup, rng: np.random.Generator) -> PiecewiseProfi
     else:
         knots = [0.0, *sorted(rng.uniform(0.0, R, size=n_knots).tolist()), R]
         values = [*rng.uniform(-1.0, 1.0, size=n_knots + 1).tolist(), 0.0]
-    # The knots are sorted: a knot drawn twice is dropped at its second place.
     keep = [0] + [i for i in range(1, len(knots)) if knots[i] != knots[i - 1]]
-    return piecewise_linear([knots[i] for i in keep], [values[i] for i in keep], constant_tail=False)
+    return [knots[i] for i in keep], [values[i] for i in keep]
 
 
 def trial_ratio(
@@ -246,6 +250,59 @@ def trial_ratio(
     return float(numer ** (1.0 / setup.q) / denom ** (1.0 / setup.p))
 
 
+def _constant_norm(h: float, power: float, weight_pow: float, a: float, b: float, name: str) -> float:
+    """integral_a^b h^power r^weight_pow dr for a constant h >= 0, in
+    ``abs_pow_closed_form``'s arithmetic, and ``abs_pow_integral``'s
+    refusal where it leaves the float range (``name`` is g or g')."""
+    try:
+        c = h**power
+        return 0.0 if c == 0.0 else power_integral(c, weight_pow + 1.0, a, b)
+    except OverflowError:
+        raise DomainError(f"|{name}|^p on [{a!r}, {b!r}] leaves the float range at p={power!r}") from None
+
+
+def _polyline_ratio(setup: HardySetup, ts: list[float], ys: list[float], spec: QuadratureSpec) -> float:
+    """``trial_ratio`` of ``piecewise_linear(ts, ys, constant_tail=False)``
+    from its knots and values, with no profile built: every ratio and
+    refusal is the same to the bit.
+
+    Both norms add up ``abs_pow_integral``'s terms in its order and
+    arithmetic.  The derivative norm is one closed form per segment, of
+    |s_i|^p r^alpha with s_i = (ys[i+1] - ys[i]) / (ts[i+1] - ts[i]).  The
+    value norm is the closed forms of the flat segments, then one
+    ``abs_pow_quadrature`` of ``np.interp(t, ts, ys)`` per run of sloped
+    segments, broken at its interior knots and, where ``kinks_at_roots(q)``,
+    at the roots ts[i] - ys[i]/s_i.
+    """
+    slopes = [(y1 - y0) / (t1 - t0) for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:])]
+    denom = 0.0
+    for t0, t1, s in zip(ts, ts[1:], slopes):
+        denom += _constant_norm(abs(s), setup.p, setup.alpha, t0, t1, "g'")
+    if not 0.0 < denom < math.inf:
+        return math.nan
+    numer, kinks = 0.0, kinks_at_roots(setup.q)
+    runs: list[list[float]] = []  # the edges of each run, ends included
+    for t0, t1, y0, s in zip(ts, ts[1:], ys, slopes):
+        if s == 0.0:
+            numer += _constant_norm(abs(y0), setup.q, setup.theta, t0, t1, "g")
+            continue
+        if not runs or runs[-1][-1] != t0:  # a flat segment ended the last run
+            runs.append([t0])
+        if kinks and t0 < (root := t0 - y0 / s) < t1:
+            runs[-1].append(root)
+        runs[-1].append(t1)
+    knots, values = np.array(ts), np.array(ys)
+
+    def value(t):
+        return np.interp(t, knots, values)
+
+    for edges in runs:
+        numer += abs_pow_quadrature(
+            value, setup.q, setup.theta, edges[0], edges[-1], spec, breaks=edges[1:-1]
+        )
+    return float(numer ** (1.0 / setup.q) / denom ** (1.0 / setup.p))
+
+
 def rayleigh_probe(
     setup: HardySetup,
     trial_count: int,
@@ -256,6 +313,8 @@ def rayleigh_probe(
     """Max Rayleigh ratio over random piecewise-linear trials in the
     vanishing class of the setup (or over explicitly supplied trials).
 
+    A random trial's ratio is ``trial_ratio``'s of its polyline to the bit,
+    but only the winning trial is built as a profile, the witness.
     Every ratio must sit below k(q,p) B; a violation certifies a bug.
     """
     _feasible(setup)
@@ -263,18 +322,20 @@ def rayleigh_probe(
         if trial_count < 1:
             raise DomainError(f"trial_count must be >= 1, got {trial_count}")
         rng = np.random.default_rng(seed)
-        trials = [_random_trial(setup, rng) for _ in range(trial_count)]
+        draws = [_random_knots(setup, rng) for _ in range(trial_count)]
+        scored = ((_polyline_ratio(setup, ts, ys, spec), (ts, ys)) for ts, ys in draws)
+    else:
+        scored = ((trial_ratio(setup, u, spec), u) for u in trials)
     best = -math.inf
     witness = None
-    for u in trials:
-        ratio = trial_ratio(setup, u, spec)
-        if math.isnan(ratio):
-            continue
-        if ratio > best:
+    for ratio, trial in scored:
+        if ratio > best:  # never a NaN
             best = ratio
-            witness = u
+            witness = trial
     if witness is None:
         raise DegenerateTrialError("every trial had zero or infinite derivative norm")
+    if trials is None:
+        witness = piecewise_linear(*witness, constant_tail=False)
     return ProbeResult(max_ratio=best, witness=witness)
 
 

@@ -6,9 +6,12 @@ per invocation: the exit code, the sha256 of stdout, the sha256 of stderr
 and the invocation; then a total over those lines.  The list covers every
 ``cli_golden.json`` entry (whose drifted entries the suite compares only
 to 1e-14), both sweep files, the maximizer goldens, Talenti profiles and a
-grid of second-order Hardy probes: closed-form norms at p = 2, 4 and 6,
-engine calls at p = 3 (some of which refine past their first level), and
-p = 2 and 3 at radii where p = 3 refuses.  Usage, from the repository root::
+grid of second-order Hardy probes (closed-form norms at p = 2, 4 and 6,
+engine calls at p = 3, some of which refine past their first level, and
+p = 2 and 3 at radii where p = 3 refuses) and a grid of Rayleigh probes
+over both sides, q = 2, 2.5, 4 (roots of u as breaks only at 2.5),
+theta = -0.5 (the substitution route), 0.3 and 1.7 (graded toward
+r = 0), at 3 and 40 trials.  Usage, from the repository root::
 
     PYTHONPATH=<tree>/src python tests/output_digest.py > digest.txt
 
@@ -60,6 +63,19 @@ def _second_order_invocations() -> list[str]:
     ]
 
 
+def _rayleigh_invocations() -> list[str]:
+    # p = 2 with alpha = 0 on the left and 1.2 on the right is feasible for
+    # every (q, theta) below.
+    sides = (("left", 0.0), ("right", 1.2))
+    return [
+        f"hardy --p 2 --q {q} --alpha {alpha} --theta {theta} --side {side} --trials {trials}"
+        for side, alpha in sides
+        for q in (2, 2.5, 4)
+        for theta in (-0.5, 0.3, 1.7)
+        for trials in (3, 40)
+    ]
+
+
 #: Each once: the golden list has Talenti at n = 3.
 INVOCATIONS = list(dict.fromkeys([
     *json.loads((DATA / "cli_golden.json").read_text()),
@@ -68,6 +84,7 @@ INVOCATIONS = list(dict.fromkeys([
     *_maximizer_invocations(),
     *(f"rearrange --input cells.csv --mode talenti --n {n} --radius 1" for n in (2, 3, 4)),
     *_second_order_invocations(),
+    *_rayleigh_invocations(),
 ]))
 
 

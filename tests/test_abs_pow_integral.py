@@ -242,14 +242,21 @@ class TestHardyIntegrals:
 
 NORM = 1e-10
 GRADED = 1e-12
+
+
+def random_trial(setup, rng):
+    """The polyline of one ``hardy._random_knots`` draw."""
+    return piecewise_linear(*hardy._random_knots(setup, rng), constant_tail=False)
+
+
 LEFT = HardySetup(p=2.0, q=3.0, alpha=0.0, theta=0.4, R=1.5, side=Side.LEFT_VANISHING)
 RIGHT = HardySetup(p=2.0, q=4.0, alpha=1.2, theta=-0.5, R=1.5, side=Side.RIGHT_VANISHING)
 NEAR = HardySetup(p=2.0, q=2.5, alpha=1.2, theta=-0.3, R=1.2, side=Side.RIGHT_VANISHING)
 NORM_CASES = {
-    "left": (LEFT, hardy._random_trial(LEFT, np.random.default_rng(3))),
+    "left": (LEFT, random_trial(LEFT, np.random.default_rng(3))),
     # theta in (-1, 0): the knots go through r = R s^{1/(theta+1)} (at q = 4
     # the roots of u are no breaks).
-    "right-substitution": (RIGHT, hardy._random_trial(RIGHT, np.random.default_rng(3))),
+    "right-substitution": (RIGHT, random_trial(RIGHT, np.random.default_rng(3))),
     # u(0.5) = -1e-9: roots 4.3e-10 below and 1e-9 above the knot 0.5.
     "root-near-knot": (
         NEAR,
@@ -349,7 +356,7 @@ class TestWholeNorms:
         # (-1, 0) goes through r = R s^{1/(theta+1)} and is graded in s.
         # At theta = 0.05 and 0.3 the grading is deepest, K = 32 and 26.
         setup = HardySetup(p=2.0, q=2.5, alpha=1.05, theta=theta, R=1.5, side=Side.RIGHT_VANISHING)
-        u = hardy._random_trial(setup, np.random.default_rng(11))
+        u = random_trial(setup, np.random.default_rng(11))
         got = abs_pow_integral(u, setup.q, setup.theta, 0.0, setup.R, DEFAULT_SPEC)
         with mpmath.workdps(30):
             value, points = mp_linear_profile(u)
@@ -405,7 +412,7 @@ class TestLinearGather:
     @pytest.mark.parametrize("setup", list(GATHER_SETUPS.values()), ids=list(GATHER_SETUPS))
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_the_profile_value_route(self, setup, seed):
-        u = hardy._random_trial(setup, np.random.default_rng(seed))
+        u = random_trial(setup, np.random.default_rng(seed))
         knots, values = np.array(u.knots), u.value(np.array(u.knots))
         trials = [u, piecewise_linear(knots, values)]  # the second with a constant tail
         if setup.side is Side.LEFT_VANISHING:
@@ -426,7 +433,7 @@ class TestLinearGather:
             assert got == want
 
     def test_no_per_node_dispatch(self, monkeypatch):
-        u = hardy._random_trial(RIGHT, np.random.default_rng(0))
+        u = random_trial(RIGHT, np.random.default_rng(0))
         want = abs_pow_integral(u, RIGHT.q, RIGHT.theta, 0.0, RIGHT.R, DEFAULT_SPEC)
 
         def refuse(self, t):

@@ -29,7 +29,7 @@ from adamskit.hardy import (
     second_order_trial_ratio,
     trial_ratio,
 )
-from adamskit.profiles import PiecewiseProfile, constant_piece, piecewise_linear
+from adamskit.profiles import PiecewiseProfile, Polyline, constant_piece, piecewise_linear
 from adamskit.quadrature import DEFAULT_SPEC
 
 
@@ -302,8 +302,13 @@ class TestRayleighProbe:
         assert a.max_ratio == b.max_ratio
 
 
+def random_trial(setup, rng):
+    """The polyline of one ``hardy._random_knots`` draw."""
+    return piecewise_linear(*hardy_module._random_knots(setup, rng), constant_tail=False)
+
+
 def unique_trial(setup, rng):
-    """``hardy._random_trial``'s draws, deduplicated by ``np.unique``."""
+    """``hardy._random_knots``'s draws, deduplicated by ``np.unique``."""
     R = setup.R
     n_knots = int(rng.integers(3, 7))
     if setup.side is Side.LEFT_VANISHING:
@@ -345,10 +350,10 @@ class TestRandomTrial:
     @pytest.mark.parametrize("setup", [LEFT, RIGHT], ids=["left", "right"])
     def test_equals_the_unique_construction(self, setup):
         for seed in range(1000):
-            u = hardy_module._random_trial(setup, np.random.default_rng(seed))
+            ts, ys = hardy_module._random_knots(setup, np.random.default_rng(seed))
             knots, values = unique_trial(setup, np.random.default_rng(seed))
-            want = piecewise_linear(knots, values, constant_tail=False)
-            assert knots_and_values(u) == knots_and_values(want), seed
+            assert all(type(x) is float for x in ts + ys), seed
+            assert (np.array(ts).tobytes(), np.array(ys).tobytes()) == (knots.tobytes(), values.tobytes()), seed
 
     @pytest.mark.parametrize(
         "setup, draws",
@@ -361,15 +366,125 @@ class TestRandomTrial:
         ids=["left", "right"],
     )
     def test_repeated_knot_dropped(self, setup, draws):
-        u = hardy_module._random_trial(setup, ScriptedRng(3, *draws))
+        u = random_trial(setup, ScriptedRng(3, *draws))
         knots, values = unique_trial(setup, ScriptedRng(3, *draws))
         assert len(u.knots) == len(knots) == 3 + (setup.side is Side.LEFT_VANISHING)
         assert knots_and_values(u) == knots_and_values(piecewise_linear(knots, values, constant_tail=False))
 
     def test_value_norm_builds_no_derivative_evaluator(self):
-        u = hardy_module._random_trial(self.RIGHT, np.random.default_rng(3))
+        u = random_trial(self.RIGHT, np.random.default_rng(3))
         assert 0.0 < trial_ratio(self.RIGHT, u) < math.inf
         assert "_value_batch" in vars(u) and "_derivative_batch" not in vars(u)
+
+
+def probe_outcome(probe):
+    """``probe()``'s max ratio and its witness's knots, values and tail,
+    or the type and message of its refusal."""
+    try:
+        result = probe()
+    except (DomainError, QuadratureError, DegenerateTrialError) as exc:
+        return type(exc), str(exc)
+    witness = result.witness
+    return result.max_ratio, witness.ts.tobytes(), witness.ys.tobytes(), witness.tail
+
+
+def reference_probe(setup, trial_count, seed):
+    """The max of ``trial_ratio`` over the polylines of ``trial_count``
+    draws of ``hardy._random_knots`` from ``default_rng(seed)``, and the
+    first maximizing polyline, as a ``ProbeResult``."""
+    rng = np.random.default_rng(seed)
+    trials = [random_trial(setup, rng) for _ in range(trial_count)]
+    ratios = [trial_ratio(setup, u) for u in trials]  # the first refusal raises
+    finite = [i for i, r in enumerate(ratios) if not math.isnan(r)]
+    if not finite:
+        raise DegenerateTrialError("every trial had zero or infinite derivative norm")
+    best = max(finite, key=lambda i: (ratios[i], -i))
+    return hardy_module.ProbeResult(ratios[best], trials[best])
+
+
+def polyline_route_setups():
+    """Both sides; q = 2 and 4, where the roots of u are no breaks, and a
+    non-integer q; theta < -1 (left only), in (-1, 0), where the value
+    norm goes through r = R s^{1/(theta+1)}, and > 0, where it is graded
+    toward r = 0.  Then setups whose probes refuse: an overflowing
+    derivative norm at R = 1e80, and every trial degenerate: with an
+    infinite derivative norm at R = 1e-100, and with a derivative norm of 0
+    (|u'|^p underflows) at R = 1e100."""
+    setups = {}
+    for q in (2.0, 4.0, 2.7):
+        for theta in (-1.5, -0.5, 0.7):
+            setups[f"left-q={q}-theta={theta}"] = HardySetup(
+                p=2.0, q=q, alpha=-1.0, theta=theta, R=1.3, side=Side.LEFT_VANISHING
+            )
+        for theta in (-0.5, 0.7):
+            setups[f"right-q={q}-theta={theta}"] = HardySetup(
+                p=2.0, q=q, alpha=1.2, theta=theta, R=0.8, side=Side.RIGHT_VANISHING
+            )
+    setups["right-overflow"] = HardySetup(
+        p=3.7, q=5.0, alpha=4.0, theta=2.0, R=1e80, side=Side.RIGHT_VANISHING
+    )
+    setups["left-tiny"] = HardySetup(p=3.0, q=3.0, alpha=-1.5, theta=0.0, R=1e-100, side=Side.LEFT_VANISHING)
+    setups["right-huge"] = HardySetup(p=4.0, q=4.0, alpha=3.5, theta=0.3, R=1e100, side=Side.RIGHT_VANISHING)
+    return setups
+
+
+POLYLINE_ROUTE_SETUPS = polyline_route_setups()
+
+
+class TestPolylineRoute:
+    """``rayleigh_probe`` takes a random trial's ratio from its knots and
+    values and builds only the witness; its result is that of
+    ``trial_ratio`` over the draws' polylines, to the bit, and so is every
+    refusal."""
+
+    @pytest.mark.parametrize("name", list(POLYLINE_ROUTE_SETUPS))
+    def test_equals_trial_ratio(self, name):
+        setup = POLYLINE_ROUTE_SETUPS[name]
+        outcomes = []
+        for seed in range(6):
+            for trial_count in (1, 7):
+                got = probe_outcome(lambda: rayleigh_probe(setup, trial_count, seed))
+                assert got == probe_outcome(lambda: reference_probe(setup, trial_count, seed)), seed
+                outcomes.append(got)
+        kinds = {type(x[0]) for x in outcomes}
+        assert kinds == ({type} if name.endswith(("overflow", "tiny", "huge")) else {float}), outcomes
+
+    @pytest.mark.parametrize("name", [n for n in POLYLINE_ROUTE_SETUPS if "q=" in n])
+    def test_flat_segments_and_runs(self, name):
+        # A random draw's only flat segment is the left side's zero on
+        # [0, x0]: these knots add flat nonzero segments, which end the
+        # runs of sloped ones, four runs in all, two with a root.
+        setup = POLYLINE_ROUTE_SETUPS[name]
+        ts = [setup.R * x for x in (0.0, 0.1, 0.2, 0.3, 0.45, 0.55, 0.7, 0.85, 1.0)]
+        ys = [0.0, 0.0, 0.5, 0.5, -0.25, -0.25, 0.75, 0.75, 0.0]
+        want = trial_ratio(setup, piecewise_linear(ts, ys, constant_tail=False))
+        assert 0.0 < want < math.inf
+        assert hardy_module._polyline_ratio(setup, ts, ys, DEFAULT_SPEC) == want
+
+    def test_witness_is_the_winning_draw(self):
+        setup = POLYLINE_ROUTE_SETUPS["right-q=2.7-theta=0.7"]
+        result = rayleigh_probe(setup, 9, 4)
+        rng = np.random.default_rng(4)
+        draws = [hardy_module._random_knots(setup, rng) for _ in range(9)]
+        wins = [
+            (ts, ys) for ts, ys in draws
+            if trial_ratio(setup, piecewise_linear(ts, ys, constant_tail=False)) == result.max_ratio
+        ]
+        assert len(wins) == 1
+        assert isinstance(result.witness, Polyline) and result.witness.tail is None
+        assert (result.witness.ts.tolist(), result.witness.ys.tolist()) == wins[0]
+
+    def test_builds_only_the_witness(self, monkeypatch):
+        built = []
+        route = hardy_module.piecewise_linear
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(hardy_module, "piecewise_linear", counting)
+        rayleigh_probe(POLYLINE_ROUTE_SETUPS["left-q=2.7-theta=0.7"], 20, 3)
+        assert len(built) == 1
 
 
 class TestOneEngineCallPerNorm:
@@ -402,7 +517,7 @@ class TestOneEngineCallPerNorm:
         ids=["left", "right", "left-q=2", "right-q=4"],
     )
     def test_trial_ratio(self, setup, engine_calls):
-        u = hardy_module._random_trial(setup, np.random.default_rng(7))
+        u = random_trial(setup, np.random.default_rng(7))
         assert 0.0 < trial_ratio(setup, u) < math.inf
         # |u'|^p r^alpha is closed form on every linear piece; |u|^q r^theta
         # is one call from the first nonzero piece to R.
@@ -479,7 +594,7 @@ class TestGradedFirstLevel:
         # is closed form.
         setup = HardySetup(p=2.0, q=4.0, alpha=1.2, theta=theta, R=1.5, side=Side.RIGHT_VANISHING)
         for seed in range(3):
-            u = hardy_module._random_trial(setup, np.random.default_rng(seed))
+            u = random_trial(setup, np.random.default_rng(seed))
             assert 0.0 < trial_ratio(setup, u) < math.inf
         assert len(integrand_calls) == 3
         assert max(integrand_calls) <= 2
