@@ -42,6 +42,7 @@ pins such a case as a strict xfail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -207,6 +208,24 @@ def power_integral(c: float, w1: float, a: float, b: float) -> float:
         return c * b**w1 / w1
     if w1 == 0.0:
         return c * math.log(b / a)
-    # (b^w1 - a^w1)/w1 via expm1: exact even when w1 is a rounding residue
-    # of 0 (e.g. the arc energy's ((n-2)/n - 1) n/2 + 1).
-    return c * (math.expm1(w1 * math.log(b)) - math.expm1(w1 * math.log(a))) / w1
+    # (b^w1 - a^w1)/w1 as b^w1 (1 - (a/b)^w1)/w1 for w1 > 0 and a^w1
+    # ((b/a)^w1 - 1)/w1 for w1 < 0: a product of positive factors, the
+    # second by expm1, so nothing cancels where a^w1 and b^w1 are both far
+    # below 1, and it stays exact where w1 is a rounding residue of 0 (e.g.
+    # the arc energy's ((n-2)/n - 1) n/2 + 1).
+    if w1 > 0.0:
+        return c * b**w1 * -math.expm1(w1 * _log_ratio(a, b)) / w1
+    return c * a**w1 * math.expm1(w1 * _log_ratio(b, a)) / w1
+
+
+def _log_ratio(x: float, y: float) -> float:
+    """log(x/y) for positive finite x and y, to a few ulps: by log1p of the
+    exact difference x - y where x/y lies in [1/2, 2], by the log of the
+    quotient elsewhere, and by a difference of logs where the quotient
+    leaves the normal float range."""
+    ratio = x / y
+    if 0.5 <= ratio <= 2.0:
+        return math.log1p((x - y) / y)
+    if sys.float_info.min <= ratio <= sys.float_info.max:
+        return math.log(ratio)
+    return math.log(x) - math.log(y)

@@ -38,7 +38,6 @@ CLI_GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 #: entry prints its pinned bytes.
 DRIFTED = {
     "--rtol 1e-12 cc --p 2.5 --family moser --a 500",
-    "--seed 5 hardy --p 2 --q 4 --alpha 1.2 --theta -0.5 --side right --trials 40",
     "--seed 2 hardy --p 2 --q 2 --alpha 2 --theta 0.5 --side right --R 3 --trials 30",
     "--seed 3 hardy --second-order --n-dim 12 --q 2.5 --p 3 --R 2 --trials 20",
 }
@@ -583,6 +582,19 @@ class TestOutputContracts:
         lines = out.splitlines()
         assert lines[0] == "raw,T0,n_threshold"
         assert lines[1].split(",")[1] == "52"
+
+    def test_high_weight_probe_inside_the_sandwich(self, capsys):
+        # At alpha = 60 the derivative norm's closed forms are
+        # (b^61 - a^61)/61 with a^61 and b^61 far below 1, which cancelled to
+        # 0 and made max_ratio 1.16e+52: a false failure of the sandwich.
+        argv = ["hardy", "--p", "2", "--q", "2", "--alpha", "60", "--theta", "60",
+                "--side", "right", "--R", "0.5", "--trials", "3"]
+        status, out, err = run_cli(argv, capsys)
+        assert (status, err) == (0, "")
+        record = json.loads(out)
+        assert record["lower"] <= record["max_ratio"] <= record["upper"]
+        # 40 digits: 0.011310416300963452375.
+        assert record["max_ratio"] == pytest.approx(0.011310416300963452375, rel=1e-13)
 
     def test_quadrature_stall_exits_3(self, capsys):
         # An unreachable tolerance forces the nonconvergence path.
