@@ -241,12 +241,38 @@ def trial_ratio(
 ) -> float:
     """(int |u|^q r^theta)^{1/q} / (int |u'|^p r^alpha)^{1/p} for one trial.
 
-    Returns NaN for trials with zero or infinite derivative norm.
+    Returns NaN for trials with zero or infinite derivative norm.  Raises
+    ``DomainError`` naming the weight exponent and R where the derivative
+    norm is positive but below the normal float range, or the value norm
+    of a trial with a usable derivative norm is (at theta = 1e300, R = 1
+    it underflows to 0): their digits are lost there.
     """
     denom = abs_pow_integral(u, setup.p, setup.alpha, 0.0, setup.R, spec, derivative=True)
-    if not 0.0 < denom < math.inf:
+    if _degenerate(setup, denom):
         return math.nan
-    numer = abs_pow_integral(u, setup.q, setup.theta, 0.0, setup.R, spec)
+    return _ratio(setup, abs_pow_integral(u, setup.q, setup.theta, 0.0, setup.R, spec), denom)
+
+
+def _degenerate(setup: HardySetup, denom: float) -> bool:
+    """Whether the derivative norm ``denom`` is 0 or infinite, where a
+    trial's ratio is NaN; ``DomainError`` where it is positive but below the
+    normal float range."""
+    if 0.0 < denom < sys.float_info.min:
+        raise DomainError(
+            f"the trial's derivative norm {denom:.3g} underflows the float range"
+            f" at alpha={setup.alpha}, R={setup.R}"
+        )
+    return not 0.0 < denom < math.inf
+
+
+def _ratio(setup: HardySetup, numer: float, denom: float) -> float:
+    """numer^{1/q} / denom^{1/p}; ``DomainError`` where the value norm
+    ``numer`` is below the normal float range."""
+    if not numer >= sys.float_info.min:
+        raise DomainError(
+            f"the trial's value norm {numer:.3g} underflows the float range"
+            f" at theta={setup.theta}, R={setup.R}"
+        )
     return float(numer ** (1.0 / setup.q) / denom ** (1.0 / setup.p))
 
 
@@ -278,7 +304,7 @@ def _polyline_ratio(setup: HardySetup, ts: list[float], ys: list[float], spec: Q
     denom = 0.0
     for t0, t1, s in zip(ts, ts[1:], slopes):
         denom += _constant_norm(abs(s), setup.p, setup.alpha, t0, t1, "g'")
-    if not 0.0 < denom < math.inf:
+    if _degenerate(setup, denom):
         return math.nan
     numer, kinks = 0.0, kinks_at_roots(setup.q)
     runs: list[list[float]] = []  # the edges of each run, ends included
@@ -300,7 +326,7 @@ def _polyline_ratio(setup: HardySetup, ts: list[float], ys: list[float], spec: Q
         numer += abs_pow_quadrature(
             value, setup.q, setup.theta, edges[0], edges[-1], spec, breaks=edges[1:-1]
         )
-    return float(numer ** (1.0 / setup.q) / denom ** (1.0 / setup.p))
+    return _ratio(setup, numer, denom)
 
 
 def rayleigh_probe(

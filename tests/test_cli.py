@@ -596,6 +596,17 @@ class TestOutputContracts:
         # 40 digits: 0.011310416300963452375.
         assert record["max_ratio"] == pytest.approx(0.011310416300963452375, rel=1e-13)
 
+    def test_underflowing_value_norm_exits_2(self, capsys):
+        # At theta = 1e300 the value norm underflows to 0: the probe printed
+        # max_ratio 0 beside lower 7.07e-151 and exited 0.
+        argv = ["hardy", "--p", "2", "--q", "2", "--alpha", "-1", "--theta", "1e300", "--trials", "3"]
+        status, out, err = run_cli(argv, capsys)
+        assert (status, out) == (2, "")
+        assert err == (
+            "adamskit: domain error: the trial's value norm 0 underflows the float range"
+            " at theta=1e+300, R=1.0\n"
+        )
+
     def test_quadrature_stall_exits_3(self, capsys):
         # An unreachable tolerance forces the nonconvergence path.
         status, _out, err = run_cli(

@@ -295,6 +295,19 @@ class TestRayleighProbe:
         with pytest.raises(DegenerateTrialError):
             rayleigh_probe(setup, trial_count=0, seed=0, trials=[ramp])
 
+    def test_norms_below_the_float_range_refused(self):
+        # The derivative norm is 5.7e-317 at R = 1e80; the value norm
+        # underflows to 0 at theta = 1e300.  Either ratio would lose its
+        # digits (the second read 0 beside B = 7.07e-151).
+        ramp = [0.0, 0.5, 1.0], [0.0, 0.0, 1.0]
+        setup = HardySetup(p=2.0, q=2.0, alpha=-3.0, theta=1.0, R=1e80, side=Side.LEFT_VANISHING)
+        u = piecewise_linear([x * setup.R for x in ramp[0]], ramp[1], constant_tail=False)
+        with pytest.raises(DomainError, match=r"derivative norm .* at alpha=-3.0, R=1e\+80"):
+            trial_ratio(setup, u)
+        setup = HardySetup(p=2.0, q=2.0, alpha=-1.0, theta=1e300, R=1.0, side=Side.LEFT_VANISHING)
+        with pytest.raises(DomainError, match=r"value norm 0 underflows .* at theta=1e\+300, R=1.0"):
+            trial_ratio(setup, piecewise_linear(*ramp, constant_tail=False))
+
     def test_deterministic_given_seed(self):
         setup = balanced_left(2.0, -1.0)
         a = rayleigh_probe(setup, trial_count=6, seed=9)
@@ -407,9 +420,10 @@ def polyline_route_setups():
     non-integer q; theta < -1 (left only), in (-1, 0), where the value
     norm goes through r = R s^{1/(theta+1)}, and > 0, where it is graded
     toward r = 0.  Then setups whose probes refuse: an overflowing
-    derivative norm at R = 1e80, and every trial degenerate: with an
-    infinite derivative norm at R = 1e-100, and with a derivative norm of 0
-    (|u'|^p underflows) at R = 1e100."""
+    derivative norm at R = 1e80; every trial degenerate, with an infinite
+    derivative norm at R = 1e-100 and with a derivative norm of 0 (|u'|^p
+    underflows) at R = 1e100; a derivative norm below the normal float
+    range at R = 1e80, and a value norm that underflows at theta = 1e300."""
     setups = {}
     for q in (2.0, 4.0, 2.7):
         for theta in (-1.5, -0.5, 0.7):
@@ -425,6 +439,8 @@ def polyline_route_setups():
     )
     setups["left-tiny"] = HardySetup(p=3.0, q=3.0, alpha=-1.5, theta=0.0, R=1e-100, side=Side.LEFT_VANISHING)
     setups["right-huge"] = HardySetup(p=4.0, q=4.0, alpha=3.5, theta=0.3, R=1e100, side=Side.RIGHT_VANISHING)
+    setups["left-subnormal"] = HardySetup(p=2.0, q=2.0, alpha=-3.0, theta=1.0, R=1e80, side=Side.LEFT_VANISHING)
+    setups["left-underflow"] = HardySetup(p=2.0, q=2.0, alpha=-1.0, theta=1e300, R=1.0, side=Side.LEFT_VANISHING)
     return setups
 
 
@@ -447,7 +463,7 @@ class TestPolylineRoute:
                 assert got == probe_outcome(lambda: reference_probe(setup, trial_count, seed)), seed
                 outcomes.append(got)
         kinds = {type(x[0]) for x in outcomes}
-        assert kinds == ({type} if name.endswith(("overflow", "tiny", "huge")) else {float}), outcomes
+        assert kinds == ({float} if "q=" in name else {type}), outcomes
 
     @pytest.mark.parametrize("name", [n for n in POLYLINE_ROUTE_SETUPS if "q=" in n])
     def test_flat_segments_and_runs(self, name):
