@@ -15,10 +15,10 @@ profile per trial, only the witness: a trial is drawn as its sorted knots
 and its values, two float lists, and its norms are ``abs_pow_integral``'s
 terms for that polyline, added up in the same order from the lists, the
 derivative norm in closed form per segment and the value norm by one
-``np.interp`` of the knots and values per level.  A second-order trial u = (R - r)^2
-poly(r) at an even p up to ``_CLOSED_FORM_MAX_P`` has both norms in
-closed form on [0, 1], in the scaled Bernstein basis (Farouki & Rajan
-1987), for all of a probe's trials at once.  At any other p each norm is
+``np.interp`` of the knots and values per level.  A second-order trial
+u = (R - r)^2 poly(r) at an even p up to ``_CLOSED_FORM_MAX_P`` has both
+norms in closed form on [0, 1], in the scaled Bernstein basis (Farouki &
+Rajan 1987), for all of a probe's trials at once.  At any other p each norm is
 one engine call on plain coefficient arrays, in ``numpy.polynomial``'s
 order of operations, so those ratios are bit for bit those of
 ``polymul``/``polyder``/``polyval``; ``polyroots`` breaks a kinked |h|^p.
@@ -355,7 +355,7 @@ def rayleigh_probe(
     best = -math.inf
     witness = None
     for ratio, trial in scored:
-        if ratio > best:  # never a NaN
+        if ratio > best:  # False for a NaN
             best = ratio
             witness = trial
     if witness is None:

@@ -222,7 +222,7 @@ def _log_ratio(x: float, y: float) -> float:
     """log(x/y) for positive finite x and y, to a few ulps: by log1p of the
     exact difference x - y where x/y lies in [1/2, 2], by the log of the
     quotient elsewhere, and by a difference of logs where the quotient
-    leaves the normal float range."""
+    leaves the normal float range (it may round to 0 or overflow)."""
     ratio = x / y
     if 0.5 <= ratio <= 2.0:
         return math.log1p((x - y) / y)
